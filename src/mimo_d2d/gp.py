@@ -302,9 +302,8 @@ class _Stack:
     """m smooth functions f_i(y) = logsumexp over that segment's rows of
     (E y + d). Single-row segments are exactly affine."""
 
-    def __init__(self, rows, cols, data, offsets, seg_ptr, n_vars):
-        coo = sparse.coo_matrix((data, (rows, cols)), shape=(len(offsets), n_vars))
-        self.E = coo.tocsr()
+    def __init__(self, E, offsets, seg_ptr):
+        self.E = sparse.csr_matrix(E)
         self.ET = self.E.T.tocsr()
         self.d = np.asarray(offsets, dtype=float)
         self.ptr = np.asarray(seg_ptr, dtype=int)
@@ -333,62 +332,34 @@ class _Stack:
         return h1 - h2
 
 
-def _stack_from_posynomials(posys, var_index, extra_cols=()):
-    """Compile posynomials into one stack; extra_cols maps a variable name
-    appended to every term (used for the phase-1 slack column)."""
+def _stack_from_posynomials(posys, var_index):
+    """Compile posynomials into one stack, one segment per posynomial."""
     rows, cols, data, offsets, ptr = [], [], [], [], [0]
     r = 0
-    for posy, extras in posys:
+    for posy in posys:
         for t in posy.terms:
             for var, exp in t.exponents.items():
                 rows.append(r)
                 cols.append(var_index[var])
                 data.append(exp)
-            for var, coefficient in extras:
-                rows.append(r)
-                cols.append(var_index[var])
-                data.append(coefficient)
             offsets.append(math.log(t.coeff))
             r += 1
         ptr.append(r)
-    return _Stack(rows, cols, data, offsets, ptr, len(var_index))
+    E = sparse.coo_matrix((data, (rows, cols)), shape=(r, len(var_index)))
+    return _Stack(E, offsets, ptr)
 
 
-def _stack_from_affine(a, c, n_vars, col_offset=0, slack_col=None):
-    """One affine row per segment: a @ x - c (- s)."""
-    rows, cols, data, offsets, ptr = [], [], [], [], [0]
-    r = 0
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != 0.0:
-                rows.append(r)
-                cols.append(col_offset + j)
-                data.append(a[i, j])
-        if slack_col is not None:
-            rows.append(r)
-            cols.append(slack_col)
-            data.append(-1.0)
-        offsets.append(-c[i])
-        r += 1
-        ptr.append(r)
-    return _Stack(rows, cols, data, offsets, ptr, n_vars)
-
-
-def _merge_stacks(stacks, n_vars):
-    rows, cols, data, offsets, ptr = [], [], [], [], [0]
-    shift = 0
-    for st in stacks:
-        coo = st.E.tocoo()
-        rows.extend(coo.row + shift)
-        cols.extend(coo.col)
-        data.extend(coo.data)
-        offsets.extend(st.d)
-        ptr.extend(st.ptr[1:] + shift)
-        shift += st.d.size
-    return _Stack(rows, cols, data, offsets, ptr, n_vars)
+def _slack_objective(s_col):
+    """The phase-1 objective s as a one-entry stack over s_col + 1 variables."""
+    return _Stack(sparse.csr_matrix(([1.0], ([0], [s_col])), shape=(1, s_col + 1)),
+                  [0.0], [0, 1])
 
 
 # --- barrier kernel ----------------------------------------------------------
+#
+# The box lo <= y[:len(lo)] <= hi never enters a stack: its barrier
+# -sum log(hi - y) - sum log(y - lo) is separable, so it adds a diagonal to
+# the Newton Hessian. Coordinates past len(lo) (the phase-1 slack) are free.
 
 class _BarrierBudget:
     def __init__(self, limit):
@@ -401,19 +372,32 @@ class _BarrierBudget:
             raise GPSolverError(f"iteration limit ({self.limit} Newton steps) exceeded")
 
 
-def _newton_centering(obj_stack, con_stack, y, t, settings, budget,
+def _strictly_inside(con_stack, box, y, margin=0.0):
+    """Every constraint and both sides of the box hold with slack > margin."""
+    lo, hi = box
+    x = y[:lo.size]
+    f, _ = con_stack.values(y)
+    return bool(np.all(f < -margin) and np.all(x - hi < -margin)
+                and np.all(lo - x < -margin))
+
+
+def _newton_centering(obj_stack, con_stack, box, y, t, settings, budget,
                       a_eq=None, early_exit=None):
     """Minimize t*f0 + barrier at fixed t; returns the centered point."""
-    m = con_stack.m
+    lo, hi = box
+    nb = lo.size
+    diag = np.arange(nb)
 
     def barrier_value(point):
         f, _ = con_stack.values(point)
-        if np.any(f >= 0.0):
-            return np.inf, f
+        x = point[:nb]
+        if np.any(f >= 0.0) or np.any(x >= hi) or np.any(x <= lo):
+            return np.inf
         f0, _ = obj_stack.values(point)
-        return t * f0[0] - np.log(-f).sum(), f
+        return (t * f0[0] - np.log(-f).sum()
+                - np.log(hi - x).sum() - np.log(x - lo).sum())
 
-    phi, f_con = barrier_value(y)
+    phi = barrier_value(y)
     for _ in range(100):  # per-centering cap; the path tolerates inexact centers
         budget.spend()
         f0, w0 = obj_stack.values(y)
@@ -426,6 +410,9 @@ def _newton_centering(obj_stack, con_stack, y, t, settings, budget,
         hess = (t * h0
                 + con_stack.weighted_hessian(w, u, grads)
                 + grads.T @ ((u * u)[:, None] * grads))
+        u_hi, u_lo = 1.0 / (hi - y[:nb]), 1.0 / (y[:nb] - lo)
+        grad[:nb] += u_hi - u_lo
+        hess[diag, diag] += u_hi * u_hi + u_lo * u_lo
 
         step, _ = _solve_kkt(hess, grad, a_eq)
         decrement = -grad @ step
@@ -436,7 +423,7 @@ def _newton_centering(obj_stack, con_stack, y, t, settings, budget,
         alpha = 1.0
         while True:
             cand = y + alpha * step
-            phi_cand, f_cand = barrier_value(cand)
+            phi_cand = barrier_value(cand)
             if phi_cand <= phi - settings.armijo * alpha * decrement:
                 y, phi = cand, phi_cand
                 break
@@ -472,24 +459,25 @@ def _solve_kkt(hess, grad, a_eq):
             raise GPSolverError("Newton system is numerically singular")
 
 
-def _barrier_path(obj_stack, con_stack, y0, settings, gap_target,
+def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
                   a_eq=None, early_exit=None):
-    """Follow the central path until the duality gap m/t reaches gap_target."""
+    """Follow the central path until the duality gap m/t reaches gap_target;
+    m counts the stack's constraints and both sides of the box."""
     budget = _BarrierBudget(settings.max_iter)
     y = np.array(y0, dtype=float)
-    f, _ = con_stack.values(y)
-    if np.any(f >= 0.0):
+    if not _strictly_inside(con_stack, box, y):
         raise GPSolverError("barrier start point is not strictly feasible")
     if early_exit is not None and early_exit(y):
         return y, 0, np.inf
+    m = con_stack.m + 2 * box[0].size
     t = settings.barrier_t0
     while True:
-        y = _newton_centering(obj_stack, con_stack, y, t, settings, budget,
+        y = _newton_centering(obj_stack, con_stack, box, y, t, settings, budget,
                               a_eq=a_eq, early_exit=early_exit)
         if early_exit is not None and early_exit(y):
-            return y, budget.used, con_stack.m / t
-        if con_stack.m / t <= gap_target:
-            return y, budget.used, con_stack.m / t
+            return y, budget.used, m / t
+        if m / t <= gap_target:
+            return y, budget.used, m / t
         t *= settings.barrier_mu
 
 
@@ -505,24 +493,20 @@ def _compile_gp(gp: GeometricProgram):
 
     lo = np.array([gp.bounds[v][0] for v in variables])
     hi = np.array([gp.bounds[v][1] for v in variables])
-    y_lo, y_hi = np.log(lo), np.log(hi)
-
-    # box rows as one-term segments: y_i - log hi <= 0 and log lo - y_i <= 0
-    box_a = np.vstack([np.eye(n), -np.eye(n)])
-    box_c = np.concatenate([y_hi, -y_lo])
     eq_rows = np.zeros((len(gp.mono_constraints), n))
     eq_rhs = np.zeros(len(gp.mono_constraints))
     for i, g in enumerate(gp.mono_constraints):
         for var, exp in g.exponents.items():
             eq_rows[i, var_index[var]] = exp
         eq_rhs[i] = -math.log(g.coeff)
-    return variables, var_index, n, (y_lo, y_hi), (box_a, box_c), (eq_rows, eq_rhs)
+    return variables, var_index, (np.log(lo), np.log(hi)), (eq_rows, eq_rhs)
 
 
-def _feasible_start(gp, var_index, n, ybounds, box, eqs, settings):
-    """Strictly feasible log-space point via a phase-1 epigraph solve."""
-    y_lo, y_hi = ybounds
-    box_a, box_c = box
+def _feasible_start(cons, box, eqs, settings):
+    """Strictly feasible log-space point via a phase-1 epigraph solve:
+    minimize s subject to f_i(y) - s <= 0 inside the box."""
+    y_lo, y_hi = box
+    n = y_lo.size
     eq_rows, eq_rhs = eqs
     center = (y_lo + y_hi) / 2.0
     if eq_rows.size:
@@ -532,27 +516,21 @@ def _feasible_start(gp, var_index, n, ybounds, box, eqs, settings):
         if np.any(center <= y_lo) or np.any(center >= y_hi):
             raise GPSolverError("no interior starting point satisfying the "
                                 "monomial equalities inside the variable box")
-    if not gp.posy_constraints:
+    if not cons.m:
         return center, 0
 
-    s_col = n
-    posy_stack = _stack_from_posynomials(
-        [(c, [("__slack__", -1.0)]) for c in gp.posy_constraints],
-        {**var_index, "__slack__": s_col})
-    box_stack = _stack_from_affine(box_a, box_c, n + 1)
-    cons = _merge_stacks([posy_stack, box_stack], n + 1)
-    obj = _stack_from_affine(np.ones((1, 1)), np.zeros(1), n + 1, col_offset=s_col)
-
-    plain_stack = _stack_from_posynomials([(c, []) for c in gp.posy_constraints], var_index)
-    f_init, _ = plain_stack.values(center)
+    # the slack enters every term of every segment with exponent -1
+    slack = sparse.csr_matrix(np.full((cons.d.size, 1), -1.0))
+    epigraph = _Stack(sparse.hstack([cons.E, slack]), cons.d, cons.ptr)
+    f_init, _ = cons.values(center)
     y0 = np.concatenate([center, [max(f_init.max(), 0.0) + 1.0]])
     eq_pad = np.hstack([eq_rows, np.zeros((eq_rows.shape[0], 1))]) if eq_rows.size else None
 
     def feasible_now(point):
-        vals, _ = plain_stack.values(point[:n])
+        vals, _ = cons.values(point[:n])
         return vals.max() < -1e-7
 
-    y, used, _ = _barrier_path(obj, cons, y0, settings,
+    y, used, _ = _barrier_path(_slack_objective(n), epigraph, box, y0, settings,
                                gap_target=min(settings.tol, 1e-9),
                                a_eq=eq_pad, early_exit=feasible_now)
     if not feasible_now(y):
@@ -570,31 +548,25 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
     exists, GPSolverError on iteration limit.
     """
     settings = settings or SolverSettings()
-    variables, var_index, n, ybounds, box, eqs = _compile_gp(gp)
-    box_a, box_c = box
+    variables, var_index, box, eqs = _compile_gp(gp)
     eq_rows, eq_rhs = eqs
-
-    posy_stack = _stack_from_posynomials([(c, []) for c in gp.posy_constraints], var_index) \
-        if gp.posy_constraints else None
-    box_stack = _stack_from_affine(box_a, box_c, n)
-    cons = _merge_stacks([posy_stack, box_stack], n) if posy_stack else box_stack
-    obj = _stack_from_posynomials([(gp.objective, [])], var_index)
+    cons = _stack_from_posynomials(gp.posy_constraints, var_index)
+    obj = _stack_from_posynomials([gp.objective], var_index)
 
     phase1_used = 0
     y0 = None
     if initial is not None:
         cand = np.array([math.log(initial[v]) for v in variables])
-        fvals, _ = cons.values(cand)
-        if np.all(fvals < -1e-12):
+        if _strictly_inside(cons, box, cand, margin=1e-12):
             y0 = cand
     if y0 is None:
-        y0, phase1_used = _feasible_start(gp, var_index, n, ybounds, box, eqs, settings)
+        y0, phase1_used = _feasible_start(cons, box, eqs, settings)
 
     a_eq = eq_rows if eq_rows.size else None
     if a_eq is not None:
         # keep the start exactly on the equality manifold
         y0 = y0 + np.linalg.lstsq(a_eq, eq_rhs - a_eq @ y0, rcond=None)[0]
-    y, used, gap = _barrier_path(obj, cons, y0, settings, gap_target=settings.tol,
+    y, used, gap = _barrier_path(obj, cons, box, y0, settings, gap_target=settings.tol,
                                  a_eq=a_eq)
     log_obj, _ = obj.values(y)
     values = {v: math.exp(y[i]) for v, i in var_index.items()}
@@ -629,13 +601,9 @@ def lp_feasible(lp: LinearFeasibilityProblem,
     if m == 0:
         return LPFeasibility(True, lp.upper / 2.0, -1.0)
 
-    s_col = n
-    rows = _stack_from_affine(a, c, n + 1, slack_col=s_col)
-    box_a = np.vstack([np.eye(n), -np.eye(n)])
-    box_c = np.concatenate([lp.upper, np.zeros(n)])
-    box = _stack_from_affine(box_a, box_c, n + 1)
-    cons = _merge_stacks([rows, box], n + 1)
-    obj = _stack_from_affine(np.ones((1, 1)), np.zeros(1), n + 1, col_offset=s_col)
+    # one affine segment per row: a @ x - c - s <= 0, the box as bounds
+    rows = _Stack(np.hstack([a, -np.ones((m, 1))]), -c, np.arange(m + 1))
+    box = (np.zeros(n), lp.upper)
 
     x0 = lp.upper / 2.0
     s0 = max(float((a @ x0 - c).max()), 0.0) + 1.0
@@ -646,7 +614,7 @@ def lp_feasible(lp: LinearFeasibilityProblem,
     def strictly_ok(point):
         return float((a @ point[:n] - c).max()) <= feas_cut
 
-    y, _, _ = _barrier_path(obj, cons, y0, settings,
+    y, _, _ = _barrier_path(_slack_objective(n), rows, box, y0, settings,
                             gap_target=min(settings.tol, 0.25 * settings.feas_tol),
                             early_exit=strictly_ok)
     witness = y[:n]

@@ -6,6 +6,7 @@ Per-drop seeds derive deterministically from the master seed, so a run is
 reproducible row for row regardless of the worker count.
 """
 
+import contextlib
 import csv
 import json
 import logging
@@ -146,11 +147,12 @@ def _job_rows(drop, job, scn, alloc, plan, exact_rng):
 
 
 def run_drop(plan: ExperimentPlan, drop: int):
-    """All jobs for one drop; returns (rows, failures, objective values)."""
+    """All jobs for one drop; returns (rows, failures, expectation
+    violations)."""
     seed = drop_seed(plan.master_seed, drop)
     scn = Scenario.build(plan.config, seed=seed)
     jobs = _plan_jobs(plan)
-    rows, failures, objectives = [], [], {}
+    rows, failures = [], []
     for j_idx, job in enumerate(jobs):
         job_scn = cellular_only_view(scn) if job.cellular_only else scn
         exact_rng = np.random.default_rng(
@@ -158,10 +160,8 @@ def run_drop(plan: ExperimentPlan, drop: int):
         try:
             if job.spec is None:
                 alloc = full_power_allocation(job_scn.dims, job_scn.p_max)
-                objectives[job.job_id] = None
             else:
-                alloc, value, diag = solve_problem(job_scn, job.spec, plan.settings)
-                objectives[job.job_id] = value
+                alloc, _, _ = solve_problem(job_scn, job.spec, plan.settings)
             rows.extend(_job_rows(drop, job, job_scn, alloc, plan, exact_rng))
         except (GPInfeasibleError, GPSolverError) as exc:
             logger.error("drop %d job %s failed: %s", drop, job.job_id, exc)
@@ -201,19 +201,12 @@ def run_experiment(plan: ExperimentPlan) -> ResultTable:
     writer = _RowWriter(out_dir / "rows.csv") if out_dir else None
 
     all_rows, failures, checks = [], [], []
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [pool.submit(run_drop, plan, d) for d in range(plan.num_drops)]
-            for fut in futures:  # submission order == drop order
-                rows, fails, viol = fut.result()
-                all_rows.extend(rows)
-                failures.extend(fails)
-                checks.extend(viol)
-                if writer:
-                    writer.write(rows)
-    else:
-        for d in range(plan.num_drops):
-            rows, fails, viol = run_drop(plan, d)
+    with (ProcessPoolExecutor(max_workers=plan.workers) if plan.workers > 1
+          else contextlib.nullcontext()) as pool:
+        # both maps yield results in drop order
+        drop_map = pool.map if pool else map
+        for rows, fails, viol in drop_map(run_drop, [plan] * plan.num_drops,
+                                          range(plan.num_drops)):
             all_rows.extend(rows)
             failures.extend(fails)
             checks.extend(viol)

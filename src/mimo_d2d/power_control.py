@@ -266,9 +266,7 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
         logger.warning("max-min: excluding degenerate users %s", diag.excluded_users)
 
     dims = scn.dims
-    users = [("cu", b, k) for b in range(dims.num_cells) for k in range(dims.cus_per_cell)]
-    users += [("d2d", -1, l) for l in range(dims.num_d2d_pairs)]
-    included = [u for u in users if u not in diag.excluded_users]
+    included = [u for u in _all_users(scn) if u not in diag.excluded_users]
     rows = _affine_sinr_rows(scn, processing, fixed_pilots, include=set(included))
     upper = _stacked_upper(scn)
     prelog = dims.prelog
@@ -515,26 +513,10 @@ def _joint_upper_bounds(scn: Scenario, processing: Processing):
     return out
 
 
-def _full_power_sinrs(scn: Scenario, processing: Processing):
-    report = evaluate_network(scn.dims, scn.gains, scn.pilots,
-                              _default_pilots(scn), processing.value)
-    return {u: report.breakdowns[u].sinr for u in _all_users(scn)}
-
-
 def _warm_start(scn: Scenario, joint, aux_targets):
     """Interior starting point: every power at half budget, every auxiliary
     at half its SINR there."""
-    point = {}
-    dims = scn.dims
-    for b in range(dims.num_cells):
-        for k in range(dims.cus_per_cell):
-            point[_pc(b, k)] = scn.p_max / 2.0
-            if joint:
-                point[_qc(b, k)] = scn.p_max / 2.0
-    for l in range(dims.num_d2d_pairs):
-        point[_pd(l)] = scn.p_max / 2.0
-        if joint:
-            point[_qd(l)] = scn.p_max / 2.0
+    point = {name: scn.p_max / 2.0 for name in _power_bounds(scn, joint)}
     point.update(aux_targets)
     return point
 
@@ -610,13 +592,14 @@ def _solve_gp_problem(scn, objective, constraint_map, joint, fixed_pilots,
             aux_start[name] = base[user] * 0.5
         objective_posy = Posynomial([Monomial(1.0, obj_exps)])
     else:
-        lo = max(min(base[u] for u in constraint_map) * 0.5, 1e-280)
-        hi = min(ub[u] for u in constraint_map)
-        bounds["target"] = (lo, hi)
+        # the start sits at half the weakest half-power SINR, strictly above
+        # the lower bound, so a warm start needs no phase 1
+        weakest = min(base[u] for u in constraint_map)
+        bounds["target"] = (max(weakest * 0.25, 1e-280), min(ub[u] for u in constraint_map))
         for user, (num, den) in constraint_map.items():
             constraints.append(den * Monomial(1.0, {"target": 1.0}) / num)
         objective_posy = Posynomial([Monomial(1.0, {"target": -1.0})])
-        aux_start["target"] = min(base[u] for u in constraint_map) * 0.5
+        aux_start["target"] = weakest * 0.5
 
     gp = GeometricProgram(objective=objective_posy, posy_constraints=constraints,
                           bounds=bounds)

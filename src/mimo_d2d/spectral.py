@@ -10,7 +10,6 @@ invariant to the normalization chosen for the breakdown.
 import csv
 import io
 import json
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from .scenario import SystemDimensions, LargeScaleGains, PilotAllocation
 from .estimation import (PowerAllocation, compute_gamma_bs, compute_gamma_d2drx,
                          gamma_cu_bs_full)
-
-logger = logging.getLogger(__name__)
 
 DENOMINATOR_TERMS = ("noise", "intra_cell", "inter_cell", "d2d_interference",
                      "coherent_contamination", "estimation_error")
@@ -125,27 +122,7 @@ def d2d_sinr_approx(l, gains: LargeScaleGains, alloc: PowerAllocation,
         "d2d_interference": float(pd @ beta_row - pd[l] * beta_row[l]),
         "coherent_contamination": 0.0,
     }
-    out = SinrBreakdown.assemble(num, terms, dims.prelog)
-    expanded = _d2d_sinr_expanded(l, gains, alloc, pilots, dims)
-    if out.sinr > 0 and abs(expanded - out.sinr) > 1e-9 * out.sinr:
-        logger.warning("D2D SINR forms disagree for pair %d: %.12g vs %.12g",
-                       l, out.sinr, expanded)
-    return out
-
-
-def _d2d_sinr_expanded(l, gains, alloc, pilots, dims):
-    """Fully expanded form of the approximate D2D SINR (cross-check)."""
-    tau = dims.pilot_len
-    beta_row = gains.beta_d2dtx_d2drx[l]
-    pd, ppd = alloc.data_d2d, alloc.pilot_d2d
-    group = pilots.set_of(l)
-    t_own = sum(tau * ppd[j] * beta_row[j] for j in group)
-    s_int = float(np.sum(alloc.data_cu * gains.beta_cu_d2drx[l])) \
-        + float(pd @ beta_row - pd[l] * beta_row[l])
-    tail = pd[l] * beta_row[l] * (1.0 + sum(tau * ppd[j] * beta_row[j]
-                                            for j in group if j != l))
-    den = (1.0 + t_own) * (1.0 + s_int) + tail
-    return tau * pd[l] * ppd[l] * beta_row[l] ** 2 / den
+    return SinrBreakdown.assemble(num, terms, dims.prelog)
 
 
 def d2d_se_exact(l, gains: LargeScaleGains, alloc: PowerAllocation,

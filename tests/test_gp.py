@@ -120,6 +120,37 @@ def test_gp_monomial_equality():
     assert sol.values["y"] == pytest.approx(2.0, rel=1e-6)
 
 
+def _box_corner_gp():
+    """No posynomial constraints: min x/y sits on x's lower and y's upper bound."""
+    x, y = variable("x"), variable("y")
+    gp = GeometricProgram(objective=as_posynomial(x * y ** -1.0),
+                          bounds={"x": (0.5, 4.0), "y": (0.25, 8.0)})
+    return gp, {"x": 0.5, "y": 8.0}, 0.5 / 8.0
+
+
+def _phase_one_gp():
+    """min x + y s.t. 4/(xy) <= 1: the box center (1, 1) violates the
+    constraint, so phase 1 must find the start; AM-GM gives x = y = 2."""
+    x, y = variable("x"), variable("y")
+    gp = GeometricProgram(objective=as_posynomial(x + y),
+                          posy_constraints=[as_posynomial(4.0 * x ** -1.0 * y ** -1.0)],
+                          bounds={"x": (0.01, 100.0), "y": (0.01, 100.0)})
+    assert gp.posy_constraints[0].value({"x": 1.0, "y": 1.0}) > 1.0
+    return gp, {"x": 2.0, "y": 2.0}, 4.0
+
+
+@pytest.mark.parametrize("build", [_box_corner_gp, _phase_one_gp],
+                         ids=["empty-stack-box-corner", "phase-one"])
+def test_gp_box_closed_form_optima(build):
+    gp, point, optimum = build()
+    sol = gp_solve(gp)
+    assert sol.objective == pytest.approx(optimum, rel=1e-6)
+    for var, value in point.items():
+        assert sol.values[var] == pytest.approx(value, rel=1e-6)
+        lo, hi = gp.bounds[var]
+        assert lo < sol.values[var] < hi
+
+
 def test_gp_infeasible_certificate():
     x = variable("x")
     with pytest.raises(GPInfeasibleError) as err:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mimo_d2d
 from mimo_d2d import (ScenarioConfig, Scenario, ControlProblemSpec,
                       ExperimentPlan, Baselines, run_experiment, emit_outputs,
                       empirical_cdf, cellular_only_view, full_power_allocation,
@@ -185,8 +187,12 @@ def test_cli_config_error_exit_code(tmp_path):
 
 def test_cli_entry_point_subprocess(tmp_path):
     cfg_path = _write_config(tmp_path / "cfg.json")
+    # the child imports the same package as this process, installed or not
+    src = str(Path(mimo_d2d.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "mimo_d2d.cli", "validate",
-                           "--config", cfg_path], capture_output=True, text=True)
+                           "--config", cfg_path], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "config ok" in proc.stdout
 

@@ -10,7 +10,7 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       ControlProblemSpec, ControlSettings,
                       maxmin_data, maxprod_data, maxmin_joint_mr,
                       maxprod_joint_mr, zf_joint_successive, solve_problem,
-                      cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx)
+                      cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx, power_control)
 from mimo_d2d.power_control import (_mr_sinr_posynomial, _d2d_sinr_posynomial,
                                     _zf_tilde_denominator, _zf_numerator,
                                     _affine_sinr_rows, _pc, _pd, _qc, _qd,
@@ -204,6 +204,25 @@ def test_joint_mr_dominates_data_only(small_scenario):
     _, prod_data, _ = maxprod_data(scn, "mr")
     _, prod_joint, _ = maxprod_joint_mr(scn)
     assert prod_joint >= prod_data - 1e-6
+
+
+def test_joint_mr_maxmin_warm_start_is_interior(small_scenario, monkeypatch):
+    """The start handed to the GP lies strictly inside every bound and
+    strictly satisfies every constraint, so it is used without phase 1."""
+    calls = []
+    solve = power_control.gp_solve
+
+    def spy(gp, settings=None, initial=None):
+        calls.append((gp, initial))
+        return solve(gp, settings, initial=initial)
+
+    monkeypatch.setattr(power_control, "gp_solve", spy)
+    maxmin_joint_mr(small_scenario)
+    (gp, initial), = calls
+    assert set(initial) == set(gp.bounds)
+    for var, (lo, hi) in gp.bounds.items():
+        assert lo < initial[var] < hi, var
+    assert max(c.value(initial) for c in gp.posy_constraints) < 1.0
 
 
 def test_joint_mr_symmetric_pilots():

@@ -7,7 +7,6 @@ from mimo_d2d import (ScenarioConfig, Scenario, SystemDimensions, LargeScaleGain
                       cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx, d2d_se_exact,
                       se_from_sinr, evaluate_network, oracle_uatf_mr, oracle_zf,
                       wishart_inverse_diagonal_mean)
-from mimo_d2d.spectral import _d2d_sinr_expanded
 from mimo_d2d.scenario import ScenarioError
 
 
@@ -113,6 +112,22 @@ def test_oracle_zero_powers(small_scenario, rng):
     emp = oracle_uatf_mr(scn.dims, scn.gains, scn.pilots, alloc, 0, 0,
                          num_realizations=2000, rng=rng)
     assert emp.sinr == 0.0
+
+
+def _d2d_sinr_expanded(l, gains, alloc, pilots, dims):
+    """Fully expanded form of the approximate D2D SINR: the estimate
+    quality multiplied out over its pilot-set denominator (oracle)."""
+    tau = dims.pilot_len
+    beta_row = gains.beta_d2dtx_d2drx[l]
+    pd, ppd = alloc.data_d2d, alloc.pilot_d2d
+    group = pilots.set_of(l)
+    t_own = sum(tau * ppd[j] * beta_row[j] for j in group)
+    s_int = float(np.sum(alloc.data_cu * gains.beta_cu_d2drx[l])) \
+        + float(pd @ beta_row - pd[l] * beta_row[l])
+    tail = pd[l] * beta_row[l] * (1.0 + sum(tau * ppd[j] * beta_row[j]
+                                            for j in group if j != l))
+    den = (1.0 + t_own) * (1.0 + s_int) + tail
+    return tau * pd[l] * ppd[l] * beta_row[l] ** 2 / den
 
 
 def test_d2d_approx_trivial_and_cross_form(small_scenario):
