@@ -1,6 +1,7 @@
 """Power control: max-min fairness and max-product-SINR over data powers
-(LP bisection / GP), jointly over pilot + data powers for MR (GP), and the
-successive monomial-approximation loop for the joint ZF problem.
+(bisection on the minimal-power test / GP), jointly over pilot + data
+powers for MR (GP), and the successive monomial-approximation loop for the
+joint ZF problem.
 
 All solvers compile the closed-form SINR expressions into the gp module's
 problem containers. Because every user shares the prelog factor, a common
@@ -251,11 +252,37 @@ def _sinr_upper_bounds(scn: Scenario, processing: Processing,
 
 # --- max-min over data powers: Algorithm-1 bisection ---------------------------
 
+def _normalized_rows(rows, cols):
+    """(f, h) = (a / g, c / g) for the SINR rows g_i p_i >= t (c_i + a_i . p)
+    over the columns cols, where cols[i] is row i's own power."""
+    gain = np.array([r.num_coeffs[j] for r, j in zip(rows, cols)])
+    f = np.array([r.den_coeffs[cols] for r in rows]) / gain[:, None]
+    h = np.array([r.den_const for r in rows]) / gain
+    return f, h
+
+
+def _minimal_powers(f, h, t, upper):
+    """Minimal power vector p = (I - t f)^-1 t h meeting every SINR row
+    g_i p_i >= t (c_i + a_i . p) with equality, where f = a / g and h = c / g
+    (Foschini-Miljanic; Yates, IEEE JSAC 1995); None when the level t is
+    infeasible. Since f >= 0 and h > 0, a solution p >= 0 satisfies
+    p = t h + t f p >= t h, which certifies rho(t f) < 1 for t > 0, so
+    0 <= p <= upper decides feasibility over the box."""
+    try:
+        p = np.linalg.solve(np.eye(len(h)) - t * f, t * h)
+    except np.linalg.LinAlgError:
+        return None
+    # NaN fails both comparisons and +inf fails the upper one
+    return p if np.all((p >= 0.0) & (p <= upper)) else None
+
+
 def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
                 fixed_pilots: PowerAllocation = None):
     """Maximize the minimum SE over data powers (pilot powers fixed, default
-    full power) by bisection over the SE level with an LP feasibility probe
-    per step. Returns (allocation, se_level, diagnostics)."""
+    full power) by bisection over the SE level. Each level is decided by the
+    closed-form minimal-power test; one LP feasibility solve at the final
+    level gives the returned powers. Returns (allocation, se_level,
+    diagnostics)."""
     t0 = time.perf_counter()
     settings = settings or ControlSettings()
     processing = Processing(processing)
@@ -279,26 +306,44 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
         diag.wall_time = time.perf_counter() - t0
         alloc = _alloc_from_values(scn, {}, False, fixed_pilots)
         return alloc, 0.0, diag
+    diag.notes.append(f"lambda_upper_initial={lam_hi:.6f}")
 
-    def probe(lam):
-        t = 2.0 ** (lam / prelog) - 1.0
-        a = np.array([t * r.den_coeffs - r.num_coeffs for r in rows])
-        c = np.array([-t * r.den_const for r in rows])
-        return lp_feasible(LinearFeasibilityProblem(a, c, upper), settings.gp)
+    def sinr_target(lam):
+        return 2.0 ** (lam / prelog) - 1.0
 
-    lam_lo, witness = 0.0, upper.copy()  # full power is always feasible at level 0
+    # the included users' own columns, in row order; excluded users' powers are zero
+    n_cu = dims.num_cells * dims.cus_per_cell
+    cols = np.array([b * dims.cus_per_cell + k if kind == "cu" else n_cu + k
+                     for kind, b, k in included])
+    f, h = _normalized_rows(rows, cols)
+
+    lam_lo = 0.0
     iterations = 0
     while lam_hi - lam_lo > settings.bisection_eps and iterations < settings.bisection_cap:
         lam = (lam_lo + lam_hi) / 2.0
-        result = probe(lam)
-        if result.feasible:
-            lam_lo, witness = lam, result.witness
+        if _minimal_powers(f, h, sinr_target(lam), upper[cols]) is not None:
+            lam_lo = lam
         else:
             lam_hi = lam
         iterations += 1
         diag.objective_trace.append(lam_lo)
 
-    n_cu = dims.num_cells * dims.cus_per_cell
+    # The returned powers are the LP witness at lam_lo, not the minimal
+    # powers: those hold every user exactly at the level, and their mean D2D
+    # power does not rise with the link distance the way the LP witness's does.
+    witness = upper.copy()  # full power is always feasible at level 0
+    if lam_lo > 0.0:
+        t = sinr_target(lam_lo)
+        a = np.array([t * r.den_coeffs - r.num_coeffs for r in rows])
+        c = np.array([-t * r.den_const for r in rows])
+        result = lp_feasible(LinearFeasibilityProblem(a, c, upper), settings.gp)
+        if result.feasible:
+            witness = result.witness
+        else:  # the LP's verdict differs at its tolerance; the minimal powers pass
+            witness = np.zeros_like(upper)
+            witness[cols] = _minimal_powers(f, h, t, upper[cols])
+            diag.notes.append("witness=minimal_powers")
+
     values = {}
     for b in range(dims.num_cells):
         for k in range(dims.cus_per_cell):
@@ -314,10 +359,10 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
     report = evaluate_network(dims, scn.gains, scn.pilots, alloc, processing.value)
     min_se = _min_se(report, included)
     diag.iterations = iterations
-    diag.status = "optimal"
+    diag.status = ("optimal" if lam_hi - lam_lo <= settings.bisection_eps
+                   else "iteration_cap")
     diag.active_constraints = [u for u in included
                                if _user_se(report, u) <= lam_lo + settings.bisection_eps]
-    diag.notes.append(f"lambda_upper_initial={min(finite):.6f}")
     diag.notes.append(f"min_se_at_witness={min_se:.6f}")
     diag.wall_time = time.perf_counter() - t0
     return alloc, lam_lo, diag

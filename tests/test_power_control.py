@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       LargeScaleGains, PilotAllocation, PowerAllocation,
@@ -14,7 +15,11 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
 from mimo_d2d.power_control import (_mr_sinr_posynomial, _d2d_sinr_posynomial,
                                     _zf_tilde_denominator, _zf_numerator,
                                     _affine_sinr_rows, _pc, _pd, _qc, _qd,
-                                    Processing)
+                                    _default_pilots, _stacked_upper,
+                                    _sinr_upper_bounds, _normalized_rows,
+                                    _minimal_powers, Processing)
+from mimo_d2d.gp import LinearFeasibilityProblem, LPFeasibility, lp_feasible
+from mimo_d2d.harness import drop_seed
 from gridsearch import refine_maximize
 
 
@@ -130,14 +135,17 @@ def test_maxmin_bisection_iterations_and_sandwich(small_scenario):
     assert lam + 2 * eps >= lam_upper or _level_infeasible(scn, "mr", lam + 2 * eps)
 
 
-def _level_infeasible(scn, processing, level):
-    from mimo_d2d.gp import LinearFeasibilityProblem, lp_feasible
-    from mimo_d2d.power_control import _affine_sinr_rows, _default_pilots, _stacked_upper
-    rows = _affine_sinr_rows(scn, Processing(processing), _default_pilots(scn))
-    t = 2.0 ** (level / scn.dims.prelog) - 1.0
+def _lp_probe(rows, t, upper, gp_settings=None):
+    """Barrier-LP feasibility of the common SINR target t over the box."""
     a = np.array([t * r.den_coeffs - r.num_coeffs for r in rows])
     c = np.array([-t * r.den_const for r in rows])
-    return not lp_feasible(LinearFeasibilityProblem(a, c, _stacked_upper(scn))).feasible
+    return lp_feasible(LinearFeasibilityProblem(a, c, upper), gp_settings)
+
+
+def _level_infeasible(scn, processing, level):
+    rows = _affine_sinr_rows(scn, Processing(processing), _default_pilots(scn))
+    t = 2.0 ** (level / scn.dims.prelog) - 1.0
+    return not _lp_probe(rows, t, _stacked_upper(scn)).feasible
 
 
 def test_maxmin_tightness_and_attainment(small_scenario):
@@ -150,6 +158,106 @@ def test_maxmin_tightness_and_attainment(small_scenario):
     assert min(ses) == pytest.approx(lam, abs=settings.bisection_eps + 1e-6)
     assert any(abs(se - lam) <= settings.bisection_eps + 1e-6 for se in ses)
     assert len(diag.active_constraints) >= 1
+
+
+@pytest.fixture(scope="module")
+def reference_drops():
+    return [Scenario.build(ScenarioConfig(), seed=drop_seed(0, d)) for d in (0, 1)]
+
+
+def _lp_bisection(scn, processing, settings):
+    """Algorithm 1 with a barrier-LP probe at every level: the slow path the
+    minimal-power test replaced, kept as its oracle. Returns (allocation,
+    level, objective trace)."""
+    processing, pilots = Processing(processing), _default_pilots(scn)
+    excluded = power_control._degenerate_users(scn)
+    included = [u for u in power_control._all_users(scn) if u not in excluded]
+    rows = _affine_sinr_rows(scn, processing, pilots, include=set(included))
+    upper = _stacked_upper(scn)
+    bounds = _sinr_upper_bounds(scn, processing, pilots, included)
+    lam_hi = min(np.log2(1.0 + v) for v in bounds.values())
+    lam_lo, witness, trace = 0.0, upper.copy(), []
+    while lam_hi - lam_lo > settings.bisection_eps and len(trace) < settings.bisection_cap:
+        lam = (lam_lo + lam_hi) / 2.0
+        result = _lp_probe(rows, 2.0 ** (lam / scn.dims.prelog) - 1.0, upper, settings.gp)
+        if result.feasible:
+            lam_lo, witness = lam, result.witness
+        else:
+            lam_hi = lam
+        trace.append(lam_lo)
+    n_cu, k_ = scn.dims.num_cells * scn.dims.cus_per_cell, scn.dims.cus_per_cell
+    values = {_pc(b, k) if kind == "cu" else _pd(k):
+              witness[b * k_ + k if kind == "cu" else n_cu + k] for kind, b, k in included}
+    alloc = power_control._alloc_from_values(scn, values, False, pilots)
+    alloc = power_control._snap_small_powers(
+        scn, alloc, processing, lambda rep: power_control._min_se(rep, included) >= lam_lo - 1e-6)
+    return alloc, lam_lo, trace
+
+
+@pytest.mark.parametrize("processing", ["mr", "zf"])
+@pytest.mark.parametrize("drop", [None, 0, 1])
+def test_maxmin_matches_lp_bisection_oracle(small_scenario, reference_drops, processing, drop):
+    scn = small_scenario if drop is None else reference_drops[drop]
+    settings = ControlSettings()
+    alloc, lam, diag = maxmin_data(scn, processing, settings)
+    want, lam_want, trace = _lp_bisection(scn, processing, settings)
+    assert lam == lam_want
+    assert diag.iterations == len(trace)
+    assert diag.objective_trace == trace
+    for name in ("data_cu", "data_d2d", "pilot_cu", "pilot_d2d"):
+        assert np.array_equal(getattr(alloc, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("processing", ["mr", "zf"])
+@pytest.mark.parametrize("drop", [None, 0])
+@hyp_settings(max_examples=8, deadline=None)
+@given(frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_minimal_power_probe_matches_lp(small_scenario, reference_drops, processing,
+                                        drop, frac):
+    """The minimal-power verdict equals the LP's away from the LP's tolerance;
+    a feasible level's minimal powers meet every SINR row with equality and
+    lie below any strictly feasible LP witness (Yates' minimality)."""
+    scn = small_scenario if drop is None else reference_drops[drop]
+    gp_settings = ControlSettings().gp
+    pilots = _default_pilots(scn)
+    rows = _affine_sinr_rows(scn, Processing(processing), pilots)
+    cols = np.array([np.flatnonzero(r.num_coeffs)[0] for r in rows])
+    upper = _stacked_upper(scn)
+    bounds = _sinr_upper_bounds(scn, Processing(processing), pilots,
+                                power_control._all_users(scn))
+    t = 2.0 ** (frac * min(np.log2(1.0 + v) for v in bounds.values())
+                / scn.dims.prelog) - 1.0
+    p = _minimal_powers(*_normalized_rows(rows, cols), t, upper[cols])
+    lp = _lp_probe(rows, t, upper, gp_settings)
+    if abs(lp.margin) > 10 * gp_settings.feas_tol:
+        assert (p is not None) == lp.feasible
+    if p is None:
+        return
+    x = np.zeros_like(upper)
+    x[cols] = p
+    lhs = np.array([r.num_coeffs @ x for r in rows])
+    rhs = np.array([t * (r.den_const + r.den_coeffs @ x) for r in rows])
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-9)
+    if lp.margin < -10 * gp_settings.feas_tol:
+        assert np.all(p <= lp.witness[cols] * (1.0 + 1e-9))
+
+
+def test_maxmin_bisection_cap_is_reported(small_scenario):
+    alloc, lam, diag = maxmin_data(small_scenario, "zf", ControlSettings(bisection_cap=2))
+    assert diag.iterations == 2
+    assert diag.status == "iteration_cap"
+    assert _min_se_at(small_scenario, alloc, "zf") >= lam - 1e-6
+
+
+def test_maxmin_minimal_powers_when_lp_rejects_level(small_scenario, monkeypatch):
+    """Should the LP reject the final level at its tolerance, the minimal
+    powers that passed the test are returned, and they meet the level."""
+    monkeypatch.setattr(power_control, "lp_feasible",
+                        lambda lp, settings=None: LPFeasibility(False, lp.upper / 2.0, 1.0))
+    alloc, lam, diag = maxmin_data(small_scenario, "mr")
+    assert lam > 0.0
+    assert "witness=minimal_powers" in diag.notes
+    assert _min_se_at(small_scenario, alloc, "mr") >= lam - 1e-6
 
 
 # --- max product SINR over data powers ----------------------------------------------
