@@ -1,9 +1,11 @@
 """Self-contained optimization kernel: monomial/posynomial algebra,
 geometric programs in standard form, and a linear-feasibility solver.
 
-Geometric programs are solved after the substitution x = exp(y): posynomial
-constraints become log-sum-exp functions, monomial equalities become affine,
-and the resulting smooth convex program is minimized with a log-barrier
+A geometric program here minimizes a product of posynomial factors subject
+to posynomial constraints <= 1 inside a variable box. After the
+substitution x = exp(y) the log of the objective is a sum of log-sum-exp
+functions, one per factor, and every constraint is a log-sum-exp <= 0; the
+resulting smooth convex program is minimized with a log-barrier
 interior-point method (Newton steps with backtracking line search). The
 linear-feasibility path reuses the same barrier kernel on an epigraph
 reformulation, so one numerical engine backs both entry points.
@@ -29,6 +31,12 @@ class GPInfeasibleError(RuntimeError):
 
 class GPSolverError(RuntimeError):
     """Numerical failure (iteration limit or line-search stall)."""
+
+
+BARRIER_T0 = 1.0    # barrier parameter of the first centering
+NEWTON_TOL = 1e-11  # centering stops once decrement / 2 <= NEWTON_TOL * max(1, t)
+BACKTRACK = 0.5     # line-search step shrink factor
+ARMIJO = 0.01       # line-search sufficient-decrease fraction
 
 
 # --- posynomial algebra -----------------------------------------------------
@@ -191,56 +199,33 @@ def monomial_lower_bound(f: Posynomial, x0: dict) -> Monomial:
 
 @dataclass
 class GeometricProgram:
-    """minimize `objective` s.t. posy_constraints <= 1, mono_constraints == 1,
-    and per-variable bounds lo <= x <= hi with 0 < lo <= hi < inf.
+    """minimize the product of the posynomial factors in `objective` s.t.
+    posy_constraints <= 1 and per-variable bounds lo <= x <= hi with
+    0 < lo <= hi < inf. A lone posynomial objective is one factor.
 
     Every variable must have finite bounds; the compact box rules out
     unbounded programs by construction.
     """
 
-    objective: Posynomial
+    objective: list
     posy_constraints: list = field(default_factory=list)
-    mono_constraints: list = field(default_factory=list)
     bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.objective = as_posynomial(self.objective)
+        factors = self.objective if isinstance(self.objective, list) else [self.objective]
+        if not factors:
+            raise ValueError("objective needs at least one factor")
+        self.objective = [as_posynomial(f) for f in factors]
         self.posy_constraints = [as_posynomial(c) for c in self.posy_constraints]
-        for g in self.mono_constraints:
-            if not isinstance(g, Monomial):
-                raise ValueError("monomial equality constraints must be Monomial")
         for var, (lo, hi) in self.bounds.items():
             if not (0.0 < lo <= hi < math.inf):
                 raise ValueError(f"bounds for {var} must satisfy 0 < lo <= hi < inf")
 
     def variables(self):
         out = set(self.bounds)
-        out |= self.objective.variables()
-        for c in self.posy_constraints:
-            out |= c.variables()
-        for g in self.mono_constraints:
-            out |= set(g.exponents)
+        for f in [*self.objective, *self.posy_constraints]:
+            out |= f.variables()
         return sorted(out)
-
-    def dump(self) -> str:
-        """Plain-text standard-form listing, one monomial per line."""
-        def fmt(m):
-            body = " ".join(f"{v}:{e:g}" for v, e in sorted(m.exponents.items()))
-            return f"{m.coeff:.12g} {body}".rstrip()
-
-        lines = ["minimize"]
-        lines += ["  " + fmt(t) for t in self.objective.terms]
-        for i, c in enumerate(self.posy_constraints):
-            lines.append(f"subject_to[{i}] <= 1")
-            lines += ["  " + fmt(t) for t in c.terms]
-        for i, g in enumerate(self.mono_constraints):
-            lines.append(f"equality[{i}] == 1")
-            lines.append("  " + fmt(g))
-        lines.append("bounds")
-        for var in self.variables():
-            lo, hi = self.bounds[var]
-            lines.append(f"  {var} in [{lo:.12g}, {hi:.12g}]")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -267,16 +252,13 @@ class LinearFeasibilityProblem:
 class SolverSettings:
     """tol is the duality-gap target of the barrier (the KKT residual of the
     barrier-perturbed optimality system); feas_tol the scaled feasibility
-    threshold used by lp_feasible."""
+    threshold used by lp_feasible; max_iter caps the Newton steps of one
+    barrier path and barrier_mu multiplies t between centerings."""
 
     tol: float = 1e-8
     feas_tol: float = 1e-9
-    newton_tol: float = 1e-11
     max_iter: int = 500
-    barrier_t0: float = 1.0
     barrier_mu: float = 10.0
-    backtrack: float = 0.5
-    armijo: float = 0.01
 
 
 @dataclass
@@ -284,6 +266,7 @@ class GPSolution:
     values: dict
     objective: float
     log_objective: float
+    log_factors: np.ndarray  # log of each objective factor; they sum to log_objective
     status: str
     newton_iterations: int
     duality_gap: float
@@ -381,12 +364,13 @@ def _strictly_inside(con_stack, box, y, margin=0.0):
                 and np.all(lo - x < -margin))
 
 
-def _newton_centering(obj_stack, con_stack, box, y, t, settings, budget,
-                      a_eq=None, early_exit=None):
-    """Minimize t*f0 + barrier at fixed t; returns the centered point."""
+def _newton_centering(obj_stack, con_stack, box, y, t, budget, early_exit=None):
+    """Minimize t*f0 + barrier at fixed t, where f0 sums the objective
+    stack's segments; returns the centered point."""
     lo, hi = box
     nb = lo.size
     diag = np.arange(nb)
+    ones = np.ones(obj_stack.m)
 
     def barrier_value(point):
         f, _ = con_stack.values(point)
@@ -394,40 +378,39 @@ def _newton_centering(obj_stack, con_stack, box, y, t, settings, budget,
         if np.any(f >= 0.0) or np.any(x >= hi) or np.any(x <= lo):
             return np.inf
         f0, _ = obj_stack.values(point)
-        return (t * f0[0] - np.log(-f).sum()
+        return (t * f0.sum() - np.log(-f).sum()
                 - np.log(hi - x).sum() - np.log(x - lo).sum())
 
     phi = barrier_value(y)
     for _ in range(100):  # per-centering cap; the path tolerates inexact centers
         budget.spend()
-        f0, w0 = obj_stack.values(y)
-        g0 = obj_stack.gradients(w0)[0]
-        h0 = obj_stack.weighted_hessian(w0, np.ones(1), g0[None, :])
+        _, w0 = obj_stack.values(y)
+        grads0 = obj_stack.gradients(w0)
         f_con, w = con_stack.values(y)
         grads = con_stack.gradients(w)
         u = 1.0 / (-f_con)
-        grad = t * g0 + grads.T @ u
-        hess = (t * h0
+        grad = t * grads0.sum(axis=0) + grads.T @ u
+        hess = (t * obj_stack.weighted_hessian(w0, ones, grads0)
                 + con_stack.weighted_hessian(w, u, grads)
                 + grads.T @ ((u * u)[:, None] * grads))
         u_hi, u_lo = 1.0 / (hi - y[:nb]), 1.0 / (y[:nb] - lo)
         grad[:nb] += u_hi - u_lo
         hess[diag, diag] += u_hi * u_hi + u_lo * u_lo
 
-        step, _ = _solve_kkt(hess, grad, a_eq)
+        step = _newton_step(hess, grad)
         decrement = -grad @ step
         # the decrement certifies suboptimality ~ decrement/t on the true
         # objective, so the threshold scales with the barrier parameter
-        if decrement / 2.0 <= settings.newton_tol * max(1.0, t):
+        if decrement / 2.0 <= NEWTON_TOL * max(1.0, t):
             return y
         alpha = 1.0
         while True:
             cand = y + alpha * step
             phi_cand = barrier_value(cand)
-            if phi_cand <= phi - settings.armijo * alpha * decrement:
+            if phi_cand <= phi - ARMIJO * alpha * decrement:
                 y, phi = cand, phi_cand
                 break
-            alpha *= settings.backtrack
+            alpha *= BACKTRACK
             if alpha < 1e-14:
                 # flat to machine precision; accept the current center
                 return y
@@ -436,22 +419,17 @@ def _newton_centering(obj_stack, con_stack, box, y, t, settings, budget,
     return y
 
 
-def _solve_kkt(hess, grad, a_eq):
+def _newton_step(hess, grad):
+    """Solve hess @ step = -grad, adding a growing ridge if hess is singular."""
     n = hess.shape[0]
     ridge = 0.0
     base = np.trace(hess) / n if n else 1.0
     while True:
         h = hess if ridge == 0.0 else hess + ridge * np.eye(n)
         try:
-            if a_eq is None:
-                step = np.linalg.solve(h, -grad)
-            else:
-                p = a_eq.shape[0]
-                kkt = np.block([[h, a_eq.T], [a_eq, np.zeros((p, p))]])
-                rhs = np.concatenate([-grad, np.zeros(p)])
-                step = np.linalg.solve(kkt, rhs)[:n]
+            step = np.linalg.solve(h, -grad)
             if np.all(np.isfinite(step)):
-                return step, ridge
+                return step
         except np.linalg.LinAlgError:
             pass
         ridge = max(base * 1e-12, ridge * 10.0) if ridge else base * 1e-12
@@ -460,7 +438,7 @@ def _solve_kkt(hess, grad, a_eq):
 
 
 def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
-                  a_eq=None, early_exit=None):
+                  early_exit=None):
     """Follow the central path until the duality gap m/t reaches gap_target;
     m counts the stack's constraints and both sides of the box."""
     budget = _BarrierBudget(settings.max_iter)
@@ -470,10 +448,10 @@ def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
     if early_exit is not None and early_exit(y):
         return y, 0, np.inf
     m = con_stack.m + 2 * box[0].size
-    t = settings.barrier_t0
+    t = BARRIER_T0
     while True:
-        y = _newton_centering(obj_stack, con_stack, box, y, t, settings, budget,
-                              a_eq=a_eq, early_exit=early_exit)
+        y = _newton_centering(obj_stack, con_stack, box, y, t, budget,
+                              early_exit=early_exit)
         if early_exit is not None and early_exit(y):
             return y, budget.used, m / t
         if m / t <= gap_target:
@@ -489,33 +467,17 @@ def _compile_gp(gp: GeometricProgram):
     if missing:
         raise ValueError(f"variables without bounds: {missing}")
     var_index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-
     lo = np.array([gp.bounds[v][0] for v in variables])
     hi = np.array([gp.bounds[v][1] for v in variables])
-    eq_rows = np.zeros((len(gp.mono_constraints), n))
-    eq_rhs = np.zeros(len(gp.mono_constraints))
-    for i, g in enumerate(gp.mono_constraints):
-        for var, exp in g.exponents.items():
-            eq_rows[i, var_index[var]] = exp
-        eq_rhs[i] = -math.log(g.coeff)
-    return variables, var_index, (np.log(lo), np.log(hi)), (eq_rows, eq_rhs)
+    return variables, var_index, (np.log(lo), np.log(hi))
 
 
-def _feasible_start(cons, box, eqs, settings):
+def _feasible_start(cons, box, settings):
     """Strictly feasible log-space point via a phase-1 epigraph solve:
     minimize s subject to f_i(y) - s <= 0 inside the box."""
     y_lo, y_hi = box
     n = y_lo.size
-    eq_rows, eq_rhs = eqs
     center = (y_lo + y_hi) / 2.0
-    if eq_rows.size:
-        # project the box center onto the equality manifold
-        correction = np.linalg.lstsq(eq_rows, eq_rhs - eq_rows @ center, rcond=None)[0]
-        center = center + correction
-        if np.any(center <= y_lo) or np.any(center >= y_hi):
-            raise GPSolverError("no interior starting point satisfying the "
-                                "monomial equalities inside the variable box")
     if not cons.m:
         return center, 0
 
@@ -524,7 +486,6 @@ def _feasible_start(cons, box, eqs, settings):
     epigraph = _Stack(sparse.hstack([cons.E, slack]), cons.d, cons.ptr)
     f_init, _ = cons.values(center)
     y0 = np.concatenate([center, [max(f_init.max(), 0.0) + 1.0]])
-    eq_pad = np.hstack([eq_rows, np.zeros((eq_rows.shape[0], 1))]) if eq_rows.size else None
 
     def feasible_now(point):
         vals, _ = cons.values(point[:n])
@@ -532,7 +493,7 @@ def _feasible_start(cons, box, eqs, settings):
 
     y, used, _ = _barrier_path(_slack_objective(n), epigraph, box, y0, settings,
                                gap_target=min(settings.tol, 1e-9),
-                               a_eq=eq_pad, early_exit=feasible_now)
+                               early_exit=feasible_now)
     if not feasible_now(y):
         raise GPInfeasibleError("geometric program is infeasible "
                                 f"(phase-1 slack minimum {y[-1]:.3e} > 0)", float(y[-1]))
@@ -548,10 +509,9 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
     exists, GPSolverError on iteration limit.
     """
     settings = settings or SolverSettings()
-    variables, var_index, box, eqs = _compile_gp(gp)
-    eq_rows, eq_rhs = eqs
+    variables, var_index, box = _compile_gp(gp)
     cons = _stack_from_posynomials(gp.posy_constraints, var_index)
-    obj = _stack_from_posynomials([gp.objective], var_index)
+    obj = _stack_from_posynomials(gp.objective, var_index)
 
     phase1_used = 0
     y0 = None
@@ -560,19 +520,16 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
         if _strictly_inside(cons, box, cand, margin=1e-12):
             y0 = cand
     if y0 is None:
-        y0, phase1_used = _feasible_start(cons, box, eqs, settings)
+        y0, phase1_used = _feasible_start(cons, box, settings)
 
-    a_eq = eq_rows if eq_rows.size else None
-    if a_eq is not None:
-        # keep the start exactly on the equality manifold
-        y0 = y0 + np.linalg.lstsq(a_eq, eq_rhs - a_eq @ y0, rcond=None)[0]
-    y, used, gap = _barrier_path(obj, cons, box, y0, settings, gap_target=settings.tol,
-                                 a_eq=a_eq)
-    log_obj, _ = obj.values(y)
+    y, used, gap = _barrier_path(obj, cons, box, y0, settings, gap_target=settings.tol)
+    log_factors, _ = obj.values(y)
+    log_obj = log_factors.sum()
     values = {v: math.exp(y[i]) for v, i in var_index.items()}
     return GPSolution(values=values,
-                      objective=float(np.exp(log_obj[0])),
-                      log_objective=float(log_obj[0]),
+                      objective=float(np.exp(log_obj)),
+                      log_objective=float(log_obj),
+                      log_factors=log_factors,
                       status="optimal",
                       newton_iterations=used + phase1_used,
                       duality_gap=float(gap))

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import Scenario, ScenarioConfig, SystemDimensions, Geometry, \
-    LargeScaleGains, PilotAllocation
+from .scenario import Scenario, ScenarioConfig, ScenarioError, SystemDimensions, \
+    Geometry, LargeScaleGains, PilotAllocation
 from .estimation import full_power_allocation
 from .spectral import evaluate_network
 from .power_control import (ControlProblemSpec, ControlSettings, Objective,
@@ -52,8 +52,11 @@ class ExperimentPlan:
     settings: ControlSettings = field(default_factory=ControlSettings)
 
     def __post_init__(self):
+        # a configuration error, so the CLI exits 2 before any drop runs
         if self.num_drops < 1:
-            raise ValueError("num_drops must be >= 1")
+            raise ScenarioError("num_drops must be >= 1")
+        if self.exact_d2d_samples < 1:
+            raise ScenarioError("exact_d2d_samples must be >= 1")
 
 
 @dataclass

