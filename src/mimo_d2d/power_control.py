@@ -3,10 +3,12 @@
 powers for MR (GP), and the successive monomial-approximation loop for the
 joint ZF problem.
 
-All solvers compile the closed-form SINR expressions into the gp module's
-problem containers. Because every user shares the prelog factor, a common
-SE target is equivalent to a common SINR target, which is how the max-min
-problems are expressed in GP form.
+With pilot powers fixed, every user's SINR is an affine function of the
+data powers over another (_affine_sinr_rows); Algorithm 1 and the data-power
+GP both use these rows. The joint problems compile the closed-form SINR
+expressions with pilot powers as variables. Because every user shares the
+prelog factor, a common SE target is equivalent to a common SINR target,
+which is how the max-min problems are expressed in GP form.
 """
 
 import enum
@@ -112,25 +114,37 @@ def _qd(l):
     return f"ppd_{l}"
 
 
-def _alloc_from_values(scn: Scenario, values, pilot_vars, fixed_pilots):
+def _stacked_names(scn: Scenario, pilot=False):
+    """GP variable names of the stacked powers [cu (b, k) row-major, d2d]:
+    the data powers, or the pilot powers when pilot=True."""
     dims = scn.dims
-    data_cu = np.zeros((dims.num_cells, dims.cus_per_cell))
-    data_d2d = np.zeros(dims.num_d2d_pairs)
-    for b in range(dims.num_cells):
-        for k in range(dims.cus_per_cell):
-            data_cu[b, k] = values.get(_pc(b, k), 0.0)
-    for l in range(dims.num_d2d_pairs):
-        data_d2d[l] = values.get(_pd(l), 0.0)
-    if pilot_vars:
-        pilot_cu = np.array([[values[_qc(b, k)] for k in range(dims.cus_per_cell)]
-                             for b in range(dims.num_cells)])
-        pilot_d2d = np.array([values[_qd(l)] for l in range(dims.num_d2d_pairs)])
-    else:
-        pilot_cu = fixed_pilots.pilot_cu.copy()
-        pilot_d2d = fixed_pilots.pilot_d2d.copy()
-    clip = lambda a: np.clip(a, 0.0, scn.p_max)
-    return PowerAllocation(clip(data_cu), clip(data_d2d), clip(pilot_cu),
-                           clip(pilot_d2d), scn.p_max)
+    cu, d2d = (_qc, _qd) if pilot else (_pc, _pd)
+    return ([cu(b, k) for b in range(dims.num_cells) for k in range(dims.cus_per_cell)]
+            + [d2d(l) for l in range(dims.num_d2d_pairs)])
+
+
+def _stacked_pilots(alloc: PowerAllocation):
+    return np.concatenate([alloc.pilot_cu.ravel(), alloc.pilot_d2d])
+
+
+def _stacked_alloc(scn: Scenario, data, pilots):
+    """Allocation from stacked data and pilot power vectors, clipped to
+    [0, p_max]."""
+    dims = scn.dims
+    n_cu = dims.num_cells * dims.cus_per_cell
+    shape = (dims.num_cells, dims.cus_per_cell)
+    data, pilots = np.clip(data, 0.0, scn.p_max), np.clip(pilots, 0.0, scn.p_max)
+    return PowerAllocation(data[:n_cu].reshape(shape), data[n_cu:],
+                           pilots[:n_cu].reshape(shape), pilots[n_cu:], scn.p_max)
+
+
+def _alloc_from_values(scn: Scenario, values, pilot_vars, fixed_pilots):
+    """Allocation from a GP solution's values; a data power with no value
+    is zero, and pilot powers are fixed unless pilot_vars."""
+    data = np.array([values.get(name, 0.0) for name in _stacked_names(scn)])
+    pilots = (np.array([values[name] for name in _stacked_names(scn, pilot=True)])
+              if pilot_vars else _stacked_pilots(fixed_pilots))
+    return _stacked_alloc(scn, data, pilots)
 
 
 def _default_pilots(scn: Scenario) -> PowerAllocation:
@@ -296,8 +310,8 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
     if lam_hi <= 0.0:
         diag.status = "degenerate"
         diag.wall_time = time.perf_counter() - t0
-        alloc = _alloc_from_values(scn, {}, False, fixed_pilots)
-        return alloc, 0.0, diag
+        return (_stacked_alloc(scn, np.zeros_like(upper), _stacked_pilots(fixed_pilots)),
+                0.0, diag)
     diag.notes.append(f"lambda_upper_initial={lam_hi:.6f}")
 
     def sinr_target(lam):
@@ -336,15 +350,9 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
             witness[cols] = _minimal_powers(f, h, t, upper[cols])
             diag.notes.append("witness=minimal_powers")
 
-    values = {}
-    for b in range(dims.num_cells):
-        for k in range(dims.cus_per_cell):
-            if ("cu", b, k) not in diag.excluded_users:
-                values[_pc(b, k)] = witness[b * dims.cus_per_cell + k]
-    for l in range(dims.num_d2d_pairs):
-        if ("d2d", -1, l) not in diag.excluded_users:
-            values[_pd(l)] = witness[n_cu + l]
-    alloc = _alloc_from_values(scn, values, False, fixed_pilots)
+    data = np.zeros_like(upper)  # excluded users' powers stay zero
+    data[cols] = witness[cols]
+    alloc = _stacked_alloc(scn, data, _stacked_pilots(fixed_pilots))
     alloc = _snap_small_powers(scn, alloc, processing,
                                lambda rep: _min_se(rep, included) >= lam_lo - 1e-6)
 
@@ -385,48 +393,33 @@ def _snap_small_powers(scn, alloc, processing, still_ok):
 
 # --- posynomial compilation ----------------------------------------------------
 
-def _mr_sinr_posynomial(scn: Scenario, b, k, joint, fixed_pilots):
+def _mr_sinr_posynomial(scn: Scenario, b, k):
     """(numerator monomial, denominator posynomial) of the MR SINR of CU
-    (b, k); pilot powers are variables when joint=True."""
+    (b, k) with pilot and data powers as variables."""
     dims, gains = scn.dims, scn.gains
     tau, m = dims.pilot_len, dims.antennas_per_bs
     beta = gains.beta_cu_bs[b]  # (B', K)
 
-    if joint:
-        pilot_sum = Posynomial([Monomial(1.0)] + [
-            Monomial(tau * beta[b2, k], {_qc(b2, k): 1.0}) for b2 in range(dims.num_cells)])
-        num = Monomial(m * tau * beta[b, k] ** 2, {_pc(b, k): 1.0, _qc(b, k): 1.0})
-        contamination = [Monomial(m * tau * beta[b2, k] ** 2,
-                                  {_pc(b2, k): 1.0, _qc(b2, k): 1.0})
-                         for b2 in range(dims.num_cells) if b2 != b]
-    else:
-        if fixed_pilots.pilot_cu[b, k] <= 0.0:
-            raise GPInfeasibleError(f"CU ({b},{k}) has zero pilot power, its SINR "
-                                    "is identically zero", margin=np.inf)
-        denom_k = 1.0 + tau * float(fixed_pilots.pilot_cu[:, k] @ beta[:, k])
-        pilot_sum = Posynomial([Monomial(denom_k)])
-        num = Monomial(m * tau * fixed_pilots.pilot_cu[b, k] * beta[b, k] ** 2,
-                       {_pc(b, k): 1.0})
-        contamination = [
-            Monomial(m * tau * fixed_pilots.pilot_cu[b2, k] * beta[b2, k] ** 2,
-                     {_pc(b2, k): 1.0})
-            for b2 in range(dims.num_cells)
-            if b2 != b and fixed_pilots.pilot_cu[b2, k] > 0.0]
-
+    pilot_sum = Posynomial([Monomial(1.0)] + [
+        Monomial(tau * beta[b2, k], {_qc(b2, k): 1.0}) for b2 in range(dims.num_cells)])
+    num = Monomial(m * tau * beta[b, k] ** 2, {_pc(b, k): 1.0, _qc(b, k): 1.0})
     received = Posynomial([Monomial(1.0)] + [
         Monomial(beta[b2, k2], {_pc(b2, k2): 1.0})
         for b2 in range(dims.num_cells) for k2 in range(dims.cus_per_cell)] + [
         Monomial(gains.beta_d2dtx_bs[b, l], {_pd(l): 1.0})
         for l in range(dims.num_d2d_pairs)])
     den = pilot_sum * received
-    for term in contamination:
-        den = den + term
+    for b2 in range(dims.num_cells):
+        if b2 != b:
+            den = den + Monomial(m * tau * beta[b2, k] ** 2,
+                                 {_pc(b2, k): 1.0, _qc(b2, k): 1.0})
     return num, den
 
 
-def _d2d_sinr_posynomial(scn: Scenario, l, joint, fixed_pilots):
+def _d2d_sinr_posynomial(scn: Scenario, l):
     """(numerator monomial, denominator posynomial) of the approximate D2D
-    SINR of pair l, in expanded form when pilot powers are variables."""
+    SINR of pair l in expanded form, with pilot and data powers as
+    variables."""
     dims, gains = scn.dims, scn.gains
     tau = dims.pilot_len
     beta_row = gains.beta_d2dtx_d2drx[l]
@@ -437,25 +430,14 @@ def _d2d_sinr_posynomial(scn: Scenario, l, joint, fixed_pilots):
         for b in range(dims.num_cells) for k in range(dims.cus_per_cell)] + [
         Monomial(beta_row[j], {_pd(j): 1.0})
         for j in range(dims.num_d2d_pairs) if j != l])
-
-    if joint:
-        num = Monomial(tau * beta_row[l] ** 2, {_pd(l): 1.0, _qd(l): 1.0})
-        own_pilot = Posynomial([Monomial(1.0)] + [
-            Monomial(tau * beta_row[j], {_qd(j): 1.0}) for j in group])
-        den = own_pilot * received + Monomial(beta_row[l], {_pd(l): 1.0})
-        for j in group:
-            if j != l:
-                den = den + Monomial(tau * beta_row[l] * beta_row[j],
-                                     {_pd(l): 1.0, _qd(j): 1.0})
-        return num, den
-
-    q_rx = compute_gamma_d2drx(gains, fixed_pilots, scn.pilots, dims).gamma_d2d_d2drx
-    gamma_l = q_rx[l, l]
-    if gamma_l <= 0.0:
-        raise GPInfeasibleError(f"D2D pair {l} has zero estimate quality at the "
-                                "fixed pilot powers", margin=np.inf)
-    num = Monomial(gamma_l, {_pd(l): 1.0})
-    den = received + Monomial(max(beta_row[l] - gamma_l, 1e-300), {_pd(l): 1.0})
+    num = Monomial(tau * beta_row[l] ** 2, {_pd(l): 1.0, _qd(l): 1.0})
+    own_pilot = Posynomial([Monomial(1.0)] + [
+        Monomial(tau * beta_row[j], {_qd(j): 1.0}) for j in group])
+    den = own_pilot * received + Monomial(beta_row[l], {_pd(l): 1.0})
+    for j in group:
+        if j != l:
+            den = den + Monomial(tau * beta_row[l] * beta_row[j],
+                                 {_pd(l): 1.0, _qd(j): 1.0})
     return num, den
 
 
@@ -550,46 +532,43 @@ def _joint_upper_bounds(scn: Scenario, processing: Processing):
     return out
 
 
-def _half_power_sinrs(scn: Scenario, processing: Processing, joint, fixed_pilots):
+def _half_power_sinrs(scn: Scenario, processing: Processing, fixed_pilots=None):
+    """Every user's SINR with all data powers at half budget and the given
+    pilot powers (by default at half budget as well)."""
     half = scn.p_max / 2.0
     dims = scn.dims
-    pilot_cu = np.full((dims.num_cells, dims.cus_per_cell), half) if joint \
-        else fixed_pilots.pilot_cu
-    pilot_d2d = np.full(dims.num_d2d_pairs, half) if joint else fixed_pilots.pilot_d2d
-    alloc = PowerAllocation(np.full((dims.num_cells, dims.cus_per_cell), half),
-                            np.full(dims.num_d2d_pairs, half),
-                            pilot_cu, pilot_d2d, scn.p_max)
+    cu = np.full((dims.num_cells, dims.cus_per_cell), half)
+    d2d = np.full(dims.num_d2d_pairs, half)
+    pilots = fixed_pilots or PowerAllocation(cu, d2d, cu, d2d, scn.p_max)
+    alloc = PowerAllocation(cu, d2d, pilots.pilot_cu, pilots.pilot_d2d, scn.p_max)
     report = evaluate_network(dims, scn.gains, scn.pilots, alloc, processing.value)
     return {u: report.breakdowns[u].sinr for u in _all_users(scn)}
 
 
 def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots,
                       pilot_point=None):
-    """Per-user (numerator, denominator) pairs for the GP compile path."""
+    """Per-user (numerator, denominator) pairs for the GP compile path: the
+    affine SINR rows at fixed pilot powers, or the joint MR / Algorithm 2 ZF
+    expressions with pilot powers as variables."""
+    if not joint:
+        return {row.user: _affine_to_posynomial(scn, row)
+                for row in _affine_sinr_rows(scn, processing, fixed_pilots)}
     out = {}
     dims = scn.dims
     for b in range(dims.num_cells):
         for k in range(dims.cus_per_cell):
             if processing is Processing.MR:
-                out[("cu", b, k)] = _mr_sinr_posynomial(scn, b, k, joint, fixed_pilots)
-            elif joint:
+                out[("cu", b, k)] = _mr_sinr_posynomial(scn, b, k)
+            else:
                 out[("cu", b, k)] = (_zf_numerator(scn, b, k),
                                      _zf_tilde_denominator(scn, b, k, pilot_point))
-            else:
-                rows = _affine_sinr_rows(scn, processing, fixed_pilots,
-                                         include={("cu", b, k)})
-                out[("cu", b, k)] = _affine_to_posynomial(scn, rows[0])
     for l in range(dims.num_d2d_pairs):
-        out[("d2d", -1, l)] = _d2d_sinr_posynomial(scn, l, joint, fixed_pilots)
+        out[("d2d", -1, l)] = _d2d_sinr_posynomial(scn, l)
     return out
 
 
 def _affine_to_posynomial(scn: Scenario, row: _AffineSinr):
-    dims = scn.dims
-    k_ = dims.cus_per_cell
-    n_cu = dims.num_cells * k_
-    names = [_pc(i // k_, i % k_) for i in range(n_cu)] + \
-            [_pd(l) for l in range(dims.num_d2d_pairs)]
+    names = _stacked_names(scn)
     nz = np.flatnonzero(row.num_coeffs)
     if nz.size != 1:
         raise GPInfeasibleError(f"user {row.user} has no usable desired link",
@@ -601,14 +580,15 @@ def _affine_to_posynomial(scn: Scenario, row: _AffineSinr):
     return num, Posynomial(terms)
 
 
-def _solve_gp_problem(scn, objective, constraint_map, joint, fixed_pilots,
-                      processing, settings, warm=None):
+def _solve_gp_problem(scn, objective, constraint_map, joint, processing, settings,
+                      warm=None):
     """Assemble and solve one GP; returns (solution, SINR level per user).
 
     Max-product minimizes the product of den/num over the users with no
     constraint, and a user's level is its GP-model SINR at the solution.
-    Max-min maximizes a common target subject to target * den / num <= 1,
-    which is every user's level. The start puts every power at half budget.
+    Max-min (joint scope) maximizes a common target subject to
+    target * den / num <= 1, which is every user's level. The start puts
+    every power at half budget.
     """
     bounds = _power_bounds(scn, joint)
     start = dict.fromkeys(bounds, scn.p_max / 2.0)
@@ -618,9 +598,8 @@ def _solve_gp_problem(scn, objective, constraint_map, joint, fixed_pilots,
         solution = gp_solve(gp, settings.gp, initial=warm or start)
         return solution, dict(zip(constraint_map, np.exp(-solution.log_factors)))
 
-    ub = _joint_upper_bounds(scn, processing) if joint \
-        else _sinr_upper_bounds(scn, processing, fixed_pilots, constraint_map)
-    base = _half_power_sinrs(scn, processing, joint, fixed_pilots)
+    ub = _joint_upper_bounds(scn, processing)
+    base = _half_power_sinrs(scn, processing)
     # the start sits at half the weakest half-power SINR, strictly above the
     # lower bound, so a warm start needs no phase 1
     weakest = min(base[u] for u in constraint_map)
@@ -634,6 +613,42 @@ def _solve_gp_problem(scn, objective, constraint_map, joint, fixed_pilots,
     return solution, dict.fromkeys(constraint_map, solution.values["target"])
 
 
+def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing,
+                     joint, settings: ControlSettings = None,
+                     fixed_pilots: PowerAllocation = None):
+    """Max-product over data powers, or max-min / max-product jointly over
+    pilot and data powers with MR, as one GP. Small powers are snapped to
+    zero when the objective's own acceptance test still holds. Returns
+    (allocation, value, diagnostics): the SE level for max-min, the log
+    SINR product for max-product."""
+    t0 = time.perf_counter()
+    settings = settings or ControlSettings()
+    if not joint:
+        fixed_pilots = fixed_pilots or _default_pilots(scn)
+    diag = SolveDiagnostics()
+
+    constraint_map = _sinr_constraints(scn, processing, joint, fixed_pilots)
+    solution, levels = _solve_gp_problem(scn, objective, constraint_map, joint,
+                                         processing, settings)
+    alloc = _alloc_from_values(scn, solution.values, joint, fixed_pilots)
+    if objective is Objective.MAXMIN:
+        value = float(se_from_sinr(solution.values["target"], scn.dims))
+        still_ok = lambda rep: _min_se(rep, list(constraint_map)) >= value - 1e-6
+    else:
+        value = -solution.log_objective
+        still_ok = lambda rep: _report_log_product(rep) >= value - 1e-9 * max(1.0, abs(value))
+    alloc = _snap_small_powers(scn, alloc, processing, still_ok)
+
+    diag.iterations = solution.newton_iterations
+    diag.status = solution.status
+    diag.objective_trace = [value]
+    diag.targets = levels
+    diag.active_constraints = _tight_constraints(
+        scn, alloc, processing, levels if objective is Objective.MAXMIN else {})
+    diag.wall_time = time.perf_counter() - t0
+    return alloc, value, diag
+
+
 # --- spec'd single-solve entry points -------------------------------------------
 
 def maxprod_data(scn: Scenario, processing, settings: ControlSettings = None,
@@ -642,28 +657,21 @@ def maxprod_data(scn: Scenario, processing, settings: ControlSettings = None,
     fixed). Returns (allocation, log_product, diagnostics); the objective is
     reported as the natural log of the SINR product, which stays finite at
     network scale."""
-    t0 = time.perf_counter()
-    settings = settings or ControlSettings()
-    processing = Processing(processing)
-    fixed_pilots = fixed_pilots or _default_pilots(scn)
-    diag = SolveDiagnostics()
+    return _solve_single_gp(scn, Objective.MAXPROD, Processing(processing), False,
+                            settings, fixed_pilots)
 
-    constraint_map = _sinr_constraints(scn, processing, False, fixed_pilots)
-    solution, levels = _solve_gp_problem(scn, Objective.MAXPROD, constraint_map,
-                                         False, fixed_pilots, processing, settings)
-    alloc = _alloc_from_values(scn, solution.values, False, fixed_pilots)
-    log_prod = -solution.log_objective
-    alloc = _snap_small_powers(
-        scn, alloc, processing,
-        lambda rep: _report_log_product(rep) >= log_prod - 1e-9 * max(1.0, abs(log_prod)))
 
-    diag.iterations = solution.newton_iterations
-    diag.status = solution.status
-    diag.objective_trace = [log_prod]
-    diag.targets = levels
-    diag.active_constraints = _tight_constraints(scn, alloc, processing, levels)
-    diag.wall_time = time.perf_counter() - t0
-    return alloc, log_prod, diag
+def maxmin_joint_mr(scn: Scenario, settings: ControlSettings = None):
+    """Joint pilot + data max-min fairness with MR processing: one GP over
+    all four power families and the common SINR target. Returns
+    (allocation, se_level, diagnostics)."""
+    return _solve_single_gp(scn, Objective.MAXMIN, Processing.MR, True, settings)
+
+
+def maxprod_joint_mr(scn: Scenario, settings: ControlSettings = None):
+    """Joint pilot + data max-product-SINR with MR processing. Returns
+    (allocation, log_product, diagnostics)."""
+    return _solve_single_gp(scn, Objective.MAXPROD, Processing.MR, True, settings)
 
 
 def _report_log_product(report):
@@ -673,66 +681,18 @@ def _report_log_product(report):
     return float(sum(np.log(s) for s in sinrs))
 
 
-def _tight_constraints(scn, alloc, processing, levels, rel=1e-5):
-    report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, processing.value)
+def _tight_constraints(scn, alloc, processing, sinr_levels, rel=1e-5):
+    """Active constraints at alloc: every SINR constraint met within rel of
+    its level (pass none for max-product, which has no SINR constraint) and
+    every power at p_max."""
     out = []
-    for user, target in levels.items():
-        achieved = report.breakdowns[user].sinr
-        if achieved <= target * (1 + rel):
-            out.append(("sinr", user))
-    for b in range(scn.dims.num_cells):
-        for k in range(scn.dims.cus_per_cell):
-            if alloc.data_cu[b, k] >= scn.p_max * (1 - 1e-5):
-                out.append(("p_max", ("cu", b, k)))
-    for l in range(scn.dims.num_d2d_pairs):
-        if alloc.data_d2d[l] >= scn.p_max * (1 - 1e-5):
-            out.append(("p_max", ("d2d", -1, l)))
-    return out
-
-
-def maxmin_joint_mr(scn: Scenario, settings: ControlSettings = None):
-    """Joint pilot + data max-min fairness with MR processing: one GP over
-    all four power families and the common SINR target. Returns
-    (allocation, se_level, diagnostics)."""
-    t0 = time.perf_counter()
-    settings = settings or ControlSettings()
-    diag = SolveDiagnostics()
-    constraint_map = _sinr_constraints(scn, Processing.MR, True, None)
-    solution, levels = _solve_gp_problem(scn, Objective.MAXMIN, constraint_map,
-                                         True, None, Processing.MR, settings)
-    target = solution.values["target"]
-    lam = float(se_from_sinr(target, scn.dims))
-    alloc = _alloc_from_values(scn, solution.values, True, None)
-    alloc = _snap_small_powers(
-        scn, alloc, Processing.MR,
-        lambda rep: _min_se(rep, list(constraint_map)) >= lam - 1e-6)
-    diag.iterations = solution.newton_iterations
-    diag.status = solution.status
-    diag.objective_trace = [lam]
-    diag.targets = levels
-    diag.active_constraints = _tight_constraints(scn, alloc, Processing.MR, levels)
-    diag.wall_time = time.perf_counter() - t0
-    return alloc, lam, diag
-
-
-def maxprod_joint_mr(scn: Scenario, settings: ControlSettings = None):
-    """Joint pilot + data max-product-SINR with MR processing. Returns
-    (allocation, log_product, diagnostics)."""
-    t0 = time.perf_counter()
-    settings = settings or ControlSettings()
-    diag = SolveDiagnostics()
-    constraint_map = _sinr_constraints(scn, Processing.MR, True, None)
-    solution, levels = _solve_gp_problem(scn, Objective.MAXPROD, constraint_map,
-                                         True, None, Processing.MR, settings)
-    alloc = _alloc_from_values(scn, solution.values, True, None)
-    log_prod = -solution.log_objective
-    diag.iterations = solution.newton_iterations
-    diag.status = solution.status
-    diag.objective_trace = [log_prod]
-    diag.targets = levels
-    diag.active_constraints = _tight_constraints(scn, alloc, Processing.MR, levels)
-    diag.wall_time = time.perf_counter() - t0
-    return alloc, log_prod, diag
+    if sinr_levels:
+        report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, processing.value)
+        out += [("sinr", user) for user, target in sinr_levels.items()
+                if report.breakdowns[user].sinr <= target * (1 + rel)]
+    data = np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d])
+    return out + [("p_max", user) for user, p in zip(_all_users(scn), data)
+                  if p >= scn.p_max * (1 - 1e-5)]
 
 
 # --- Algorithm 2: successive approximation for joint ZF --------------------------
@@ -768,19 +728,12 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     last_levels = None
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
-        pilot_point = {}
-        for b in range(scn.dims.num_cells):
-            for k in range(scn.dims.cus_per_cell):
-                pilot_point[_qc(b, k)] = alloc.pilot_cu[b, k]
-        for l in range(scn.dims.num_d2d_pairs):
-            pilot_point[_qd(l)] = alloc.pilot_d2d[l]
-
+        pilot_point = dict(zip(_stacked_names(scn, pilot=True), _stacked_pilots(alloc)))
         constraint_map = _sinr_constraints(scn, Processing.ZF, True, None,
                                            pilot_point=pilot_point)
         try:
             solution, levels = _solve_gp_problem(scn, objective, constraint_map,
-                                                 True, None, Processing.ZF, settings,
-                                                 warm=warm)
+                                                 True, Processing.ZF, settings, warm=warm)
         except (GPInfeasibleError, GPSolverError) as exc:
             diag.notes.append(f"iteration {it}: solver failure: {exc}")
             status = "solver_failure"
@@ -788,9 +741,7 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
         new_alloc = _alloc_from_values(scn, solution.values, True, None)
         diag.objective_trace.append(_true_objective(scn, new_alloc, objective, users))
 
-        move = max(float(np.max(np.abs(new_alloc.pilot_cu - alloc.pilot_cu))),
-                   float(np.max(np.abs(new_alloc.pilot_d2d - alloc.pilot_d2d)))
-                   if scn.dims.num_d2d_pairs else 0.0)
+        move = float(np.max(np.abs(_stacked_pilots(new_alloc) - _stacked_pilots(alloc))))
         alloc = new_alloc
         last_levels = levels
         diag.iterations = it
@@ -804,7 +755,9 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     value = diag.objective_trace[-1]
     if last_levels is not None:
         diag.targets = last_levels
-        diag.active_constraints = _tight_constraints(scn, alloc, Processing.ZF, last_levels)
+        diag.active_constraints = _tight_constraints(
+            scn, alloc, Processing.ZF,
+            last_levels if objective is Objective.MAXMIN else {})
     diag.wall_time = time.perf_counter() - t0
     return alloc, value, diag
 
@@ -818,15 +771,13 @@ def solve_problem(scn: Scenario, spec: ControlProblemSpec,
     objective value, diagnostics); the value is an SE level in b/s/Hz for
     max-min objectives and a log SINR product for max-product."""
     settings = settings or spec.tolerances
-    if spec.variables is VariableScope.DATA:
-        if spec.objective is Objective.MAXMIN:
-            return maxmin_data(scn, spec.processing, settings, fixed_pilots)
-        return maxprod_data(scn, spec.processing, settings, fixed_pilots)
-    if spec.processing is Processing.MR:
-        if spec.objective is Objective.MAXMIN:
-            return maxmin_joint_mr(scn, settings)
-        return maxprod_joint_mr(scn, settings)
-    return zf_joint_successive(scn, spec.objective, settings)
+    joint = spec.variables is VariableScope.JOINT
+    if not joint and spec.objective is Objective.MAXMIN:
+        return maxmin_data(scn, spec.processing, settings, fixed_pilots)
+    if joint and spec.processing is Processing.ZF:
+        return zf_joint_successive(scn, spec.objective, settings)
+    return _solve_single_gp(scn, spec.objective, spec.processing, joint, settings,
+                            fixed_pilots)
 
 
 # --- JSON schema shared by the CLI and tests -----------------------------------------

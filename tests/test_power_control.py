@@ -19,8 +19,8 @@ from mimo_d2d.power_control import (_mr_sinr_posynomial, _d2d_sinr_posynomial,
                                     _default_pilots, _stacked_upper,
                                     _sinr_upper_bounds, _normalized_rows,
                                     _minimal_powers, Processing)
-from mimo_d2d.gp import (GeometricProgram, LinearFeasibilityProblem, LPFeasibility,
-                         Monomial, gp_solve, lp_feasible)
+from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, LinearFeasibilityProblem,
+                         LPFeasibility, Monomial, gp_solve, lp_feasible)
 from mimo_d2d.harness import drop_seed
 from gridsearch import refine_maximize
 
@@ -126,7 +126,6 @@ def test_maxmin_bisection_iterations_and_sandwich(small_scenario):
 
     # the witness is feasible at lam (within solver slack) and lam + 2 eps is not
     assert _min_se_at(scn, alloc, "mr") >= lam - 1e-6
-    from mimo_d2d.power_control import _sinr_upper_bounds  # noqa: F401  (import check)
     eps = settings.bisection_eps
     probe_settings = ControlSettings()
     alloc2, lam2, diag2 = maxmin_data(scn, "mr", probe_settings)
@@ -295,6 +294,20 @@ def test_maxprod_single_user_full_power():
     assert alloc.data_cu[0, 0] == pytest.approx(scn.p_max, rel=1e-3)
 
 
+@pytest.mark.parametrize("processing", ["mr", "zf"])
+@pytest.mark.parametrize("user", ["cu", "d2d"])
+def test_maxprod_zero_pilot_is_infeasible(small_scenario, processing, user):
+    """A user without pilot power has an identically zero SINR, so the
+    product of SINRs cannot be maximized."""
+    pilots = _default_pilots(small_scenario)
+    if user == "cu":
+        pilots.pilot_cu[1, 0] = 0.0
+    else:
+        pilots.pilot_d2d[1] = 0.0
+    with pytest.raises(GPInfeasibleError):
+        maxprod_data(small_scenario, processing, fixed_pilots=pilots)
+
+
 def test_maxprod_constraint_tightness(small_scenario):
     scn = small_scenario
     alloc, logprod, diag = maxprod_data(scn, "mr")
@@ -302,8 +315,8 @@ def test_maxprod_constraint_tightness(small_scenario):
     achieved = sum(np.log(bd.sinr) for bd in report.breakdowns.values())
     # the GP-model SINRs are the achieved SINRs
     assert achieved == pytest.approx(logprod, rel=1e-6, abs=1e-6)
-    tight = [c for c in diag.active_constraints if c[0] == "sinr"]
-    assert len(tight) == len(report.breakdowns)
+    # max-product has no SINR constraint, so only power limits can be active
+    assert all(c[0] == "p_max" for c in diag.active_constraints)
 
 
 @pytest.mark.parametrize("processing", ["mr", "zf"])
@@ -336,7 +349,7 @@ def _aux_maxprod(scn, processing, joint):
     bounds = power_control._power_bounds(scn, joint)
     ub = power_control._joint_upper_bounds(scn, processing) if joint \
         else _sinr_upper_bounds(scn, processing, pilots, constraint_map)
-    base = power_control._half_power_sinrs(scn, processing, joint, pilots)
+    base = power_control._half_power_sinrs(scn, processing, pilots)
     start = dict.fromkeys(bounds, scn.p_max / 2.0)
     names = [f"aux_{i}" for i in range(len(constraint_map))]
     constraints = []
@@ -502,16 +515,24 @@ def test_compiled_constraints_match_closed_forms(small_scenario, rng):
         for b in range(scn.dims.num_cells):
             for k in range(scn.dims.cus_per_cell):
                 closed = cu_sinr_mr(b, k, scn.gains, alloc, scn.dims).sinr
-                num, den = _mr_sinr_posynomial(scn, b, k, True, None)
+                num, den = _mr_sinr_posynomial(scn, b, k)
                 assert num.value(point) / den.value(point) == pytest.approx(closed, rel=1e-9)
-                num2, den2 = _mr_sinr_posynomial(scn, b, k, False, alloc)
-                assert num2.value(point) / den2.value(point) == pytest.approx(closed, rel=1e-9)
         for l in range(scn.dims.num_d2d_pairs):
             closed = d2d_sinr_approx(l, scn.gains, alloc, scn.pilots, scn.dims).sinr
-            num, den = _d2d_sinr_posynomial(scn, l, True, None)
+            num, den = _d2d_sinr_posynomial(scn, l)
             assert num.value(point) / den.value(point) == pytest.approx(closed, rel=1e-9)
-            num2, den2 = _d2d_sinr_posynomial(scn, l, False, alloc)
-            assert num2.value(point) / den2.value(point) == pytest.approx(closed, rel=1e-9)
+        # the data-scope posynomials, at the trial's pilot powers
+        for processing in (Processing.MR, Processing.ZF):
+            for (kind, b, idx), (num, den) in power_control._sinr_constraints(
+                    scn, processing, False, alloc).items():
+                if kind == "d2d":
+                    closed = d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots, scn.dims)
+                elif processing is Processing.MR:
+                    closed = cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims)
+                else:
+                    closed = cu_sinr_zf(b, idx, scn.gains, alloc, scn.pilots, scn.dims)
+                assert num.value(point) / den.value(point) == pytest.approx(closed.sinr,
+                                                                            rel=1e-9)
 
 
 def test_affine_rows_match_closed_forms(small_scenario, rng):
