@@ -55,6 +55,8 @@ class ExperimentPlan:
         # a configuration error, so the CLI exits 2 before any drop runs
         if self.num_drops < 1:
             raise ScenarioError("num_drops must be >= 1")
+        if self.workers < 1:
+            raise ScenarioError("workers must be >= 1")
         if self.exact_d2d_samples < 1:
             raise ScenarioError("exact_d2d_samples must be >= 1")
 

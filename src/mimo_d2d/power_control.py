@@ -3,12 +3,13 @@
 powers for MR (GP), and the successive monomial-approximation loop for the
 joint ZF problem.
 
-With pilot powers fixed, every user's SINR is an affine function of the
-data powers over another (_affine_sinr_rows); Algorithm 1 and the data-power
-GP both use these rows. The joint problems compile the closed-form SINR
-expressions with pilot powers as variables. Because every user shares the
-prelog factor, a common SE target is equivalent to a common SINR target,
-which is how the max-min problems are expressed in GP form.
+With pilot powers fixed, user i's SINR is g_i p_i / (1 + a_i . p) in the
+data powers p, a standard interference function given by one gain vector g
+and one coupling matrix a (_fixed_pilot_model); Algorithm 1, its LP witness
+and the data-power GP all read (g, a). The joint problems compile the
+closed-form SINR expressions with pilot powers as variables. Because every
+user shares the prelog factor, a common SE target is equivalent to a common
+SINR target, which is how the max-min problems are expressed in GP form.
 """
 
 import enum
@@ -21,7 +22,7 @@ import numpy as np
 
 from .scenario import Scenario
 from .estimation import (PowerAllocation, compute_gamma_bs, compute_gamma_d2drx,
-                         gamma_cu_bs_full)
+                         full_power_allocation, gamma_cu_bs_full)
 from .spectral import evaluate_network, se_from_sinr
 from .gp import (Monomial, Posynomial, GeometricProgram, LinearFeasibilityProblem,
                  SolverSettings, gp_solve, lp_feasible, monomial_lower_bound,
@@ -147,14 +148,6 @@ def _alloc_from_values(scn: Scenario, values, pilot_vars, fixed_pilots):
     return _stacked_alloc(scn, data, pilots)
 
 
-def _default_pilots(scn: Scenario) -> PowerAllocation:
-    dims = scn.dims
-    return PowerAllocation(np.full((dims.num_cells, dims.cus_per_cell), scn.p_max),
-                           np.full(dims.num_d2d_pairs, scn.p_max),
-                           np.full((dims.num_cells, dims.cus_per_cell), scn.p_max),
-                           np.full(dims.num_d2d_pairs, scn.p_max), scn.p_max)
-
-
 def _degenerate_users(scn: Scenario):
     """Users whose desired-link gain is vanishingly small compared to the
     strongest same-kind link; they would drag the max-min level to zero."""
@@ -173,103 +166,55 @@ def _degenerate_users(scn: Scenario):
     return out
 
 
-# --- affine SINR coefficients at fixed pilot powers ----------------------------
-
-@dataclass
-class _AffineSinr:
-    """num_coeffs @ x  >=  t * (den_const + den_coeffs @ x) over the stacked
-    power vector x = [data_cu.ravel(), data_d2d]."""
-
-    user: tuple
-    num_coeffs: np.ndarray
-    den_const: float
-    den_coeffs: np.ndarray
-
+# --- SINR model at fixed pilot powers -------------------------------------------
 
 def _stacked_upper(scn: Scenario):
     n = scn.dims.num_cells * scn.dims.cus_per_cell + scn.dims.num_d2d_pairs
     return np.full(n, scn.p_max)
 
 
-def _affine_sinr_rows(scn: Scenario, processing: Processing,
-                      fixed_pilots: PowerAllocation, include=None):
-    """Affine numerator/denominator of every user's SINR in the data powers,
-    with pilot powers held fixed."""
-    dims, gains, pilots = scn.dims, scn.gains, scn.pilots
+def _fixed_pilot_model(scn: Scenario, processing: Processing,
+                       fixed_pilots: PowerAllocation):
+    """With pilot powers fixed, user i's SINR is g_i p_i / (1 + a_i . p) over
+    the stacked data powers p. Returns the desired-link gains g (n,) and the
+    coupling matrix a (n, n), rows in _all_users order and columns in
+    _stacked_names order."""
+    dims, gains = scn.dims, scn.gains
     b_, k_, l_ = dims.num_cells, dims.cus_per_cell, dims.num_d2d_pairs
     n_cu = b_ * k_
-    gamma_full = gamma_cu_bs_full(gains, fixed_pilots, dims)
-    q_bs = compute_gamma_bs(gains, fixed_pilots, pilots, dims)
-    q_rx = compute_gamma_d2drx(gains, fixed_pilots, pilots, dims)
+    gamma_full = gamma_cu_bs_full(gains, fixed_pilots, dims)  # (B, B', K)
+    gamma_rx = compute_gamma_d2drx(gains, fixed_pilots, scn.pilots, dims).gamma_d2d_d2drx
     if processing is Processing.ZF:
         dims.require_zf()
-        gain_factor = dims.zf_dof
+        factor = dims.zf_dof
+        gamma_d2d_bs = compute_gamma_bs(gains, fixed_pilots, scn.pilots, dims).gamma_d2d_bs
+        cu_leak = gains.beta_cu_bs - gamma_full
+        d2d_leak = gains.beta_d2dtx_bs - gamma_d2d_bs
     else:
-        gain_factor = dims.antennas_per_bs
+        factor = dims.antennas_per_bs
+        cu_leak, d2d_leak = gains.beta_cu_bs, gains.beta_d2dtx_bs
+    cells = np.arange(b_)
+    g = np.concatenate([factor * gamma_full[cells, cells].ravel(), np.diag(gamma_rx)])
 
-    rows = []
-    for b in range(b_):
-        for k in range(k_):
-            if include is not None and ("cu", b, k) not in include:
-                continue
-            num = np.zeros(n_cu + l_)
-            num[b * k_ + k] = gain_factor * gamma_full[b, b, k]
-            den = np.zeros(n_cu + l_)
-            if processing is Processing.MR:
-                den[:n_cu] = gains.beta_cu_bs[b].ravel()
-                den[n_cu:] = gains.beta_d2dtx_bs[b]
-            else:
-                den[:n_cu] = (gains.beta_cu_bs[b] - gamma_full[b]).ravel()
-                den[n_cu:] = gains.beta_d2dtx_bs[b] - q_bs.gamma_d2d_bs[b]
-            for b2 in range(b_):
-                if b2 != b:
-                    den[b2 * k_ + k] += gain_factor * gamma_full[b, b2, k]
-            rows.append(_AffineSinr(("cu", b, k), num, 1.0, den))
-    for l in range(l_):
-        if include is not None and ("d2d", -1, l) not in include:
-            continue
-        num = np.zeros(n_cu + l_)
-        num[n_cu + l] = q_rx.gamma_d2d_d2drx[l, l]
-        den = np.zeros(n_cu + l_)
-        den[:n_cu] = gains.beta_cu_d2drx[l].ravel()
-        den[n_cu:] = gains.beta_d2dtx_d2drx[l]
-        den[n_cu + l] = gains.beta_d2dtx_d2drx[l, l] - q_rx.gamma_d2d_d2drx[l, l]
-        rows.append(_AffineSinr(("d2d", -1, l), num, 1.0, den))
-    return rows
-
-
-def _sinr_upper_bounds(scn: Scenario, processing: Processing,
-                       fixed_pilots: PowerAllocation, users):
-    """Interference-free SINR upper bounds at maximum data power and the
-    given pilot powers."""
-    dims = scn.dims
-    gamma_full = gamma_cu_bs_full(scn.gains, fixed_pilots, dims)
-    q_rx = compute_gamma_d2drx(scn.gains, fixed_pilots, scn.pilots, dims)
-    factor = dims.zf_dof if processing is Processing.ZF else dims.antennas_per_bs
-    out = {}
-    for user in users:
-        kind, b, idx = user
-        if kind == "cu":
-            out[user] = scn.p_max * factor * gamma_full[b, b, idx]
-        else:
-            out[user] = scn.p_max * q_rx.gamma_d2d_d2drx[idx, idx]
-    return out
+    a = np.empty((n_cu + l_, n_cu + l_))
+    a[:n_cu] = np.repeat(np.hstack([cu_leak.reshape(b_, n_cu), d2d_leak]), k_, axis=0)
+    # coherent interference from the CUs of other cells on the same pilot
+    b, b2, k = np.nonzero(np.broadcast_to(~np.eye(b_, dtype=bool)[:, :, None],
+                                          gamma_full.shape))
+    a[b * k_ + k, b2 * k_ + k] += factor * gamma_full[b, b2, k]
+    a[n_cu:, :n_cu] = gains.beta_cu_d2drx.reshape(l_, n_cu)
+    a[n_cu:, n_cu:] = gains.beta_d2dtx_d2drx
+    # a D2D receiver's own link interferes only through its estimation error
+    own = np.arange(n_cu, n_cu + l_)
+    a[own, own] -= np.diag(gamma_rx)
+    return g, a
 
 
 # --- max-min over data powers: Algorithm-1 bisection ---------------------------
 
-def _normalized_rows(rows, cols):
-    """(f, h) = (a / g, c / g) for the SINR rows g_i p_i >= t (c_i + a_i . p)
-    over the columns cols, where cols[i] is row i's own power."""
-    gain = np.array([r.num_coeffs[j] for r, j in zip(rows, cols)])
-    f = np.array([r.den_coeffs[cols] for r in rows]) / gain[:, None]
-    h = np.array([r.den_const for r in rows]) / gain
-    return f, h
-
-
 def _minimal_powers(f, h, t, upper):
     """Minimal power vector p = (I - t f)^-1 t h meeting every SINR row
-    g_i p_i >= t (c_i + a_i . p) with equality, where f = a / g and h = c / g
+    g_i p_i >= t (1 + a_i . p) with equality, where f = a / g and h = 1 / g
     (Foschini-Miljanic; Yates, IEEE JSAC 1995); None when the level t is
     infeasible. Since f >= 0 and h > 0, a solution p >= 0 satisfies
     p = t h + t f p >= t h, which certifies rho(t f) < 1 for t > 0, so
@@ -292,21 +237,25 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
     t0 = time.perf_counter()
     settings = settings or ControlSettings()
     processing = Processing(processing)
-    fixed_pilots = fixed_pilots or _default_pilots(scn)
+    fixed_pilots = fixed_pilots or full_power_allocation(scn.dims, scn.p_max)
     diag = SolveDiagnostics()
     diag.excluded_users = _degenerate_users(scn)
     if diag.excluded_users:
         logger.warning("max-min: excluding degenerate users %s", diag.excluded_users)
 
     dims = scn.dims
-    included = [u for u in _all_users(scn) if u not in diag.excluded_users]
-    rows = _affine_sinr_rows(scn, processing, fixed_pilots, include=set(included))
+    # the included users' own columns; excluded users' powers are zero
+    users = _all_users(scn)
+    cols = np.array([i for i, u in enumerate(users) if u not in diag.excluded_users],
+                    dtype=int)
+    included = [users[i] for i in cols]
+    g, a = _fixed_pilot_model(scn, processing, fixed_pilots)
+    g, a = g[cols], a[cols]
     upper = _stacked_upper(scn)
     prelog = dims.prelog
 
-    bounds = _sinr_upper_bounds(scn, processing, fixed_pilots, included)
-    finite = [np.log2(1.0 + v) for v in bounds.values() if v > 0]
-    lam_hi = min(finite) if len(finite) == len(included) and finite else 0.0
+    # interference-free SE bound at maximum data power; 0 if a user has no desired link
+    lam_hi = float(np.log2(1.0 + scn.p_max * g).min()) if g.size else 0.0
     if lam_hi <= 0.0:
         diag.status = "degenerate"
         diag.wall_time = time.perf_counter() - t0
@@ -317,11 +266,7 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
     def sinr_target(lam):
         return 2.0 ** (lam / prelog) - 1.0
 
-    # the included users' own columns, in row order; excluded users' powers are zero
-    n_cu = dims.num_cells * dims.cus_per_cell
-    cols = np.array([b * dims.cus_per_cell + k if kind == "cu" else n_cu + k
-                     for kind, b, k in included])
-    f, h = _normalized_rows(rows, cols)
+    f, h = a[:, cols] / g[:, None], 1.0 / g
 
     lam_lo = 0.0
     iterations = 0
@@ -340,9 +285,10 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
     witness = upper.copy()  # full power is always feasible at level 0
     if lam_lo > 0.0:
         t = sinr_target(lam_lo)
-        a = np.array([t * r.den_coeffs - r.num_coeffs for r in rows])
-        c = np.array([-t * r.den_const for r in rows])
-        result = lp_feasible(LinearFeasibilityProblem(a, c, upper), settings.gp)
+        lp_a = t * a  # rows g_i p_i >= t (1 + a_i . p) as lp_a @ p <= -t
+        lp_a[np.arange(len(g)), cols] -= g
+        result = lp_feasible(LinearFeasibilityProblem(lp_a, np.full(len(g), -t), upper),
+                             settings.gp)
         if result.feasible:
             witness = result.witness
         else:  # the LP's verdict differs at its tolerance; the minimal powers pass
@@ -548,11 +494,21 @@ def _half_power_sinrs(scn: Scenario, processing: Processing, fixed_pilots=None):
 def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots,
                       pilot_point=None):
     """Per-user (numerator, denominator) pairs for the GP compile path: the
-    affine SINR rows at fixed pilot powers, or the joint MR / Algorithm 2 ZF
-    expressions with pilot powers as variables."""
+    monomial g_i p_i over the posynomial 1 + a_i . p at fixed pilot powers,
+    or the joint MR / Algorithm 2 ZF expressions with pilot powers as
+    variables."""
     if not joint:
-        return {row.user: _affine_to_posynomial(scn, row)
-                for row in _affine_sinr_rows(scn, processing, fixed_pilots)}
+        g, a = _fixed_pilot_model(scn, processing, fixed_pilots)
+        names = _stacked_names(scn)
+        out = {}
+        for user, name, g_i, a_i in zip(_all_users(scn), names, g, a):
+            if g_i <= 0.0:
+                raise GPInfeasibleError(f"user {user} has no usable desired link",
+                                        margin=np.inf)
+            out[user] = (Monomial(g_i, {name: 1.0}), Posynomial(
+                [Monomial(1.0)] + [Monomial(c, {names[j]: 1.0})
+                                   for j, c in enumerate(a_i) if c > 0.0]))
+        return out
     out = {}
     dims = scn.dims
     for b in range(dims.num_cells):
@@ -565,19 +521,6 @@ def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots
     for l in range(dims.num_d2d_pairs):
         out[("d2d", -1, l)] = _d2d_sinr_posynomial(scn, l)
     return out
-
-
-def _affine_to_posynomial(scn: Scenario, row: _AffineSinr):
-    names = _stacked_names(scn)
-    nz = np.flatnonzero(row.num_coeffs)
-    if nz.size != 1:
-        raise GPInfeasibleError(f"user {row.user} has no usable desired link",
-                                margin=np.inf)
-    num = Monomial(row.num_coeffs[nz[0]], {names[nz[0]]: 1.0})
-    terms = [Monomial(row.den_const)]
-    terms += [Monomial(c, {names[i]: 1.0})
-              for i, c in enumerate(row.den_coeffs) if c > 0.0]
-    return num, Posynomial(terms)
 
 
 def _solve_gp_problem(scn, objective, constraint_map, joint, processing, settings,
@@ -624,7 +567,7 @@ def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing
     t0 = time.perf_counter()
     settings = settings or ControlSettings()
     if not joint:
-        fixed_pilots = fixed_pilots or _default_pilots(scn)
+        fixed_pilots = fixed_pilots or full_power_allocation(scn.dims, scn.p_max)
     diag = SolveDiagnostics()
 
     constraint_map = _sinr_constraints(scn, processing, joint, fixed_pilots)
@@ -721,7 +664,7 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     diag = SolveDiagnostics()
     users = _all_users(scn)
 
-    alloc = _default_pilots(scn)  # full-power initialization
+    alloc = full_power_allocation(scn.dims, scn.p_max)  # full-power initialization
     diag.objective_trace.append(_true_objective(scn, alloc, objective, users))
     tol = settings.sca_power_tol * scn.p_max
     warm = None
@@ -780,7 +723,7 @@ def solve_problem(scn: Scenario, spec: ControlProblemSpec,
                             fixed_pilots)
 
 
-# --- JSON schema shared by the CLI and tests -----------------------------------------
+# --- JSON round trip of one solve (package API; the CLI writes run tables) -------
 
 def solve_to_json(spec: ControlProblemSpec, alloc: PowerAllocation, value,
                   diag: SolveDiagnostics) -> str:

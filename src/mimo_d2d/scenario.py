@@ -441,4 +441,6 @@ class Scenario:
         pilots = PilotAllocation(np.arange(0),
                                  [list(s) for s in raw["pilots"]["d2d_pilot_sets"]],
                                  np.array(raw["pilots"]["pair_to_pilot"], dtype=int))
+        gains.validate()
+        pilots.validate(dims)
         return cls(dims, geometry, gains, pilots, raw["p_max"], raw["seed"])

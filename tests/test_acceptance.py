@@ -22,8 +22,7 @@ from mimo_d2d import (ScenarioConfig, Scenario, PowerAllocation,
                       gp_solve, monomial_lower_bound)
 from mimo_d2d.gp import as_posynomial, variable
 from mimo_d2d.harness import drop_seed
-from mimo_d2d.power_control import _default_pilots, _affine_sinr_rows, \
-    _stacked_upper, Processing
+from mimo_d2d.power_control import _fixed_pilot_model, _stacked_upper, Processing
 from mimo_d2d.gp import LinearFeasibilityProblem, lp_feasible
 
 
@@ -189,14 +188,13 @@ def test_criterion_06_bisection_and_equal_power_dominance():
         all_ok &= float(ses.min()) >= lam - 1e-6  # returned level is feasible
 
         # a level two accuracy steps above the optimum must be infeasible
-        rows = _affine_sinr_rows(scn, Processing.MR, _default_pilots(scn))
+        full = full_power_allocation(scn.dims, scn.p_max)
+        g, a = _fixed_pilot_model(scn, Processing.MR, full)
         t = 2.0 ** ((lam + 2 * settings.bisection_eps) / scn.dims.prelog) - 1.0
-        a = np.array([t * r.den_coeffs - r.num_coeffs for r in rows])
-        c = np.array([-t * r.den_const for r in rows])
-        probe = lp_feasible(LinearFeasibilityProblem(a, c, _stacked_upper(scn)))
+        probe = lp_feasible(LinearFeasibilityProblem(t * a - np.diag(g), np.full(len(g), -t),
+                                                     _stacked_upper(scn)))
         all_ok &= not probe.feasible
 
-        full = full_power_allocation(scn.dims, scn.p_max)
         rep_eq = evaluate_network(scn.dims, scn.gains, scn.pilots, full, "mr")
         eq_min = float(min(rep_eq.cu_se.min(), rep_eq.d2d_se_approx.min()))
         all_ok &= lam >= eq_min - 1e-9

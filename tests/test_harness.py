@@ -188,6 +188,8 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", good, "--drops", "0", "--out", str(tmp_path / "y")]) == 2
     assert main(["run", "--config", good, "--exact-samples", "0",
                  "--out", str(tmp_path / "z")]) == 2
+    assert main(["run", "--config", good, "--workers", "0",
+                 "--out", str(tmp_path / "w")]) == 2
 
 
 def test_cli_entry_point_subprocess(tmp_path):

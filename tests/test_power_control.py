@@ -15,13 +15,11 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       power_control)
 from mimo_d2d.power_control import (_mr_sinr_posynomial, _d2d_sinr_posynomial,
                                     _zf_tilde_denominator, _zf_numerator,
-                                    _affine_sinr_rows, _pc, _pd, _qc, _qd,
-                                    _default_pilots, _stacked_upper,
-                                    _sinr_upper_bounds, _normalized_rows,
-                                    _minimal_powers, Processing)
+                                    _fixed_pilot_model, _pc, _pd, _qc, _qd,
+                                    _stacked_upper, _minimal_powers, Processing)
 from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, LinearFeasibilityProblem,
                          LPFeasibility, Monomial, gp_solve, lp_feasible)
-from mimo_d2d.harness import drop_seed
+from mimo_d2d.harness import cellular_only_view, drop_seed
 from gridsearch import refine_maximize
 
 
@@ -136,17 +134,30 @@ def test_maxmin_bisection_iterations_and_sandwich(small_scenario):
     assert lam + 2 * eps >= lam_upper or _level_infeasible(scn, "mr", lam + 2 * eps)
 
 
-def _lp_probe(rows, t, upper, gp_settings=None):
-    """Barrier-LP feasibility of the common SINR target t over the box."""
-    a = np.array([t * r.den_coeffs - r.num_coeffs for r in rows])
-    c = np.array([-t * r.den_const for r in rows])
-    return lp_feasible(LinearFeasibilityProblem(a, c, upper), gp_settings)
+def _lp_probe(g, a, cols, t, upper, gp_settings=None):
+    """Barrier-LP feasibility of the common SINR target t over the box: the
+    rows g_i p_i >= t (1 + a_i . p), where cols[i] is row i's own power."""
+    lp_a = t * a
+    lp_a[np.arange(len(g)), cols] -= g
+    return lp_feasible(LinearFeasibilityProblem(lp_a, np.full(len(g), -t), upper),
+                       gp_settings)
 
 
 def _level_infeasible(scn, processing, level):
-    rows = _affine_sinr_rows(scn, Processing(processing), _default_pilots(scn))
+    g, a = _fixed_pilot_model(scn, Processing(processing),
+                              full_power_allocation(scn.dims, scn.p_max))
     t = 2.0 ** (level / scn.dims.prelog) - 1.0
-    return not _lp_probe(rows, t, _stacked_upper(scn)).feasible
+    return not _lp_probe(g, a, np.arange(len(g)), t, _stacked_upper(scn)).feasible
+
+
+def _included_model(scn, processing, excluded):
+    """(g, a) restricted to the rows of the users not excluded, and those
+    users' own columns."""
+    users = power_control._all_users(scn)
+    cols = np.array([i for i, u in enumerate(users) if u not in excluded], dtype=int)
+    g, a = _fixed_pilot_model(scn, Processing(processing),
+                              full_power_allocation(scn.dims, scn.p_max))
+    return g[cols], a[cols], cols
 
 
 def test_maxmin_tightness_and_attainment(small_scenario):
@@ -170,26 +181,25 @@ def _lp_bisection(scn, processing, settings):
     """Algorithm 1 with a barrier-LP probe at every level: the slow path the
     minimal-power test replaced, kept as its oracle. Returns (allocation,
     level, objective trace)."""
-    processing, pilots = Processing(processing), _default_pilots(scn)
-    excluded = power_control._degenerate_users(scn)
-    included = [u for u in power_control._all_users(scn) if u not in excluded]
-    rows = _affine_sinr_rows(scn, processing, pilots, include=set(included))
+    processing = Processing(processing)
+    g, a, cols = _included_model(scn, processing, power_control._degenerate_users(scn))
+    included = [power_control._all_users(scn)[i] for i in cols]
     upper = _stacked_upper(scn)
-    bounds = _sinr_upper_bounds(scn, processing, pilots, included)
-    lam_hi = min(np.log2(1.0 + v) for v in bounds.values())
+    lam_hi = np.log2(1.0 + scn.p_max * g).min()
     lam_lo, witness, trace = 0.0, upper.copy(), []
     while lam_hi - lam_lo > settings.bisection_eps and len(trace) < settings.bisection_cap:
         lam = (lam_lo + lam_hi) / 2.0
-        result = _lp_probe(rows, 2.0 ** (lam / scn.dims.prelog) - 1.0, upper, settings.gp)
+        result = _lp_probe(g, a, cols, 2.0 ** (lam / scn.dims.prelog) - 1.0, upper,
+                           settings.gp)
         if result.feasible:
             lam_lo, witness = lam, result.witness
         else:
             lam_hi = lam
         trace.append(lam_lo)
-    n_cu, k_ = scn.dims.num_cells * scn.dims.cus_per_cell, scn.dims.cus_per_cell
-    values = {_pc(b, k) if kind == "cu" else _pd(k):
-              witness[b * k_ + k if kind == "cu" else n_cu + k] for kind, b, k in included}
-    alloc = power_control._alloc_from_values(scn, values, False, pilots)
+    names = power_control._stacked_names(scn)
+    values = {names[i]: witness[i] for i in cols}
+    alloc = power_control._alloc_from_values(scn, values, False,
+                                             full_power_allocation(scn.dims, scn.p_max))
     alloc = power_control._snap_small_powers(
         scn, alloc, processing, lambda rep: power_control._min_se(rep, included) >= lam_lo - 1e-6)
     return alloc, lam_lo, trace
@@ -220,44 +230,33 @@ def test_minimal_power_probe_matches_lp(small_scenario, reference_drops, process
     lie below any strictly feasible LP witness (Yates' minimality)."""
     scn = small_scenario if drop is None else reference_drops[drop]
     gp_settings = ControlSettings().gp
-    pilots = _default_pilots(scn)
-    rows = _affine_sinr_rows(scn, Processing(processing), pilots)
-    cols = np.array([np.flatnonzero(r.num_coeffs)[0] for r in rows])
+    g, a = _fixed_pilot_model(scn, Processing(processing),
+                              full_power_allocation(scn.dims, scn.p_max))
     upper = _stacked_upper(scn)
-    bounds = _sinr_upper_bounds(scn, Processing(processing), pilots,
-                                power_control._all_users(scn))
-    t = 2.0 ** (frac * min(np.log2(1.0 + v) for v in bounds.values())
-                / scn.dims.prelog) - 1.0
-    p = _minimal_powers(*_normalized_rows(rows, cols), t, upper[cols])
-    lp = _lp_probe(rows, t, upper, gp_settings)
+    t = 2.0 ** (frac * np.log2(1.0 + scn.p_max * g).min() / scn.dims.prelog) - 1.0
+    p = _minimal_powers(a / g[:, None], 1.0 / g, t, upper)
+    lp = _lp_probe(g, a, np.arange(len(g)), t, upper, gp_settings)
     if abs(lp.margin) > 10 * gp_settings.feas_tol:
         assert (p is not None) == lp.feasible
     if p is None:
         return
-    x = np.zeros_like(upper)
-    x[cols] = p
-    lhs = np.array([r.num_coeffs @ x for r in rows])
-    rhs = np.array([t * (r.den_const + r.den_coeffs @ x) for r in rows])
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-9)
+    np.testing.assert_allclose(g * p, t * (1.0 + a @ p), rtol=1e-9)
     if lp.margin < -10 * gp_settings.feas_tol:
-        assert np.all(p <= lp.witness[cols] * (1.0 + 1e-9))
+        assert np.all(p <= lp.witness * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("processing", ["mr", "zf"])
 @pytest.mark.parametrize("drop", [0, 1, 2])
 def test_maxmin_level_matches_perron_oracle(reference_drops, processing, drop):
-    """With f = a / g and h = c / g from the SINR rows and per-user power
+    """With f = a / g and h = 1 / g from the SINR model and per-user power
     limits p_bar, the max-min SINR is t* = 1 / max_i rho(f + h e_i^T / p_bar_i)
     (Tan, Chiang and Srikant, IEEE TSP 2011); the bisection's level lies at
     most bisection_eps below its SE."""
     scn = reference_drops[drop]
     settings = ControlSettings()
     _, lam_lo, diag = maxmin_data(scn, processing, settings)
-    included = [u for u in power_control._all_users(scn) if u not in diag.excluded_users]
-    rows = _affine_sinr_rows(scn, Processing(processing), _default_pilots(scn),
-                             include=set(included))
-    cols = np.array([np.flatnonzero(r.num_coeffs)[0] for r in rows])
-    f, h = _normalized_rows(rows, cols)
+    g, a, cols = _included_model(scn, processing, diag.excluded_users)
+    f, h = a[:, cols] / g[:, None], 1.0 / g
     p_bar = _stacked_upper(scn)[cols]
     rho = max(np.abs(np.linalg.eigvals(f + np.outer(h, e / p))).max()
               for e, p in zip(np.eye(len(h)), p_bar))
@@ -299,7 +298,7 @@ def test_maxprod_single_user_full_power():
 def test_maxprod_zero_pilot_is_infeasible(small_scenario, processing, user):
     """A user without pilot power has an identically zero SINR, so the
     product of SINRs cannot be maximized."""
-    pilots = _default_pilots(small_scenario)
+    pilots = full_power_allocation(small_scenario.dims, small_scenario.p_max)
     if user == "cu":
         pilots.pilot_cu[1, 0] = 0.0
     else:
@@ -344,11 +343,11 @@ def _aux_maxprod(scn, processing, joint):
     The path the sum of log-posynomials replaced, kept as its oracle.
     Returns (allocation, log product)."""
     processing = Processing(processing)
-    pilots = None if joint else _default_pilots(scn)
+    pilots = None if joint else full_power_allocation(scn.dims, scn.p_max)
     constraint_map = power_control._sinr_constraints(scn, processing, joint, pilots)
     bounds = power_control._power_bounds(scn, joint)
-    ub = power_control._joint_upper_bounds(scn, processing) if joint \
-        else _sinr_upper_bounds(scn, processing, pilots, constraint_map)
+    ub = power_control._joint_upper_bounds(scn, processing) if joint else dict(
+        zip(constraint_map, scn.p_max * _fixed_pilot_model(scn, processing, pilots)[0]))
     base = power_control._half_power_sinrs(scn, processing, pilots)
     start = dict.fromkeys(bounds, scn.p_max / 2.0)
     names = [f"aux_{i}" for i in range(len(constraint_map))]
@@ -536,21 +535,22 @@ def test_compiled_constraints_match_closed_forms(small_scenario, rng):
 
 
 def test_affine_rows_match_closed_forms(small_scenario, rng):
-    scn = small_scenario
-    alloc = _random_alloc(scn, rng)
-    stacked = np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d])
-    for processing in (Processing.MR, Processing.ZF):
-        rows = _affine_sinr_rows(scn, processing, alloc)
-        for row in rows:
-            kind, b, idx = row.user
-            if kind == "cu":
-                fn = cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims) \
-                    if processing is Processing.MR \
-                    else cu_sinr_zf(b, idx, scn.gains, alloc, scn.pilots, scn.dims)
-            else:
-                fn = d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots, scn.dims)
-            got = (row.num_coeffs @ stacked) / (row.den_const + row.den_coeffs @ stacked)
-            assert got == pytest.approx(fn.sinr, rel=1e-9)
+    """g_i p_i / (1 + a_i . p) from _fixed_pilot_model is every user's
+    closed-form SINR, with and without D2D pairs."""
+    for scn in (small_scenario, cellular_only_view(small_scenario)):
+        alloc = _random_alloc(scn, rng)
+        stacked = np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d])
+        for processing in (Processing.MR, Processing.ZF):
+            g, a = _fixed_pilot_model(scn, processing, alloc)
+            got = g * stacked / (1.0 + a @ stacked)
+            for (kind, b, idx), sinr in zip(power_control._all_users(scn), got):
+                if kind == "cu":
+                    fn = cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims) \
+                        if processing is Processing.MR \
+                        else cu_sinr_zf(b, idx, scn.gains, alloc, scn.pilots, scn.dims)
+                else:
+                    fn = d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots, scn.dims)
+                assert sinr == pytest.approx(fn.sinr, rel=1e-9)
 
 
 # --- successive approximation for joint ZF ------------------------------------------

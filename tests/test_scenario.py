@@ -156,6 +156,20 @@ def test_scenario_replay_roundtrip():
     assert back.dims == scn.dims
 
 
+@pytest.mark.parametrize("case", ["negative_gain", "empty_pilot_set"])
+def test_scenario_replay_rejects_invalid_input(case):
+    scn = Scenario.build(ScenarioConfig(num_cells=2, antennas_per_bs=24, cus_per_cell=2,
+                                        num_d2d_pairs=2, num_d2d_pilots=2,
+                                        coherence_len=200, area_side=600.0), seed=42)
+    raw = json.loads(scn.to_json())
+    if case == "negative_gain":
+        raw["gains"]["beta_cu_bs"][0][0][0] = -1.0
+    else:
+        raw["pilots"]["d2d_pilot_sets"] = [[0, 1], []]
+    with pytest.raises(ScenarioError):
+        Scenario.from_json(json.dumps(raw))
+
+
 def test_desired_d2d_link_is_strongest_when_short():
     # with a 10 m link (below d0) the own-pair gain dominates each row
     scn = Scenario.build(ScenarioConfig(), seed=3)
