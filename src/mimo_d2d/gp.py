@@ -366,7 +366,9 @@ def _strictly_inside(con_stack, box, y, margin=0.0):
 
 def _newton_centering(obj_stack, con_stack, box, y, t, budget, early_exit=None):
     """Minimize t*f0 + barrier at fixed t, where f0 sums the objective
-    stack's segments; returns the centered point."""
+    stack's segments; returns the point and whether the centering finished,
+    by the decrement test or the caller's early exit. A centering stopped
+    by its step cap or a line-search stall has not."""
     lo, hi = box
     nb = lo.size
     diag = np.arange(nb)
@@ -402,7 +404,7 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, early_exit=None):
         # the decrement certifies suboptimality ~ decrement/t on the true
         # objective, so the threshold scales with the barrier parameter
         if decrement / 2.0 <= NEWTON_TOL * max(1.0, t):
-            return y
+            return y, True
         alpha = 1.0
         while True:
             cand = y + alpha * step
@@ -412,11 +414,10 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, early_exit=None):
                 break
             alpha *= BACKTRACK
             if alpha < 1e-14:
-                # flat to machine precision; accept the current center
-                return y
+                return y, False
         if early_exit is not None and early_exit(y):
-            return y
-    return y
+            return y, True
+    return y, False
 
 
 def _newton_step(hess, grad):
@@ -440,22 +441,23 @@ def _newton_step(hess, grad):
 def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
                   early_exit=None):
     """Follow the central path until the duality gap m/t reaches gap_target;
-    m counts the stack's constraints and both sides of the box."""
+    m counts the stack's constraints and both sides of the box. Returns the
+    point, the Newton steps, the gap and whether every centering finished."""
     budget = _BarrierBudget(settings.max_iter)
     y = np.array(y0, dtype=float)
     if not _strictly_inside(con_stack, box, y):
         raise GPSolverError("barrier start point is not strictly feasible")
     if early_exit is not None and early_exit(y):
-        return y, 0, np.inf
+        return y, 0, np.inf, True
     m = con_stack.m + 2 * box[0].size
     t = BARRIER_T0
+    centered = True
     while True:
-        y = _newton_centering(obj_stack, con_stack, box, y, t, budget,
-                              early_exit=early_exit)
-        if early_exit is not None and early_exit(y):
-            return y, budget.used, m / t
-        if m / t <= gap_target:
-            return y, budget.used, m / t
+        y, done = _newton_centering(obj_stack, con_stack, box, y, t, budget,
+                                    early_exit=early_exit)
+        centered &= done
+        if (early_exit is not None and early_exit(y)) or m / t <= gap_target:
+            return y, budget.used, m / t, centered
         t *= settings.barrier_mu
 
 
@@ -491,9 +493,9 @@ def _feasible_start(cons, box, settings):
         vals, _ = cons.values(point[:n])
         return vals.max() < -1e-7
 
-    y, used, _ = _barrier_path(_slack_objective(n), epigraph, box, y0, settings,
-                               gap_target=min(settings.tol, 1e-9),
-                               early_exit=feasible_now)
+    y, used, _, _ = _barrier_path(_slack_objective(n), epigraph, box, y0, settings,
+                                  gap_target=min(settings.tol, 1e-9),
+                                  early_exit=feasible_now)
     if not feasible_now(y):
         raise GPInfeasibleError("geometric program is infeasible "
                                 f"(phase-1 slack minimum {y[-1]:.3e} > 0)", float(y[-1]))
@@ -503,6 +505,8 @@ def _feasible_start(cons, box, settings):
 def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
              initial: dict = None) -> GPSolution:
     """Solve a geometric program to the duality-gap target in settings.tol.
+    The status is "optimal" when every centering met its decrement test,
+    so that the gap m/t certifies the result, and "inaccurate" otherwise.
 
     `initial` (a strictly feasible point, per variable) skips phase 1.
     Raises GPInfeasibleError with the phase-1 margin when no feasible point
@@ -522,7 +526,8 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
     if y0 is None:
         y0, phase1_used = _feasible_start(cons, box, settings)
 
-    y, used, gap = _barrier_path(obj, cons, box, y0, settings, gap_target=settings.tol)
+    y, used, gap, centered = _barrier_path(obj, cons, box, y0, settings,
+                                           gap_target=settings.tol)
     log_factors, _ = obj.values(y)
     log_obj = log_factors.sum()
     values = {v: math.exp(y[i]) for v, i in var_index.items()}
@@ -530,7 +535,7 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
                       objective=float(np.exp(log_obj)),
                       log_objective=float(log_obj),
                       log_factors=log_factors,
-                      status="optimal",
+                      status="optimal" if centered else "inaccurate",
                       newton_iterations=used + phase1_used,
                       duality_gap=float(gap))
 
@@ -571,9 +576,9 @@ def lp_feasible(lp: LinearFeasibilityProblem,
     def strictly_ok(point):
         return float((a @ point[:n] - c).max()) <= feas_cut
 
-    y, _, _ = _barrier_path(_slack_objective(n), rows, box, y0, settings,
-                            gap_target=min(settings.tol, 0.25 * settings.feas_tol),
-                            early_exit=strictly_ok)
+    y, *_ = _barrier_path(_slack_objective(n), rows, box, y0, settings,
+                          gap_target=min(settings.tol, 0.25 * settings.feas_tol),
+                          early_exit=strictly_ok)
     witness = y[:n]
     margin = float((a @ witness - c).max())
     return LPFeasibility(margin <= settings.feas_tol, witness, margin)

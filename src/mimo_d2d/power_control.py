@@ -7,9 +7,11 @@ With pilot powers fixed, user i's SINR is g_i p_i / (1 + a_i . p) in the
 data powers p, a standard interference function given by one gain vector g
 and one coupling matrix a (_fixed_pilot_model); Algorithm 1, its LP witness
 and the data-power GP all read (g, a). The joint problems compile the
-closed-form SINR expressions with pilot powers as variables. Because every
-user shares the prelog factor, a common SE target is equivalent to a common
-SINR target, which is how the max-min problems are expressed in GP form.
+closed-form SINR expressions with pilot powers as variables, in lifted form:
+each posynomial factor of a denominator product is one auxiliary GP variable
+(_joint_sinr_model). Because every user shares the prelog factor, a common
+SE target is equivalent to a common SINR target, which is how the max-min
+problems are expressed in GP form.
 """
 
 import enum
@@ -337,101 +339,140 @@ def _snap_small_powers(scn, alloc, processing, still_ok):
     return candidate if still_ok(report) else alloc
 
 
-# --- posynomial compilation ----------------------------------------------------
+# --- joint SINR model in lifted form --------------------------------------------
+#
+# A joint SINR denominator is a product of posynomials. Multiplied out, the
+# joint-MR GP holds about 27k terms and an Algorithm 2 GP about 197k at the
+# reference scale. Instead each shared factor gets one auxiliary GP variable
+# with the constraint factor / aux <= 1, and the denominators use aux in its
+# place (Boyd, Kim, Vandenberghe & Hassibi, "A tutorial on geometric
+# programming", 2007, sec. 3.3; Chiang et al., IEEE TWC 2007). Every
+# coupling constraint and every max-product factor increases in each
+# auxiliary, so each auxiliary equals its factor at the optimum and the
+# lifted GP has the optimum of the multiplied-out one.
 
-def _mr_sinr_posynomial(scn: Scenario, b, k):
-    """(numerator monomial, denominator posynomial) of the MR SINR of CU
-    (b, k) with pilot and data powers as variables."""
+# An auxiliary starts this fraction above its factor's value. At 1e-4 the
+# first centering (t = 1) of a reference joint-MR GP took about 40 more
+# Newton steps, to move the auxiliaries off their constraints. A CU
+# denominator holds two auxiliaries, so at the start it is up to
+# (1 + LIFT_MARGIN)^2 above the multiplied-out one; the cold max-min target
+# at half the weakest SINR stays interior, and Algorithm 2 shrinks its warm
+# target by that factor.
+LIFT_MARGIN = 0.1
+
+
+def _pilot_sum(scn: Scenario, b, k, leave_out=None):
+    """1 + sum over cells b2 of tau beta_{b,b2,k} q_{b2,k}: what BS b
+    receives on CU pilot k, optionally without cell leave_out's CU."""
+    tau, beta = scn.dims.pilot_len, scn.gains.beta_cu_bs[b]
+    return Posynomial([Monomial(1.0)] + [
+        Monomial(tau * beta[b2, k], {_qc(b2, k): 1.0})
+        for b2 in range(scn.dims.num_cells) if b2 != leave_out])
+
+
+def _d2d_pilot_sum(scn: Scenario, b, group, leave_out=None):
+    """1 + sum over the pairs j of a D2D pilot set of tau beta_{j,b} q_j: what
+    BS b receives on that pilot, optionally without pair leave_out."""
+    tau, beta = scn.dims.pilot_len, scn.gains.beta_d2dtx_bs[b]
+    return Posynomial([Monomial(1.0)] + [
+        Monomial(tau * beta[j], {_qd(j): 1.0}) for j in group if j != leave_out])
+
+
+def _received_at_bs(scn: Scenario, b):
+    """1 + every CU's and D2D transmitter's data power received at BS b."""
     dims, gains = scn.dims, scn.gains
-    tau, m = dims.pilot_len, dims.antennas_per_bs
-    beta = gains.beta_cu_bs[b]  # (B', K)
-
-    pilot_sum = Posynomial([Monomial(1.0)] + [
-        Monomial(tau * beta[b2, k], {_qc(b2, k): 1.0}) for b2 in range(dims.num_cells)])
-    num = Monomial(m * tau * beta[b, k] ** 2, {_pc(b, k): 1.0, _qc(b, k): 1.0})
-    received = Posynomial([Monomial(1.0)] + [
-        Monomial(beta[b2, k2], {_pc(b2, k2): 1.0})
+    return Posynomial([Monomial(1.0)] + [
+        Monomial(gains.beta_cu_bs[b, b2, k2], {_pc(b2, k2): 1.0})
         for b2 in range(dims.num_cells) for k2 in range(dims.cus_per_cell)] + [
         Monomial(gains.beta_d2dtx_bs[b, l], {_pd(l): 1.0})
         for l in range(dims.num_d2d_pairs)])
-    den = pilot_sum * received
-    for b2 in range(dims.num_cells):
-        if b2 != b:
-            den = den + Monomial(m * tau * beta[b2, k] ** 2,
-                                 {_pc(b2, k): 1.0, _qc(b2, k): 1.0})
-    return num, den
 
 
-def _d2d_sinr_posynomial(scn: Scenario, l):
-    """(numerator monomial, denominator posynomial) of the approximate D2D
-    SINR of pair l in expanded form, with pilot and data powers as
-    variables."""
+def _received_at_d2drx(scn: Scenario, l):
+    """1 + the data power of every CU and every other D2D transmitter
+    received at D2D receiver l."""
     dims, gains = scn.dims, scn.gains
-    tau = dims.pilot_len
-    beta_row = gains.beta_d2dtx_d2drx[l]
-    group = scn.pilots.set_of(l)
-
-    received = Posynomial([Monomial(1.0)] + [
+    return Posynomial([Monomial(1.0)] + [
         Monomial(gains.beta_cu_d2drx[l, b, k], {_pc(b, k): 1.0})
         for b in range(dims.num_cells) for k in range(dims.cus_per_cell)] + [
-        Monomial(beta_row[j], {_pd(j): 1.0})
+        Monomial(gains.beta_d2dtx_d2drx[l, j], {_pd(j): 1.0})
         for j in range(dims.num_d2d_pairs) if j != l])
-    num = Monomial(tau * beta_row[l] ** 2, {_pd(l): 1.0, _qd(l): 1.0})
-    own_pilot = Posynomial([Monomial(1.0)] + [
-        Monomial(tau * beta_row[j], {_qd(j): 1.0}) for j in group])
-    den = own_pilot * received + Monomial(beta_row[l], {_pd(l): 1.0})
-    for j in group:
-        if j != l:
-            den = den + Monomial(tau * beta_row[l] * beta_row[j],
-                                 {_pd(l): 1.0, _qd(j): 1.0})
-    return num, den
 
 
-def _zf_tilde_denominator(scn: Scenario, b, k, pilot_point):
-    """Posynomial upper bound of the ZF interference denominator of CU
-    (b, k), obtained by replacing the denominator of each post-nulling
-    residual ratio with its local monomial lower bound at pilot_point."""
-    dims, gains, pilots = scn.dims, scn.gains, scn.pilots
-    tau, dof = dims.pilot_len, dims.zf_dof
-    beta = gains.beta_cu_bs[b]
-
-    pilot_sum_k = Posynomial([Monomial(1.0)] + [
-        Monomial(tau * beta[b2, k], {_qc(b2, k): 1.0}) for b2 in range(dims.num_cells)])
-
-    den = Posynomial(pilot_sum_k.terms)
+def _zf_residual_sum(scn: Scenario, b, pilot_point):
+    """1 + R_b, the post-nulling residual interference at ZF BS b with each
+    residual ratio's denominator replaced by its local monomial lower bound
+    at pilot_point: an upper bound that touches at pilot_point. It depends on
+    the cell, not on the CU, so the CUs of a cell share it."""
+    dims, gains, cells = scn.dims, scn.gains, range(scn.dims.num_cells)
+    terms = [Monomial(1.0)]
     for k2 in range(dims.cus_per_cell):
-        full = Posynomial([Monomial(1.0)] + [
-            Monomial(tau * beta[b2, k2], {_qc(b2, k2): 1.0})
-            for b2 in range(dims.num_cells)])
-        anchor = monomial_lower_bound(full, pilot_point)
-        for b2 in range(dims.num_cells):
-            leave_out = Posynomial([Monomial(1.0)] + [
-                Monomial(tau * beta[b3, k2], {_qc(b3, k2): 1.0})
-                for b3 in range(dims.num_cells) if b3 != b2])
-            residual = leave_out / anchor
-            den = den + pilot_sum_k * residual * Monomial(beta[b2, k2], {_pc(b2, k2): 1.0})
-    for i, group in enumerate(pilots.d2d_pilot_sets):
-        full = Posynomial([Monomial(1.0)] + [
-            Monomial(tau * gains.beta_d2dtx_bs[b, j], {_qd(j): 1.0}) for j in group])
-        anchor = monomial_lower_bound(full, pilot_point)
+        anchor = monomial_lower_bound(_pilot_sum(scn, b, k2), pilot_point)
+        for b2 in cells:
+            power = Monomial(gains.beta_cu_bs[b, b2, k2], {_pc(b2, k2): 1.0}) / anchor
+            terms += (_pilot_sum(scn, b, k2, leave_out=b2) * power).terms
+    for group in scn.pilots.d2d_pilot_sets:
+        anchor = monomial_lower_bound(_d2d_pilot_sum(scn, b, group), pilot_point)
         for l in group:
-            leave_out = Posynomial([Monomial(1.0)] + [
-                Monomial(tau * gains.beta_d2dtx_bs[b, j], {_qd(j): 1.0})
-                for j in group if j != l])
-            residual = leave_out / anchor
-            den = den + pilot_sum_k * residual * Monomial(gains.beta_d2dtx_bs[b, l],
-                                                          {_pd(l): 1.0})
-    for b2 in range(dims.num_cells):
-        if b2 != b:
-            den = den + Monomial(dof * tau * beta[b2, k] ** 2,
-                                 {_pc(b2, k): 1.0, _qc(b2, k): 1.0})
-    return den
+            power = Monomial(gains.beta_d2dtx_bs[b, l], {_pd(l): 1.0}) / anchor
+            terms += (_d2d_pilot_sum(scn, b, group, leave_out=l) * power).terms
+    return Posynomial(terms)
 
 
-def _zf_numerator(scn: Scenario, b, k):
-    beta = scn.gains.beta_cu_bs[b, b, k]
-    return Monomial(scn.dims.zf_dof * scn.dims.pilot_len * beta ** 2,
-                    {_pc(b, k): 1.0, _qc(b, k): 1.0})
+def _joint_sinr_model(scn: Scenario, processing: Processing, pilot_point=None):
+    """Every user's SINR with pilot and data powers as variables, in lifted
+    form. Returns (constraint_map, lifts): constraint_map maps each user to
+    (numerator monomial, denominator posynomial over powers and
+    auxiliaries); lifts maps each auxiliary's name to the posynomial factor
+    it stands for.
+
+    A CU's denominator is s_{b,k} r_b plus its coherent pilot-contamination
+    terms, with s_{b,k} the pilot sum at BS b and r_b the received power
+    (MR) or the residual sum at the anchor pilot_point (ZF, Algorithm 2). A
+    D2D pair's denominator uses the received power at its receiver."""
+    dims, gains = scn.dims, scn.gains
+    tau = dims.pilot_len
+    factor = dims.zf_dof if processing is Processing.ZF else dims.antennas_per_bs
+    lifts, out = {}, {}
+    for b in range(dims.num_cells):
+        beta = gains.beta_cu_bs[b]
+        r = f"r_{b}"
+        lifts[r] = (_zf_residual_sum(scn, b, pilot_point) if processing is Processing.ZF
+                    else _received_at_bs(scn, b))
+        for k in range(dims.cus_per_cell):
+            s = f"s_{b}_{k}"
+            lifts[s] = _pilot_sum(scn, b, k)
+            coherent = [factor * tau * beta[b2, k] ** 2 for b2 in range(dims.num_cells)]
+            out[("cu", b, k)] = (
+                Monomial(coherent[b], {_pc(b, k): 1.0, _qc(b, k): 1.0}),
+                Posynomial([Monomial(1.0, {s: 1.0, r: 1.0})] + [
+                    Monomial(c, {_pc(b2, k): 1.0, _qc(b2, k): 1.0})
+                    for b2, c in enumerate(coherent) if b2 != b]))
+    for l in range(dims.num_d2d_pairs):
+        rd = f"rd_{l}"
+        lifts[rd] = _received_at_d2drx(scn, l)
+        beta_row = gains.beta_d2dtx_d2drx[l]
+        group = scn.pilots.set_of(l)
+        own_pilot = Posynomial([Monomial(1.0)] + [
+            Monomial(tau * beta_row[j], {_qd(j): 1.0}) for j in group])
+        den = own_pilot * Monomial(1.0, {rd: 1.0}) + Monomial(beta_row[l], {_pd(l): 1.0})
+        for j in group:
+            if j != l:
+                den = den + Monomial(tau * beta_row[l] * beta_row[j],
+                                     {_pd(l): 1.0, _qd(j): 1.0})
+        out[("d2d", -1, l)] = (Monomial(tau * beta_row[l] ** 2, {_pd(l): 1.0, _qd(l): 1.0}),
+                               den)
+    return out, lifts
+
+
+def _posynomial_range(posy: Posynomial, bounds):
+    """(lower, upper) bounds of a posynomial over the variable box, each the
+    sum of its terms' extremes; exact when every exponent is positive."""
+    lower = upper = 0.0
+    for t in posy.terms:
+        lower += t.value({v: bounds[v][e < 0] for v, e in t.exponents.items()})
+        upper += t.value({v: bounds[v][e > 0] for v, e in t.exponents.items()})
+    return lower, upper
 
 
 # --- GP assembly ----------------------------------------------------------------
@@ -493,52 +534,50 @@ def _half_power_sinrs(scn: Scenario, processing: Processing, fixed_pilots=None):
 
 def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots,
                       pilot_point=None):
-    """Per-user (numerator, denominator) pairs for the GP compile path: the
-    monomial g_i p_i over the posynomial 1 + a_i . p at fixed pilot powers,
-    or the joint MR / Algorithm 2 ZF expressions with pilot powers as
-    variables."""
-    if not joint:
-        g, a = _fixed_pilot_model(scn, processing, fixed_pilots)
-        names = _stacked_names(scn)
-        out = {}
-        for user, name, g_i, a_i in zip(_all_users(scn), names, g, a):
-            if g_i <= 0.0:
-                raise GPInfeasibleError(f"user {user} has no usable desired link",
-                                        margin=np.inf)
-            out[user] = (Monomial(g_i, {name: 1.0}), Posynomial(
-                [Monomial(1.0)] + [Monomial(c, {names[j]: 1.0})
-                                   for j, c in enumerate(a_i) if c > 0.0]))
-        return out
+    """Per-user (numerator, denominator) pairs for the GP compile path and the
+    auxiliaries they use: the monomial g_i p_i over the posynomial
+    1 + a_i . p at fixed pilot powers, with no auxiliary, or the lifted joint
+    MR / Algorithm 2 ZF model of _joint_sinr_model. Returns
+    (constraint_map, lifts)."""
+    if joint:
+        return _joint_sinr_model(scn, processing, pilot_point)
+    g, a = _fixed_pilot_model(scn, processing, fixed_pilots)
+    names = _stacked_names(scn)
     out = {}
-    dims = scn.dims
-    for b in range(dims.num_cells):
-        for k in range(dims.cus_per_cell):
-            if processing is Processing.MR:
-                out[("cu", b, k)] = _mr_sinr_posynomial(scn, b, k)
-            else:
-                out[("cu", b, k)] = (_zf_numerator(scn, b, k),
-                                     _zf_tilde_denominator(scn, b, k, pilot_point))
-    for l in range(dims.num_d2d_pairs):
-        out[("d2d", -1, l)] = _d2d_sinr_posynomial(scn, l)
-    return out
+    for user, name, g_i, a_i in zip(_all_users(scn), names, g, a):
+        if g_i <= 0.0:
+            raise GPInfeasibleError(f"user {user} has no usable desired link",
+                                    margin=np.inf)
+        out[user] = (Monomial(g_i, {name: 1.0}), Posynomial(
+            [Monomial(1.0)] + [Monomial(c, {names[j]: 1.0})
+                               for j, c in enumerate(a_i) if c > 0.0]))
+    return out, {}
 
 
-def _solve_gp_problem(scn, objective, constraint_map, joint, processing, settings,
+def _solve_gp_problem(scn, objective, constraint_map, lifts, joint, processing, settings,
                       warm=None):
     """Assemble and solve one GP; returns (solution, SINR level per user).
 
-    Max-product minimizes the product of den/num over the users with no
-    constraint, and a user's level is its GP-model SINR at the solution.
-    Max-min (joint scope) maximizes a common target subject to
-    target * den / num <= 1, which is every user's level. The start puts
-    every power at half budget.
+    Max-product minimizes the product of den/num over the users, and a
+    user's level is its GP-model SINR at the solution. Max-min (joint scope)
+    maximizes a common target subject to target * den / num <= 1, which is
+    every user's level. Each auxiliary of lifts adds factor / aux <= 1 and
+    the box [factor's lower bound, twice its upper bound]. The start puts
+    every power at half budget unless warm gives it, and every auxiliary
+    LIFT_MARGIN above its factor's value there, so it is strictly interior.
     """
     bounds = _power_bounds(scn, joint)
-    start = dict.fromkeys(bounds, scn.p_max / 2.0)
+    start = dict(warm) if warm else dict.fromkeys(bounds, scn.p_max / 2.0)
+    lift_constraints = []
+    for name, factor in lifts.items():
+        lower, upper = _posynomial_range(factor, bounds)
+        bounds[name] = (lower, 2.0 * upper)
+        start[name] = factor.value(start) * (1.0 + LIFT_MARGIN)
+        lift_constraints.append(factor * Monomial(1.0, {name: -1.0}))
     if objective is Objective.MAXPROD:
         gp = GeometricProgram(objective=[den / num for num, den in constraint_map.values()],
-                              bounds=bounds)
-        solution = gp_solve(gp, settings.gp, initial=warm or start)
+                              posy_constraints=lift_constraints, bounds=bounds)
+        solution = gp_solve(gp, settings.gp, initial=start)
         return solution, dict(zip(constraint_map, np.exp(-solution.log_factors)))
 
     ub = _joint_upper_bounds(scn, processing)
@@ -547,12 +586,12 @@ def _solve_gp_problem(scn, objective, constraint_map, joint, processing, setting
     # lower bound, so a warm start needs no phase 1
     weakest = min(base[u] for u in constraint_map)
     bounds["target"] = (max(weakest * 0.25, 1e-280), min(ub[u] for u in constraint_map))
-    start["target"] = weakest * 0.5
+    start.setdefault("target", weakest * 0.5)
     constraints = [den * Monomial(1.0, {"target": 1.0}) / num
                    for num, den in constraint_map.values()]
     gp = GeometricProgram(objective=Monomial(1.0, {"target": -1.0}),
-                          posy_constraints=constraints, bounds=bounds)
-    solution = gp_solve(gp, settings.gp, initial=warm or start)
+                          posy_constraints=constraints + lift_constraints, bounds=bounds)
+    solution = gp_solve(gp, settings.gp, initial=start)
     return solution, dict.fromkeys(constraint_map, solution.values["target"])
 
 
@@ -570,8 +609,8 @@ def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing
         fixed_pilots = fixed_pilots or full_power_allocation(scn.dims, scn.p_max)
     diag = SolveDiagnostics()
 
-    constraint_map = _sinr_constraints(scn, processing, joint, fixed_pilots)
-    solution, levels = _solve_gp_problem(scn, objective, constraint_map, joint,
+    constraint_map, lifts = _sinr_constraints(scn, processing, joint, fixed_pilots)
+    solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts, joint,
                                          processing, settings)
     alloc = _alloc_from_values(scn, solution.values, joint, fixed_pilots)
     if objective is Objective.MAXMIN:
@@ -652,10 +691,12 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     monomial approximation of the non-posynomial residual ratios.
 
     Each iteration rebuilds the approximation at the previous pilot powers
-    and solves the resulting GP; the loop stops when no pilot power moves by
-    more than sca_power_tol * p_max. Returns (allocation, objective value,
-    diagnostics) where the objective value is the max-min SE level or the
-    log SINR product evaluated with the true (unapproximated) expressions.
+    and solves the resulting GP, warm-started at the previous solution with
+    every auxiliary re-lifted at the new anchor; the loop stops when no
+    pilot power moves by more than sca_power_tol * p_max. A GP whose status
+    is not "optimal" is noted in diag.notes. Returns (allocation, objective
+    value, diagnostics) where the objective value is the max-min SE level or
+    the log SINR product evaluated with the true (unapproximated) expressions.
     """
     t0 = time.perf_counter()
     settings = settings or ControlSettings()
@@ -672,15 +713,17 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
         pilot_point = dict(zip(_stacked_names(scn, pilot=True), _stacked_pilots(alloc)))
-        constraint_map = _sinr_constraints(scn, Processing.ZF, True, None,
-                                           pilot_point=pilot_point)
+        constraint_map, lifts = _sinr_constraints(scn, Processing.ZF, True, None,
+                                                  pilot_point=pilot_point)
         try:
-            solution, levels = _solve_gp_problem(scn, objective, constraint_map,
+            solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts,
                                                  True, Processing.ZF, settings, warm=warm)
         except (GPInfeasibleError, GPSolverError) as exc:
             diag.notes.append(f"iteration {it}: solver failure: {exc}")
             status = "solver_failure"
             break
+        if solution.status != "optimal":
+            diag.notes.append(f"iteration {it}: GP status {solution.status}")
         new_alloc = _alloc_from_values(scn, solution.values, True, None)
         diag.objective_trace.append(_true_objective(scn, new_alloc, objective, users))
 
@@ -688,7 +731,8 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
         alloc = new_alloc
         last_levels = levels
         diag.iterations = it
-        warm = {name: val * (1.0 - 1e-3) if name == "target" else val
+        shrink = (1.0 - 1e-3) / (1.0 + LIFT_MARGIN) ** 2
+        warm = {name: val * shrink if name == "target" else val
                 for name, val in solution.values.items()}
         if move < tol:
             status = "converged"

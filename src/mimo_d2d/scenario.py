@@ -443,4 +443,7 @@ class Scenario:
                                  np.array(raw["pilots"]["pair_to_pilot"], dtype=int))
         gains.validate()
         pilots.validate(dims)
-        return cls(dims, geometry, gains, pilots, raw["p_max"], raw["seed"])
+        p_max = raw["p_max"]
+        if not (isinstance(p_max, (int, float)) and math.isfinite(p_max) and p_max > 0):
+            raise ScenarioError(f"p_max must be positive and finite, got {p_max!r}")
+        return cls(dims, geometry, gains, pilots, p_max, raw["seed"])

@@ -13,13 +13,13 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       maxprod_joint_mr, zf_joint_successive, solve_problem,
                       cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx, se_from_sinr,
                       power_control)
-from mimo_d2d.power_control import (_mr_sinr_posynomial, _d2d_sinr_posynomial,
-                                    _zf_tilde_denominator, _zf_numerator,
-                                    _fixed_pilot_model, _pc, _pd, _qc, _qd,
+from mimo_d2d.power_control import (_fixed_pilot_model, _pc, _pd, _qc, _qd,
                                     _stacked_upper, _minimal_powers, Processing)
+from mimo_d2d import gp as gp_module
 from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, LinearFeasibilityProblem,
-                         LPFeasibility, Monomial, gp_solve, lp_feasible)
+                         LPFeasibility, Monomial, SolverSettings, gp_solve, lp_feasible)
 from mimo_d2d.harness import cellular_only_view, drop_seed
+from expanded import expanded_sinr_constraints, lifted_point, solve_expanded_joint_mr
 from gridsearch import refine_maximize
 
 
@@ -344,7 +344,8 @@ def _aux_maxprod(scn, processing, joint):
     Returns (allocation, log product)."""
     processing = Processing(processing)
     pilots = None if joint else full_power_allocation(scn.dims, scn.p_max)
-    constraint_map = power_control._sinr_constraints(scn, processing, joint, pilots)
+    constraint_map = (expanded_sinr_constraints(scn, processing) if joint else
+                      power_control._sinr_constraints(scn, processing, False, pilots)[0])
     bounds = power_control._power_bounds(scn, joint)
     ub = power_control._joint_upper_bounds(scn, processing) if joint else dict(
         zip(constraint_map, scn.p_max * _fixed_pilot_model(scn, processing, pilots)[0]))
@@ -398,7 +399,8 @@ def test_joint_mr_dominates_data_only(small_scenario):
 
 def test_joint_mr_maxmin_warm_start_is_interior(small_scenario, monkeypatch):
     """The start handed to the GP lies strictly inside every bound and
-    strictly satisfies every constraint, so it is used without phase 1."""
+    strictly satisfies every constraint, so it is used without phase 1.
+    Every auxiliary starts just above its factor's value at the start powers."""
     calls = []
     solve = power_control.gp_solve
 
@@ -413,6 +415,36 @@ def test_joint_mr_maxmin_warm_start_is_interior(small_scenario, monkeypatch):
     for var, (lo, hi) in gp.bounds.items():
         assert lo < initial[var] < hi, var
     assert max(c.value(initial) for c in gp.posy_constraints) < 1.0
+
+    dims = small_scenario.dims
+    _, lifts = power_control._sinr_constraints(small_scenario, Processing.MR, True, None)
+    assert len(lifts) == dims.num_cells * (dims.cus_per_cell + 1) + dims.num_d2d_pairs
+    assert set(lifts) <= set(gp.bounds)
+    for name, factor in lifts.items():
+        ratio = initial[name] / factor.value(initial)
+        assert 1.0 < ratio <= 1.0 + power_control.LIFT_MARGIN * (1 + 1e-9), name
+
+
+@pytest.mark.parametrize("drop", [None, 0, 1])
+def test_joint_mr_lifted_optimum_matches_expanded_oracle(small_scenario, reference_drops,
+                                                         drop):
+    """The lifted joint-MR GPs reach the optimum of the GPs over the
+    multiplied-out denominators."""
+    scn = small_scenario if drop is None else reference_drops[drop]
+    for objective, solve in (("maxmin", maxmin_joint_mr), ("maxprod", maxprod_joint_mr)):
+        _, value, diag = solve(scn)
+        oracle, want = solve_expanded_joint_mr(scn, objective)
+        assert diag.status == oracle.status == "optimal"
+        assert value == pytest.approx(want, rel=1e-8), objective
+
+
+def test_step_capped_centering_is_reported_inaccurate(reference_drops):
+    """With a barrier multiplier of 100 a joint-MR max-min centering runs into
+    its Newton step cap, so the duality gap certifies nothing and the status
+    says so."""
+    settings = ControlSettings(gp=SolverSettings(barrier_mu=100.0))
+    _, _, diag = maxmin_joint_mr(reference_drops[0], settings)
+    assert diag.status == "inaccurate"
 
 
 def test_joint_mr_symmetric_pilots():
@@ -508,22 +540,21 @@ def _random_alloc(scn, rng):
 
 def test_compiled_constraints_match_closed_forms(small_scenario, rng):
     scn = small_scenario
+    constraint_map, lifts = power_control._sinr_constraints(scn, Processing.MR, True, None)
     for trial in range(5):
         alloc = _random_alloc(scn, rng)
         point = _alloc_to_point(alloc)
-        for b in range(scn.dims.num_cells):
-            for k in range(scn.dims.cus_per_cell):
-                closed = cu_sinr_mr(b, k, scn.gains, alloc, scn.dims).sinr
-                num, den = _mr_sinr_posynomial(scn, b, k)
-                assert num.value(point) / den.value(point) == pytest.approx(closed, rel=1e-9)
-        for l in range(scn.dims.num_d2d_pairs):
-            closed = d2d_sinr_approx(l, scn.gains, alloc, scn.pilots, scn.dims).sinr
-            num, den = _d2d_sinr_posynomial(scn, l)
-            assert num.value(point) / den.value(point) == pytest.approx(closed, rel=1e-9)
+        # the lifted joint-MR model, every auxiliary at its factor's value
+        lifted = lifted_point(point, lifts)
+        for (kind, b, idx), (num, den) in constraint_map.items():
+            closed = (cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims) if kind == "cu"
+                      else d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots, scn.dims))
+            assert num.value(point) / den.value(lifted) == pytest.approx(closed.sinr,
+                                                                         rel=1e-9)
         # the data-scope posynomials, at the trial's pilot powers
         for processing in (Processing.MR, Processing.ZF):
             for (kind, b, idx), (num, den) in power_control._sinr_constraints(
-                    scn, processing, False, alloc).items():
+                    scn, processing, False, alloc)[0].items():
                 if kind == "d2d":
                     closed = d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots, scn.dims)
                 elif processing is Processing.MR:
@@ -532,6 +563,32 @@ def test_compiled_constraints_match_closed_forms(small_scenario, rng):
                     closed = cu_sinr_zf(b, idx, scn.gains, alloc, scn.pilots, scn.dims)
                 assert num.value(point) / den.value(point) == pytest.approx(closed.sinr,
                                                                             rel=1e-9)
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), bump=st.floats(1e-9, 10.0))
+def test_lifted_denominators_match_expanded_oracle(small_scenario, seed, bump):
+    """At random positive powers and a random ZF anchor, every lifted
+    denominator equals its multiplied-out oracle with each auxiliary at its
+    factor's value, and is no smaller with auxiliaries above their values."""
+    scn = small_scenario
+    rng = np.random.default_rng(seed)
+    point = {name: scn.p_max * 10.0 ** rng.uniform(-6.0, 0.0)
+             for name in power_control._power_bounds(scn, True)}
+    anchor = {name: scn.p_max * 10.0 ** rng.uniform(-6.0, 0.0)
+              for name in point if name.startswith("pp")}
+    for processing in (Processing.MR, Processing.ZF):
+        constraint_map, lifts = power_control._sinr_constraints(
+            scn, processing, True, None, pilot_point=anchor)
+        expanded = expanded_sinr_constraints(scn, processing, anchor)
+        at = lifted_point(point, lifts)
+        raised = lifted_point(point, lifts, {name: 1.0 + bump * rng.uniform()
+                                             for name in lifts if rng.uniform() < 0.5})
+        for user, (num, den) in constraint_map.items():
+            num_want, den_want = (p.value(point) for p in expanded[user])
+            assert num.value(point) == pytest.approx(num_want, rel=1e-12)
+            assert den.value(at) == pytest.approx(den_want, rel=1e-12), user
+            assert den.value(raised) >= den_want * (1 - 1e-12), user
 
 
 def test_affine_rows_match_closed_forms(small_scenario, rng):
@@ -565,12 +622,13 @@ def test_zf_tilde_bound_touch_and_tangency(rng):
     point0 = _alloc_to_point(expansion)
     pilot_point = {k: v for k, v in point0.items() if k.startswith("pp")}
 
+    constraint_map, lifts = power_control._sinr_constraints(
+        scn, Processing.ZF, True, None, pilot_point=pilot_point)
     for b in range(2):
-        num = _zf_numerator(scn, b, 0)
-        den = _zf_tilde_denominator(scn, b, 0, pilot_point)
+        num, den = constraint_map[("cu", b, 0)]
 
-        def tilde(point):
-            return num.value(point) / den.value(point)
+        def tilde(point):  # the lifted model, every auxiliary at its factor's value
+            return num.value(point) / den.value(lifted_point(point, lifts))
 
         true0 = cu_sinr_zf(b, 0, scn.gains, expansion, scn.pilots, scn.dims).sinr
         assert tilde(point0) == pytest.approx(true0, rel=1e-9)  # touching
@@ -652,6 +710,43 @@ def test_zf_joint_maxmin_variant():
     assert value >= lam_data - 2e-3
     trace = diag.objective_trace
     assert all(t2 >= t1 - 1e-9 for t1, t2 in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("objective", ["maxmin", "maxprod"])
+def test_zf_joint_starts_inside_without_phase_one(small_scenario, monkeypatch, objective):
+    """Every Algorithm 2 GP, the cold first one and each warm start re-lifted
+    at the new anchor, starts strictly interior, so phase 1 never runs."""
+    calls = []
+    feasible_start = gp_module._feasible_start
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return feasible_start(*args, **kwargs)
+
+    monkeypatch.setattr(gp_module, "_feasible_start", spy)
+    _, _, diag = zf_joint_successive(small_scenario, objective)
+    assert diag.status == "converged"
+    assert diag.iterations >= 2
+    assert not calls
+
+
+def test_zf_joint_maxmin_at_reference_scale(reference_drops, monkeypatch):
+    """Algorithm 2 on a reference-config drop: it converges without phase 1,
+    its true objective never falls, and every certified level holds under
+    the closed-form SINRs."""
+    def no_phase_one(*args, **kwargs):
+        raise AssertionError("phase 1 ran")
+
+    monkeypatch.setattr(gp_module, "_feasible_start", no_phase_one)
+    scn = reference_drops[0]
+    alloc, value, diag = zf_joint_successive(scn, "maxmin")
+    assert diag.status == "converged"
+    trace = diag.objective_trace
+    assert all(t2 >= t1 - 1e-9 for t1, t2 in zip(trace, trace[1:]))
+    assert value == trace[-1]
+    report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, "zf")
+    for user, level in diag.targets.items():
+        assert report.breakdowns[user].sinr >= level * (1 - 1e-6), user
 
 
 # --- generic solver behaviour --------------------------------------------------------

@@ -156,7 +156,7 @@ def test_scenario_replay_roundtrip():
     assert back.dims == scn.dims
 
 
-@pytest.mark.parametrize("case", ["negative_gain", "empty_pilot_set"])
+@pytest.mark.parametrize("case", ["negative_gain", "empty_pilot_set", "p_max"])
 def test_scenario_replay_rejects_invalid_input(case):
     scn = Scenario.build(ScenarioConfig(num_cells=2, antennas_per_bs=24, cus_per_cell=2,
                                         num_d2d_pairs=2, num_d2d_pilots=2,
@@ -164,10 +164,13 @@ def test_scenario_replay_rejects_invalid_input(case):
     raw = json.loads(scn.to_json())
     if case == "negative_gain":
         raw["gains"]["beta_cu_bs"][0][0][0] = -1.0
-    else:
+    elif case == "empty_pilot_set":
         raw["pilots"]["d2d_pilot_sets"] = [[0, 1], []]
-    with pytest.raises(ScenarioError):
-        Scenario.from_json(json.dumps(raw))
+    bad_inputs = [raw] if case != "p_max" else [
+        dict(raw, p_max=p) for p in (0.0, -5.0, math.inf, math.nan, "200")]
+    for bad in bad_inputs:
+        with pytest.raises(ScenarioError):
+            Scenario.from_json(json.dumps(bad))
 
 
 def test_desired_d2d_link_is_strongest_when_short():
