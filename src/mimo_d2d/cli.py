@@ -37,9 +37,8 @@ def build_parser():
                        help="also run equal-power and cellular-only baselines")
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--no-exact-d2d", action="store_true",
-                       help="report the closed-form D2D SE instead of the "
-                            "Monte-Carlo exact bound")
-    run_p.add_argument("--exact-samples", type=int, default=10000)
+                       help="report the closed-form D2D SE approximation "
+                            "instead of the exact bound (Hamdi's integral)")
     run_p.add_argument("-v", "--verbose", action="store_true")
 
     val_p = sub.add_parser("validate", help="parse and validate a config")
@@ -65,7 +64,6 @@ def cmd_run(args) -> int:
                                               cellular_only=args.baselines),
                           output_dir=args.out, master_seed=args.seed,
                           exact_d2d=not args.no_exact_d2d,
-                          exact_d2d_samples=args.exact_samples,
                           workers=args.workers)
     table = run_experiment(plan)
     n_fail = table.summary["failure_count"]

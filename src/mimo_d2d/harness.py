@@ -47,6 +47,8 @@ class ExperimentPlan:
     output_dir: str = None
     master_seed: int = 0
     exact_d2d: bool = True
+    # Unused: the exact D2D bound is a quadrature, not a sample mean. Kept
+    # because perfbench/workloads.py still passes it for its warm-up plan.
     exact_d2d_samples: int = 10000
     workers: int = 1
     settings: ControlSettings = field(default_factory=ControlSettings)
@@ -57,8 +59,6 @@ class ExperimentPlan:
             raise ScenarioError("num_drops must be >= 1")
         if self.workers < 1:
             raise ScenarioError("workers must be >= 1")
-        if self.exact_d2d_samples < 1:
-            raise ScenarioError("exact_d2d_samples must be >= 1")
 
 
 @dataclass
@@ -128,26 +128,18 @@ def _nan_rows(drop, job, scn):
     return rows
 
 
-def _job_rows(drop, job, scn, alloc, plan, exact_rng):
+def _job_rows(drop, job, scn, alloc, plan):
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc,
-                              job.processing.value,
-                              exact_d2d=plan.exact_d2d,
-                              num_samples=plan.exact_d2d_samples, rng=exact_rng)
+                              job.processing.value, exact_d2d=plan.exact_d2d)
     rows = []
-    for b in range(scn.dims.num_cells):
-        for k in range(scn.dims.cus_per_cell):
-            bd = report.breakdowns[("cu", b, k)]
-            rows.append({"drop": drop, "problem": job.job_id, "user_type": "cu",
-                         "cell": b, "index": k, "se": bd.se, "sinr": bd.sinr,
-                         "p_data": float(alloc.data_cu[b, k]),
-                         "p_pilot": float(alloc.pilot_cu[b, k])})
-    for l in range(scn.dims.num_d2d_pairs):
-        bd = report.breakdowns[("d2d", -1, l)]
-        se = float(report.d2d_se_exact[l]) if report.d2d_se_exact is not None else bd.se
-        rows.append({"drop": drop, "problem": job.job_id, "user_type": "d2d",
-                     "cell": -1, "index": l, "se": se, "sinr": bd.sinr,
-                     "p_data": float(alloc.data_d2d[l]),
-                     "p_pilot": float(alloc.pilot_d2d[l])})
+    for user in report.rows():
+        if user["user_type"] == "cu":
+            data, pilot, at = alloc.data_cu, alloc.pilot_cu, (user["cell"], user["index"])
+        else:
+            data, pilot, at = alloc.data_d2d, alloc.pilot_d2d, user["index"]
+        rows.append({"drop": drop, "problem": job.job_id,
+                     **{key: user[key] for key in ROW_FIELDS[2:7]},
+                     "p_data": float(data[at]), "p_pilot": float(pilot[at])})
     return rows
 
 
@@ -158,16 +150,14 @@ def run_drop(plan: ExperimentPlan, drop: int):
     scn = Scenario.build(plan.config, seed=seed)
     jobs = _plan_jobs(plan)
     rows, failures = [], []
-    for j_idx, job in enumerate(jobs):
+    for job in jobs:
         job_scn = cellular_only_view(scn) if job.cellular_only else scn
-        exact_rng = np.random.default_rng(
-            np.random.SeedSequence([plan.master_seed, drop, 1000 + j_idx]))
         try:
             if job.spec is None:
                 alloc = full_power_allocation(job_scn.dims, job_scn.p_max)
             else:
                 alloc, _, _ = solve_problem(job_scn, job.spec, plan.settings)
-            rows.extend(_job_rows(drop, job, job_scn, alloc, plan, exact_rng))
+            rows.extend(_job_rows(drop, job, job_scn, alloc, plan))
         except (GPInfeasibleError, GPSolverError) as exc:
             logger.error("drop %d job %s failed: %s", drop, job.job_id, exc)
             failures.append({"drop": drop, "problem": job.job_id, "error": str(exc)})

@@ -37,7 +37,7 @@ def test_same_master_seed_reproduces_bit_for_bit():
     spec = ControlProblemSpec(objective="maxmin", variables="data", processing="mr")
     plan = ExperimentPlan(config=SMALL, num_drops=2, problems=[spec],
                           baselines=Baselines(equal_power=True), master_seed=11,
-                          exact_d2d=True, exact_d2d_samples=500)
+                          exact_d2d=True)
     t1 = run_experiment(plan)
     t2 = run_experiment(plan)
     assert t1.rows == t2.rows
@@ -62,7 +62,7 @@ def test_per_drop_independence():
 def test_parallel_workers_match_serial():
     spec = ControlProblemSpec(objective="maxmin", variables="data", processing="mr")
     base = dict(config=SMALL, num_drops=2, problems=[spec], master_seed=9,
-                exact_d2d=True, exact_d2d_samples=300)
+                exact_d2d=True)
     serial = run_experiment(ExperimentPlan(**base, workers=1))
     parallel = run_experiment(ExperimentPlan(**base, workers=2))
     assert serial.rows == parallel.rows
@@ -186,8 +186,6 @@ def test_cli_config_error_exit_code(tmp_path):
     # plan values are checked when the plan is built, before any drop runs
     good = _write_config(tmp_path / "good.json")
     assert main(["run", "--config", good, "--drops", "0", "--out", str(tmp_path / "y")]) == 2
-    assert main(["run", "--config", good, "--exact-samples", "0",
-                 "--out", str(tmp_path / "z")]) == 2
     assert main(["run", "--config", good, "--workers", "0",
                  "--out", str(tmp_path / "w")]) == 2
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from mimo_d2d import (ScenarioConfig, Scenario, SystemDimensions, LargeScaleGains,
@@ -7,7 +8,10 @@ from mimo_d2d import (ScenarioConfig, Scenario, SystemDimensions, LargeScaleGain
                       cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx, d2d_se_exact,
                       se_from_sinr, evaluate_network, oracle_uatf_mr, oracle_zf,
                       wishart_inverse_diagonal_mean)
+from mimo_d2d.harness import cellular_only_view
 from mimo_d2d.scenario import ScenarioError
+
+from montecarlo import d2d_rate_samples, d2d_se_quad
 
 
 def _single_user_setup(m=32, tau_c=200, beta=0.8):
@@ -164,7 +168,7 @@ def test_d2d_interference_free_limit():
     assert bd.sinr == pytest.approx(pd * beta, rel=1e-3)
 
 
-def test_d2d_exact_zero_power_and_quadrature_oracle(rng):
+def test_d2d_exact_zero_power_and_quadrature_oracle():
     cfg = ScenarioConfig(num_cells=1, antennas_per_bs=16, cus_per_cell=1,
                          num_d2d_pairs=1, num_d2d_pilots=1, coherence_len=2000,
                          area_side=400.0, p_max_mw=2e9)
@@ -174,15 +178,61 @@ def test_d2d_exact_zero_power_and_quadrature_oracle(rng):
     pd = 5.0 / beta
     alloc = PowerAllocation(np.zeros((1, 1)), np.array([0.0]),
                             np.zeros((1, 1)), np.array([pp]), 2e9)
-    assert d2d_se_exact(0, scn.gains, alloc, scn.pilots, scn.dims, 100, rng) == 0.0
+    assert d2d_se_exact(scn.gains, alloc, scn.pilots, scn.dims)[0] == 0.0
 
     alloc.data_d2d = np.array([pd])
-    got = d2d_se_exact(0, scn.gains, alloc, scn.pilots, scn.dims, 400_000, rng)
+    got = d2d_se_exact(scn.gains, alloc, scn.pilots, scn.dims)[0]
     # independent oracle: E[log2(1 + pd*beta*T)], T ~ Exp(1), by quadrature
     snr = pd * beta
     val, _ = integrate.quad(lambda t: np.log2(1.0 + snr * t) * np.exp(-t), 0, np.inf)
     expected = scn.dims.prelog * val
     assert got == pytest.approx(expected, rel=0.005)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_d2d_exact_matches_quadrature_and_monte_carlo_oracles(data, seed):
+    """On small drops with shared D2D pilots (N < L) and log-uniform powers,
+    the fixed-node quadrature matches adaptive quadrature of the same Hamdi
+    integrand, lies within 5 standard errors of a 200k-sample Monte-Carlo
+    estimate, and is exactly 0 for a pair without data or pilot power."""
+    num_pairs = data.draw(st.integers(2, 4))
+    cfg = ScenarioConfig(num_cells=data.draw(st.integers(1, 2)), antennas_per_bs=8,
+                         cus_per_cell=data.draw(st.integers(1, 2)),
+                         num_d2d_pairs=num_pairs,
+                         num_d2d_pilots=data.draw(st.integers(1, num_pairs - 1)),
+                         coherence_len=100, area_side=400.0)
+    scn = Scenario.build(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    cu_shape = (scn.dims.num_cells, scn.dims.cus_per_cell)
+    data_cu, pilot_cu, data_d2d, pilot_d2d = (
+        np.exp(rng.uniform(np.log(1e-3), np.log(scn.p_max), shape))
+        for shape in (cu_shape, cu_shape, num_pairs, num_pairs))
+    alloc = PowerAllocation(data_cu, data_d2d, pilot_cu, pilot_d2d, scn.p_max)
+
+    got = d2d_se_exact(scn.gains, alloc, scn.pilots, scn.dims)
+    assert got.shape == (num_pairs,)
+    for l in range(num_pairs):
+        assert got[l] == pytest.approx(
+            d2d_se_quad(l, scn.gains, alloc, scn.pilots, scn.dims), rel=1e-8)
+        rates = d2d_rate_samples(l, scn.gains, alloc, scn.pilots, scn.dims,
+                                 200_000, rng)
+        assert abs(got[l] - rates.mean()) <= 5 * rates.std(ddof=1) / np.sqrt(rates.size)
+
+    silent = alloc.copy()
+    off = data.draw(st.integers(0, num_pairs - 1))
+    getattr(silent, data.draw(st.sampled_from(["data_d2d", "pilot_d2d"])))[off] = 0.0
+    assert d2d_se_exact(scn.gains, silent, scn.pilots, scn.dims)[off] == 0.0
+
+
+def test_d2d_exact_without_d2d_pairs(small_scenario):
+    view = cellular_only_view(small_scenario)
+    alloc = full_power_allocation(view.dims, view.p_max)
+    assert d2d_se_exact(view.gains, alloc, view.pilots, view.dims).shape == (0,)
+    report = evaluate_network(view.dims, view.gains, view.pilots, alloc, "mr",
+                              exact_d2d=True)
+    assert report.d2d_se_exact.shape == (0,)
+    assert [row["user_type"] for row in report.rows()] == ["cu"] * 4
 
 
 def test_mr_contamination_term_scales_with_antennas(small_scenario):
@@ -223,11 +273,11 @@ def test_wishart_identity(rng):
     assert got == pytest.approx(1.0 / 22.0, rel=0.02)
 
 
-def test_report_shapes_prelog_and_serialization(small_scenario, rng):
+def test_report_shapes_prelog_and_serialization(small_scenario):
     scn = small_scenario
     alloc = full_power_allocation(scn.dims, scn.p_max)
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, "zf",
-                              exact_d2d=True, num_samples=2000, rng=rng)
+                              exact_d2d=True)
     assert report.cu_se.shape == (2, 2) and report.d2d_se_approx.shape == (2,)
     assert report.d2d_se_exact.shape == (2,)
     # every user shares the prelog: recover it from each breakdown
