@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 logger = logging.getLogger(__name__)
 
@@ -250,10 +249,13 @@ class LinearFeasibilityProblem:
 
 @dataclass
 class SolverSettings:
-    """tol is the duality-gap target of the barrier (the KKT residual of the
-    barrier-perturbed optimality system); feas_tol the scaled feasibility
-    threshold used by lp_feasible; max_iter caps the Newton steps of one
-    barrier path and barrier_mu multiplies t between centerings."""
+    """tol is the gap target m/t of the barrier path: the path stops at the
+    first barrier parameter t with m/t <= tol, m counting the constraints and
+    both sides of the box. m/t bounds the true gap only at exact centers, and
+    a centering may stop at its step cap, so tol is a target, not a
+    certificate. feas_tol is the scaled feasibility threshold used by
+    lp_feasible; max_iter caps the Newton steps of one barrier path and
+    barrier_mu multiplies t between centerings."""
 
     tol: float = 1e-8
     feas_tol: float = 1e-9
@@ -280,21 +282,46 @@ class LPFeasibility:
 
 
 # --- stacked log-sum-exp machinery -------------------------------------------
+#
+# E is held as its nonzeros (row, col, val), sorted by row then column, with
+# scatter maps built once per stack, so a Newton step forms no sparse matrix.
+# E y is a bincount, not a reduceat, because a constant term is a row with no
+# nonzeros. A single-row segment is affine: its E^T diag E and g g^T terms
+# cancel, so it enters neither the Hessian's pair map nor its g g^T term.
 
 class _Stack:
     """m smooth functions f_i(y) = logsumexp over that segment's rows of
-    (E y + d). Single-row segments are exactly affine."""
+    (E y + d), E given by its nonzeros over n columns. Single-row segments
+    are exactly affine."""
 
-    def __init__(self, E, offsets, seg_ptr):
-        self.E = sparse.csr_matrix(E)
-        self.ET = self.E.T.tocsr()
+    def __init__(self, row, col, val, offsets, seg_ptr, n):
+        row = np.asarray(row, dtype=np.intp)
+        col = np.asarray(col, dtype=np.intp)
+        order = np.lexsort((col, row))
+        self.row, self.col = row[order], col[order]
+        self.val = np.asarray(val, dtype=float)[order]
         self.d = np.asarray(offsets, dtype=float)
-        self.ptr = np.asarray(seg_ptr, dtype=int)
-        self.m = len(self.ptr) - 1
-        self.seg_index = np.repeat(np.arange(self.m), np.diff(self.ptr))
+        self.ptr = np.asarray(seg_ptr, dtype=np.intp)
+        self.m, self.n = len(self.ptr) - 1, n
+        seg_len = np.diff(self.ptr)
+        self.seg_index = np.repeat(np.arange(self.m), seg_len)
+        self.grad_idx = self.seg_index[self.row] * n + self.col
+        self.curved = np.flatnonzero(seg_len > 1)
+
+        # every ordered pair (a, b) of nonzeros in one row of a curved segment
+        keep = seg_len[self.seg_index[self.row]] > 1
+        r, c, v = self.row[keep], self.col[keep], self.val[keep]
+        start = np.searchsorted(r, r)
+        count = np.searchsorted(r, r, side="right") - start
+        a = np.repeat(np.arange(r.size), count)
+        b = start[a] + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+        self.pair_idx = c[a] * n + c[b]
+        self.pair_val = v[a] * v[b]
+        self.pair_row = r[a]
+        self.pair_seg = self.seg_index[self.pair_row]
 
     def values(self, y):
-        z = self.E @ y + self.d
+        z = np.bincount(self.row, self.val * y[self.col], minlength=self.d.size) + self.d
         zmax = np.maximum.reduceat(z, self.ptr[:-1])
         w = np.exp(z - zmax[self.seg_index])
         sums = np.add.reduceat(w, self.ptr[:-1])
@@ -302,17 +329,16 @@ class _Stack:
 
     def gradients(self, weights):
         """Dense (m, n) matrix of segment gradients given softmax weights."""
-        agg = sparse.csr_matrix(
-            (weights, (self.seg_index, np.arange(weights.size))),
-            shape=(self.m, weights.size))
-        return np.asarray((agg @ self.E).todense())
+        g = np.bincount(self.grad_idx, weights[self.row] * self.val,
+                        minlength=self.m * self.n)
+        return g.reshape(self.m, self.n)
 
     def weighted_hessian(self, weights, seg_scale, grads):
         """sum_i seg_scale[i] * Hess f_i as a dense matrix."""
-        term_scale = weights * seg_scale[self.seg_index]
-        h1 = np.asarray((self.ET @ sparse.diags(term_scale) @ self.E).todense())
-        h2 = grads.T @ (seg_scale[:, None] * grads)
-        return h1 - h2
+        scale = self.pair_val * weights[self.pair_row] * seg_scale[self.pair_seg]
+        h1 = np.bincount(self.pair_idx, scale, minlength=self.n * self.n)
+        g = grads[self.curved]
+        return h1.reshape(self.n, self.n) - g.T @ (seg_scale[self.curved, None] * g)
 
 
 def _stack_from_posynomials(posys, var_index):
@@ -328,14 +354,12 @@ def _stack_from_posynomials(posys, var_index):
             offsets.append(math.log(t.coeff))
             r += 1
         ptr.append(r)
-    E = sparse.coo_matrix((data, (rows, cols)), shape=(r, len(var_index)))
-    return _Stack(E, offsets, ptr)
+    return _Stack(rows, cols, data, offsets, ptr, len(var_index))
 
 
 def _slack_objective(s_col):
     """The phase-1 objective s as a one-entry stack over s_col + 1 variables."""
-    return _Stack(sparse.csr_matrix(([1.0], ([0], [s_col])), shape=(1, s_col + 1)),
-                  [0.0], [0, 1])
+    return _Stack([0], [s_col], [1.0], [0.0], [0, 1], s_col + 1)
 
 
 # --- barrier kernel ----------------------------------------------------------
@@ -375,20 +399,19 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, early_exit=None):
     ones = np.ones(obj_stack.m)
 
     def barrier_value(point):
-        f, _ = con_stack.values(point)
+        """The barrier at point and the stack values the next step needs."""
+        f, w = con_stack.values(point)
         x = point[:nb]
         if np.any(f >= 0.0) or np.any(x >= hi) or np.any(x <= lo):
-            return np.inf
-        f0, _ = obj_stack.values(point)
+            return np.inf, None
+        f0, w0 = obj_stack.values(point)
         return (t * f0.sum() - np.log(-f).sum()
-                - np.log(hi - x).sum() - np.log(x - lo).sum())
+                - np.log(hi - x).sum() - np.log(x - lo).sum()), (f, w, w0)
 
-    phi = barrier_value(y)
+    phi, (f_con, w, w0) = barrier_value(y)
     for _ in range(100):  # per-centering cap; the path tolerates inexact centers
         budget.spend()
-        _, w0 = obj_stack.values(y)
         grads0 = obj_stack.gradients(w0)
-        f_con, w = con_stack.values(y)
         grads = con_stack.gradients(w)
         u = 1.0 / (-f_con)
         grad = t * grads0.sum(axis=0) + grads.T @ u
@@ -408,9 +431,9 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, early_exit=None):
         alpha = 1.0
         while True:
             cand = y + alpha * step
-            phi_cand = barrier_value(cand)
+            phi_cand, at_cand = barrier_value(cand)
             if phi_cand <= phi - ARMIJO * alpha * decrement:
-                y, phi = cand, phi_cand
+                y, phi, (f_con, w, w0) = cand, phi_cand, at_cand
                 break
             alpha *= BACKTRACK
             if alpha < 1e-14:
@@ -484,8 +507,11 @@ def _feasible_start(cons, box, settings):
         return center, 0
 
     # the slack enters every term of every segment with exponent -1
-    slack = sparse.csr_matrix(np.full((cons.d.size, 1), -1.0))
-    epigraph = _Stack(sparse.hstack([cons.E, slack]), cons.d, cons.ptr)
+    terms = np.arange(cons.d.size)
+    epigraph = _Stack(np.concatenate([cons.row, terms]),
+                      np.concatenate([cons.col, np.full(terms.size, n)]),
+                      np.concatenate([cons.val, np.full(terms.size, -1.0)]),
+                      cons.d, cons.ptr, n + 1)
     f_init, _ = cons.values(center)
     y0 = np.concatenate([center, [max(f_init.max(), 0.0) + 1.0]])
 
@@ -564,7 +590,9 @@ def lp_feasible(lp: LinearFeasibilityProblem,
         return LPFeasibility(True, lp.upper / 2.0, -1.0)
 
     # one affine segment per row: a @ x - c - s <= 0, the box as bounds
-    rows = _Stack(np.hstack([a, -np.ones((m, 1))]), -c, np.arange(m + 1))
+    a_s = np.hstack([a, -np.ones((m, 1))])
+    nz_row, nz_col = np.nonzero(a_s)
+    rows = _Stack(nz_row, nz_col, a_s[nz_row, nz_col], -c, np.arange(m + 1), n + 1)
     box = (np.zeros(n), lp.upper)
 
     x0 = lp.upper / 2.0

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from mimo_d2d import (Monomial, Posynomial, GeometricProgram,
                       LinearFeasibilityProblem, SolverSettings, gp_solve,
                       lp_feasible, monomial_lower_bound)
+from mimo_d2d import gp as gp_module
 from mimo_d2d.gp import GPInfeasibleError, GPSolverError, variable, as_posynomial
 from gridsearch import refine_maximize
+from sparse_stack import SparseStack
 
 
 # --- algebra -------------------------------------------------------------------
@@ -244,6 +246,99 @@ def test_gp_log_space_convexity_certificate():
                               + logf(f, ymm)) / (4 * h * h)
         eigs = np.linalg.eigvalsh((hess + hess.T) / 2)
         assert eigs.min() > -1e-6
+
+
+# --- log-sum-exp stack -------------------------------------------------------------
+
+def _assert_close(got, want, scale):
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, scale)
+
+
+def _assert_stack_matches(stack, oracle, rng):
+    """values, gradients and weighted Hessian of `stack` at a random point
+    against the sparse-matrix oracle, to 1e-12 of each quantity's scale."""
+    y = rng.normal(size=stack.n)
+    f, w = stack.values(y)
+    f_ref, w_ref = oracle.values(y)
+    _assert_close(f, f_ref, np.abs(f_ref).max(initial=0.0))
+    _assert_close(w, w_ref, 1.0)
+    grads = stack.gradients(w)
+    grads_ref = oracle.gradients(w_ref)
+    _assert_close(grads, grads_ref, np.abs(grads_ref).max(initial=0.0))
+    seg_scale = rng.uniform(0.1, 10.0, size=stack.m)
+    h1, h2 = oracle.hessian_terms(w_ref, seg_scale, grads_ref)
+    hess = stack.weighted_hessian(w, seg_scale, grads)
+    _assert_close(hess, h1 - h2, np.abs(h1).max(initial=0.0))
+    return hess
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stack_matches_sparse_oracle(seed, dense):
+    """Random stacks against the scipy.sparse formulas: affine and curved
+    segments, rows with no nonzeros (constant terms), unused columns, or a
+    dense LP-style stack of affine rows, whose Hessian is exactly zero."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    if dense:
+        sizes = np.ones(int(rng.integers(1, 12)), dtype=int)
+        E = rng.normal(size=(sizes.size, n))
+    else:
+        sizes = rng.permutation(np.concatenate([
+            [1, rng.integers(2, 5)], rng.choice([1, 2, 3, 5], size=rng.integers(0, 5))]))
+        E = rng.uniform(-2.0, 2.0, size=(sizes.sum(), n))
+        E[rng.random(E.shape) < 0.4] = 0.0
+        E[rng.integers(E.shape[0])] = 0.0      # a constant term
+        E[:, rng.integers(n)] = 0.0            # an unused column
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    d = rng.normal(size=E.shape[0])
+    row, col = np.nonzero(E)
+    shuffle = rng.permutation(row.size)
+    row, col = row[shuffle], col[shuffle]
+    stack = gp_module._Stack(row, col, E[row, col], d, ptr, n)
+
+    hess = _assert_stack_matches(stack, SparseStack(E, d, ptr), rng)
+    if dense:
+        assert np.all(hess == 0.0)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_phase_one_epigraph_appends_dense_slack_column(seed):
+    """The phase-1 stack equals the constraint stack with a -1 column
+    appended densely, the slack's exponent in every term."""
+    rng = np.random.default_rng(seed)
+    names = ["a", "b", "c", "d"]
+    x_star = {v: float(rng.uniform(0.5, 2.0)) for v in names}
+    cons = []
+    for _ in range(int(rng.integers(1, 5))):
+        posy = Posynomial([
+            Monomial(float(rng.uniform(0.1, 3.0)),
+                     {v: float(rng.uniform(-2.0, 2.0)) for v in names if rng.random() < 0.6})
+            for _ in range(int(rng.integers(1, 4)))])
+        cons.append(posy / (2.0 * posy.value(x_star)))  # 1/2 at x_star: feasible
+    gp = GeometricProgram(objective=variable("a"), posy_constraints=cons,
+                          bounds={v: (0.1, 10.0) for v in names})
+    _, var_index, box = gp_module._compile_gp(gp)
+    con_stack = gp_module._stack_from_posynomials(gp.posy_constraints, var_index)
+
+    seen = []
+    barrier_path = gp_module._barrier_path
+
+    def spy(obj_stack, epigraph, *args, **kwargs):
+        seen.append(epigraph)
+        return barrier_path(obj_stack, epigraph, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp_module, "_barrier_path", spy)
+        gp_module._feasible_start(con_stack, box, SolverSettings())
+    (epigraph,) = seen
+
+    E = np.zeros((con_stack.d.size, len(names)))
+    E[con_stack.row, con_stack.col] = con_stack.val
+    slack = -np.ones((E.shape[0], 1))
+    oracle = SparseStack(np.hstack([E, slack]), con_stack.d, con_stack.ptr)
+    _assert_stack_matches(epigraph, oracle, rng)
 
 
 # --- lp_feasible -----------------------------------------------------------------
