@@ -388,28 +388,40 @@ def _strictly_inside(con_stack, box, y, margin=0.0):
                 and np.all(lo - x < -margin))
 
 
-def _newton_centering(obj_stack, con_stack, box, y, t, budget, early_exit=None):
+def _newton_centering(obj_stack, con_stack, box, y, t, budget, at_y=None,
+                      early_exit=None):
     """Minimize t*f0 + barrier at fixed t, where f0 sums the objective
-    stack's segments; returns the point and whether the centering finished,
-    by the decrement test or the caller's early exit. A centering stopped
-    by its step cap or a line-search stall has not."""
+    stack's segments. at_y is (f, w, w0, f0), both stacks' values at y as
+    the previous centering returned them; None evaluates them. Returns the
+    point, whether the centering finished, by the decrement test or the
+    caller's early exit, and the values at the point. A centering stopped
+    by its step cap or a line-search stall has not finished."""
     lo, hi = box
     nb = lo.size
     diag = np.arange(nb)
     ones = np.ones(obj_stack.m)
 
-    def barrier_value(point):
-        """The barrier at point and the stack values the next step needs."""
+    def stack_values(point):
+        """Both stacks' values at point; None outside the barrier's domain."""
         f, w = con_stack.values(point)
         x = point[:nb]
         if np.any(f >= 0.0) or np.any(x >= hi) or np.any(x <= lo):
-            return np.inf, None
+            return None
         f0, w0 = obj_stack.values(point)
-        return (t * f0.sum() - np.log(-f).sum()
-                - np.log(hi - x).sum() - np.log(x - lo).sum()), (f, w, w0)
+        return f, w, w0, f0
 
-    phi, (f_con, w, w0) = barrier_value(y)
+    def barrier_value(point, at):
+        if at is None:
+            return np.inf
+        f, _, _, f0 = at
+        x = point[:nb]
+        return (t * f0.sum() - np.log(-f).sum()
+                - np.log(hi - x).sum() - np.log(x - lo).sum())
+
+    at_y = at_y or stack_values(y)
+    phi = barrier_value(y, at_y)
     for _ in range(100):  # per-centering cap; the path tolerates inexact centers
+        f_con, w, w0, _ = at_y
         budget.spend()
         grads0 = obj_stack.gradients(w0)
         grads = con_stack.gradients(w)
@@ -427,20 +439,21 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, early_exit=None):
         # the decrement certifies suboptimality ~ decrement/t on the true
         # objective, so the threshold scales with the barrier parameter
         if decrement / 2.0 <= NEWTON_TOL * max(1.0, t):
-            return y, True
+            return y, True, at_y
         alpha = 1.0
         while True:
             cand = y + alpha * step
-            phi_cand, at_cand = barrier_value(cand)
+            at_cand = stack_values(cand)
+            phi_cand = barrier_value(cand, at_cand)
             if phi_cand <= phi - ARMIJO * alpha * decrement:
-                y, phi, (f_con, w, w0) = cand, phi_cand, at_cand
+                y, phi, at_y = cand, phi_cand, at_cand
                 break
             alpha *= BACKTRACK
             if alpha < 1e-14:
-                return y, False
+                return y, False, at_y
         if early_exit is not None and early_exit(y):
-            return y, True
-    return y, False
+            return y, True, at_y
+    return y, False, at_y
 
 
 def _newton_step(hess, grad):
@@ -475,9 +488,10 @@ def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
     m = con_stack.m + 2 * box[0].size
     t = BARRIER_T0
     centered = True
+    at_y = None
     while True:
-        y, done = _newton_centering(obj_stack, con_stack, box, y, t, budget,
-                                    early_exit=early_exit)
+        y, done, at_y = _newton_centering(obj_stack, con_stack, box, y, t, budget,
+                                          at_y=at_y, early_exit=early_exit)
         centered &= done
         if (early_exit is not None and early_exit(y)) or m / t <= gap_target:
             return y, budget.used, m / t, centered

@@ -15,6 +15,9 @@ from .scenario import SystemDimensions, LargeScaleGains, PilotAllocation
 from .estimation import PowerAllocation, compute_gamma_bs, gamma_cu_bs_full
 
 DIMENSION_GUARD = 10_000
+# Complex entries per Wishart batch, about the size of the oracles' channel
+# batches; the one-fill draw makes the mean independent of the batching.
+_WISHART_BATCH_ENTRIES = 1_000_000
 
 
 @dataclass
@@ -39,8 +42,14 @@ def _check_guard(dims: SystemDimensions):
         raise ValueError(f"oracle dimension guard exceeded: M*(K*B+L) = {load} > {DIMENSION_GUARD}")
 
 
-def _crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _crandn(rng, *shape, power=1.0):
+    """Circularly-symmetric complex Gaussians of the given shape with
+    E|z|^2 = power (broadcast against shape): one real fill read as
+    consecutive (re, im) pairs, scaled in place. A draw split into batches
+    along the first axis therefore reads the same stream as one draw."""
+    z = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    z *= np.sqrt(np.multiply(power, 0.5))
+    return z
 
 
 class _Welford:
@@ -78,7 +87,7 @@ def empirical_gamma(tau, pilot_powers, betas, target, num_realizations=100_000,
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     pilot_powers = np.asarray(pilot_powers, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    h = _crandn(rng, num_realizations, betas.size) * np.sqrt(betas)
+    h = _crandn(rng, num_realizations, betas.size, power=betas)
     y = h @ np.sqrt(tau * pilot_powers) + _crandn(rng, num_realizations)
     den = 1.0 + tau * float(pilot_powers @ betas)
     if combined:
@@ -92,10 +101,10 @@ def _draw_channels(rng, batch, dims, gains, b):
     """Channels into BS b for one batch: (batch, B, K, M) CU channels and
     (batch, L, M) D2D channels."""
     m = dims.antennas_per_bs
-    h_cu = _crandn(rng, batch, dims.num_cells, dims.cus_per_cell, m) \
-        * np.sqrt(gains.beta_cu_bs[b])[None, :, :, None]
-    h_d2d = _crandn(rng, batch, dims.num_d2d_pairs, m) \
-        * np.sqrt(gains.beta_d2dtx_bs[b])[None, :, None]
+    h_cu = _crandn(rng, batch, dims.num_cells, dims.cus_per_cell, m,
+                   power=gains.beta_cu_bs[b][:, :, None])
+    h_d2d = _crandn(rng, batch, dims.num_d2d_pairs, m,
+                    power=gains.beta_d2dtx_bs[b][:, None])
     return h_cu, h_d2d
 
 
@@ -117,8 +126,10 @@ def _despread_d2d_obs(rng, h_d2d, alloc, pilots, tau, n_sets):
 
 def _accumulate_uatf(stats, v, h_cu, h_d2d, b, k):
     """Push one batch of combiner/channel inner products into the stats."""
-    proj_cu = np.einsum("sm,sbkm->sbk", np.conj(v), h_cu)
-    proj_d2d = np.einsum("sm,slm->sl", np.conj(v), h_d2d)
+    batch, b_, k_, m = h_cu.shape
+    v_conj = np.conj(v)[:, :, None]
+    proj_cu = (h_cu.reshape(batch, b_ * k_, m) @ v_conj).reshape(batch, b_, k_)
+    proj_d2d = (h_d2d @ v_conj)[:, :, 0]
     stats["desired"].add(proj_cu[:, b, k][:, None])
     stats["cu_sq"].add(np.abs(proj_cu) ** 2)
     stats["d2d_sq"].add(np.abs(proj_d2d) ** 2)
@@ -167,16 +178,28 @@ def oracle_uatf_mr(dims: SystemDimensions, gains: LargeScaleGains,
     denom = 1.0 + tau * float(alloc.pilot_cu[:, k] @ gains.beta_cu_bs[b, :, k])
     coeff = np.sqrt(tau * alloc.pilot_cu[b, k]) * gains.beta_cu_bs[b, b, k] / denom
 
+    amp = np.sqrt(tau * alloc.pilot_cu[:, k])  # pilot k's amplitude from each cell
+
     stats = {name: _Welford() for name in ("desired", "cu_sq", "d2d_sq", "vnorm")}
     done = 0
     while done < num_realizations:
         nb = min(batch, num_realizations - done)
         h_cu, h_d2d = _draw_channels(rng, nb, dims, gains, b)
-        obs = _despread_cu_obs(rng, h_cu, alloc, tau)
-        v = coeff * obs[:, k, :]
-        _accumulate_uatf(stats, v, h_cu, h_d2d, b, k)
+        # MR combines with pilot k's despread observation alone
+        obs = amp @ h_cu[:, :, k, :] + _crandn(rng, nb, dims.antennas_per_bs)
+        _accumulate_uatf(stats, coeff * obs, h_cu, h_d2d, b, k)
         done += nb
     return _finalize(stats, alloc, dims, b, k)
+
+
+def _zf_column(hhat, k):
+    """Column k of the ZF detector hhat (hhat^H hhat)^{-1} for a batch of
+    (s, M, K+N) channel estimates: one solve of the Gram system against e_k
+    per realization, with no inverse formed."""
+    gram = np.conj(hhat).transpose(0, 2, 1) @ hhat
+    e_k = np.zeros((hhat.shape[2], 1))
+    e_k[k] = 1.0
+    return (hhat @ np.linalg.solve(gram, e_k))[:, :, 0]
 
 
 def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
@@ -214,11 +237,8 @@ def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
         obs_set = _despread_d2d_obs(rng, h_d2d, alloc, pilots, tau, n_sets)
         est = np.concatenate([coeff_cu[None, :, None] * obs_cu,
                               coeff_set[None, :, None] * obs_set], axis=1)  # (s, K+N, M)
-        hhat = est.transpose(0, 2, 1)                                       # (s, M, K+N)
-        gram = np.einsum("smi,smj->sij", np.conj(hhat), hhat)
-        v_all = np.einsum("smi,sij->smj", hhat, np.linalg.inv(gram)) \
-            * np.sqrt(gamma_diag)[None, None, :]
-        _accumulate_uatf(stats, v_all[:, :, k], h_cu, h_d2d, b, k)
+        v = _zf_column(est.transpose(0, 2, 1), k) * np.sqrt(gamma_diag[k])
+        _accumulate_uatf(stats, v, h_cu, h_d2d, b, k)
         done += nb
     return _finalize(stats, alloc, dims, b, k)
 
@@ -229,12 +249,12 @@ def wishart_inverse_diagonal_mean(m: int, cols: int, num_samples=10_000, rng=Non
     1 / (m - cols)."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     total = 0.0
-    batch = max(1, min(num_samples, 10_000_000 // (m * cols)))
+    batch = max(1, min(num_samples, _WISHART_BATCH_ENTRIES // (m * cols)))
     done = 0
     while done < num_samples:
         nb = min(batch, num_samples - done)
         z = _crandn(rng, nb, m, cols)
-        gram = np.einsum("smi,smj->sij", np.conj(z), z)
+        gram = np.conj(z).transpose(0, 2, 1) @ z
         inv = np.linalg.inv(gram)
         total += np.einsum("sii->s", inv).real.sum() / cols
         done += nb

@@ -1,0 +1,77 @@
+"""The draws and the linear algebra the link-level oracles are built from."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mimo_d2d import linklevel, wishart_inverse_diagonal_mean
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_crandn_moments(data, seed):
+    """Seeded draws over random shapes, with a scalar or a broadcast power
+    array: E|z|^2 is the power, the pseudo-variance E z^2 is 0, and Re and
+    Im each carry half the power, each within 5 standard errors."""
+    n = 20_000
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans()):
+        power = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+    else:
+        trailing = dims[len(dims) - data.draw(st.integers(0, len(dims))):]
+        p_shape = tuple(d if data.draw(st.booleans()) else 1 for d in trailing)
+        power = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), p_shape))
+
+    z = linklevel._crandn(rng, n, *dims, power=power)
+    assert z.shape == (n, *dims) and z.dtype == np.complex128
+    p = np.broadcast_to(power, dims)
+    se = p / np.sqrt(n)  # each of |z|^2, Re z^2 and Im z^2 has variance p^2
+    assert np.all(np.abs(np.mean(np.abs(z) ** 2, axis=0) - p) <= 5 * se)
+    pseudo = np.mean(z * z, axis=0)
+    assert np.all(np.abs(pseudo.real) <= 5 * se)
+    assert np.all(np.abs(pseudo.imag) <= 5 * se)
+    for part in (z.real, z.imag):  # (Re z)^2 has variance p^2 / 2
+        assert np.all(np.abs(np.mean(part ** 2, axis=0) - p / 2) <= 5 * se / np.sqrt(2))
+
+
+def _zf_detector_full_inverse(hhat, gamma_diag):
+    """Every column of hhat (hhat^H hhat)^{-1} diag(sqrt gamma), from the
+    full inverse of each Gram matrix (oracle)."""
+    gram = np.einsum("smi,smj->sij", np.conj(hhat), hhat)
+    return np.einsum("smi,sij->smj", hhat, np.linalg.inv(gram)) \
+        * np.sqrt(gamma_diag)[None, None, :]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_zf_column_matches_full_inverse(data, seed):
+    """Column k from one Gram solve equals column k of the full-inverse
+    detector on random complex estimates (s, M, K+N)."""
+    cols = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(cols + 1, 24))
+    k = data.draw(st.integers(0, cols - 1))
+    rng = np.random.default_rng(seed)
+    hhat = linklevel._crandn(rng, data.draw(st.integers(1, 50)), m, cols,
+                             power=rng.uniform(0.01, 1.0, cols))
+    gamma_diag = rng.uniform(0.01, 1.0, cols)
+
+    got = linklevel._zf_column(hhat, k) * np.sqrt(gamma_diag[k])
+    want = _zf_detector_full_inverse(hhat, gamma_diag)[:, :, k]
+    assert got.shape == want.shape
+    err = np.linalg.norm(got - want, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
+
+def test_wishart_mean_independent_of_batching():
+    """A num_samples spanning three batches reads the same draws as one
+    batch of the same size, so the mean agrees up to summation order."""
+    m, cols = 32, 10
+    n = 2 * (linklevel._WISHART_BATCH_ENTRIES // (m * cols)) + 750
+    got = wishart_inverse_diagonal_mean(m, cols, num_samples=n,
+                                        rng=np.random.default_rng(5))
+
+    z = np.random.default_rng(5).standard_normal((n, m, cols, 2)).view(np.complex128)[..., 0]
+    z /= np.sqrt(2.0)
+    inv = np.linalg.inv(np.einsum("smi,smj->sij", np.conj(z), z))
+    want = np.einsum("sii->s", inv).real.mean() / cols
+    assert abs(got - want) <= 1e-12 * want
