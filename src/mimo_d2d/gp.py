@@ -5,10 +5,11 @@ A geometric program here minimizes a product of posynomial factors subject
 to posynomial constraints <= 1 inside a variable box. After the
 substitution x = exp(y) the log of the objective is a sum of log-sum-exp
 functions, one per factor, and every constraint is a log-sum-exp <= 0; the
-resulting smooth convex program is minimized with a log-barrier
-interior-point method (Newton steps with backtracking line search). The
-linear-feasibility path reuses the same barrier kernel on an epigraph
-reformulation, so one numerical engine backs both entry points.
+resulting smooth convex program is minimized with a primal-dual
+interior-point method, stopped by a certificate: the surrogate duality gap
+and the dual residual. Phase 1 and the linear-feasibility path follow a
+log-barrier central path on an epigraph reformulation, with early exits.
+Both methods share the stacked log-sum-exp evaluation and the Newton solve.
 """
 
 import logging
@@ -32,7 +33,7 @@ class GPSolverError(RuntimeError):
     """Numerical failure (iteration limit or line-search stall)."""
 
 
-BARRIER_T0 = 1.0    # barrier parameter of the first centering
+BARRIER_T0 = 1.0    # barrier parameter of the first centering, and of the initial duals
 NEWTON_TOL = 1e-11  # centering stops once decrement / 2 <= NEWTON_TOL * max(1, t)
 BACKTRACK = 0.5     # line-search step shrink factor
 ARMIJO = 0.01       # line-search sufficient-decrease fraction
@@ -249,13 +250,14 @@ class LinearFeasibilityProblem:
 
 @dataclass
 class SolverSettings:
-    """tol is the gap target m/t of the barrier path: the path stops at the
-    first barrier parameter t with m/t <= tol, m counting the constraints and
-    both sides of the box. m/t bounds the true gap only at exact centers, and
-    a centering may stop at its step cap, so tol is a target, not a
-    certificate. feas_tol is the scaled feasibility threshold used by
-    lp_feasible; max_iter caps the Newton steps of one barrier path and
-    barrier_mu multiplies t between centerings."""
+    """gp_solve certifies its result: "optimal" means the surrogate duality
+    gap -f^T lambda is <= tol and the dual residual (the gradient of the
+    Lagrangian, 2-norm) is <= feas_tol, f counting the constraints and both
+    sides of the box. Phase 1 and lp_feasible stop their barrier path at the
+    gap target m/t <= tol; feas_tol is also lp_feasible's scaled feasibility
+    threshold. max_iter caps the Newton steps of one method run. barrier_mu
+    is the centering factor mu: the primal-dual method aims at t = mu m/gap,
+    and the barrier path multiplies t by it between centerings."""
 
     tol: float = 1e-8
     feas_tol: float = 1e-9
@@ -271,7 +273,8 @@ class GPSolution:
     log_factors: np.ndarray  # log of each objective factor; they sum to log_objective
     status: str
     newton_iterations: int
-    duality_gap: float
+    duality_gap: float    # surrogate gap -f^T lambda at the returned point
+    dual_residual: float  # 2-norm of the Lagrangian's gradient there
 
 
 @dataclass
@@ -362,7 +365,7 @@ def _slack_objective(s_col):
     return _Stack([0], [s_col], [1.0], [0.0], [0, 1], s_col + 1)
 
 
-# --- barrier kernel ----------------------------------------------------------
+# --- interior-point kernels --------------------------------------------------
 #
 # The box lo <= y[:len(lo)] <= hi never enters a stack: its barrier
 # -sum log(hi - y) - sum log(y - lo) is separable, so it adds a diagonal to
@@ -392,10 +395,9 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, at_y=None,
                       early_exit=None):
     """Minimize t*f0 + barrier at fixed t, where f0 sums the objective
     stack's segments. at_y is (f, w, w0, f0), both stacks' values at y as
-    the previous centering returned them; None evaluates them. Returns the
-    point, whether the centering finished, by the decrement test or the
-    caller's early exit, and the values at the point. A centering stopped
-    by its step cap or a line-search stall has not finished."""
+    the previous centering returned them; None evaluates them. Stops on the
+    decrement test, the caller's early exit, a line-search stall or the
+    per-centering step cap; returns the point and the values there."""
     lo, hi = box
     nb = lo.size
     diag = np.arange(nb)
@@ -439,7 +441,7 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, at_y=None,
         # the decrement certifies suboptimality ~ decrement/t on the true
         # objective, so the threshold scales with the barrier parameter
         if decrement / 2.0 <= NEWTON_TOL * max(1.0, t):
-            return y, True, at_y
+            break
         alpha = 1.0
         while True:
             cand = y + alpha * step
@@ -450,10 +452,10 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, at_y=None,
                 break
             alpha *= BACKTRACK
             if alpha < 1e-14:
-                return y, False, at_y
+                return y, at_y
         if early_exit is not None and early_exit(y):
-            return y, True, at_y
-    return y, False, at_y
+            break
+    return y, at_y
 
 
 def _newton_step(hess, grad):
@@ -476,26 +478,112 @@ def _newton_step(hess, grad):
 
 def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
                   early_exit=None):
-    """Follow the central path until the duality gap m/t reaches gap_target;
-    m counts the stack's constraints and both sides of the box. Returns the
-    point, the Newton steps, the gap and whether every centering finished."""
+    """Follow the central path until the gap target m/t <= gap_target or
+    the caller's early exit; m counts the stack's constraints and both sides
+    of the box. Returns the point and the Newton steps."""
     budget = _BarrierBudget(settings.max_iter)
     y = np.array(y0, dtype=float)
     if not _strictly_inside(con_stack, box, y):
         raise GPSolverError("barrier start point is not strictly feasible")
     if early_exit is not None and early_exit(y):
-        return y, 0, np.inf, True
+        return y, 0
     m = con_stack.m + 2 * box[0].size
     t = BARRIER_T0
-    centered = True
     at_y = None
     while True:
-        y, done, at_y = _newton_centering(obj_stack, con_stack, box, y, t, budget,
-                                          at_y=at_y, early_exit=early_exit)
-        centered &= done
+        y, at_y = _newton_centering(obj_stack, con_stack, box, y, t, budget,
+                                    at_y=at_y, early_exit=early_exit)
         if (early_exit is not None and early_exit(y)) or m / t <= gap_target:
-            return y, budget.used, m / t, centered
+            return y, budget.used
         t *= settings.barrier_mu
+
+
+def _primal_dual(obj_stack, con_stack, box, y0, settings):
+    """Primal-dual interior-point method (Boyd & Vandenberghe, Convex
+    Optimization, section 11.7) for min f0 = sum of the objective segments
+    subject to the constraint segments <= 0 and the box, from the strictly
+    feasible y0. Every constraint, both sides of the box included, has a
+    dual; the duals start at 1/(t0 (-f)). Each iteration aims at t = mu m /
+    gap and makes one Newton step on the reduced system, whose constraint
+    curvature is weighted by the duals.
+
+    Returns (point, Newton steps, surrogate gap -f^T lambda, dual residual,
+    whether both met their tolerance). A line-search stall returns early;
+    the step budget raises GPSolverError."""
+    lo, hi = box
+    nb = lo.size
+    diag = np.arange(nb)
+    ones = np.ones(obj_stack.m)
+    mc = con_stack.m
+    m = mc + 2 * nb
+    budget = _BarrierBudget(settings.max_iter)
+
+    def evaluate(point):
+        """Every constraint value (stack, upper box, lower box) and both
+        stacks' weights and gradients at point; None outside the domain."""
+        f, w = con_stack.values(point)
+        x = point[:nb]
+        f_all = np.concatenate([f, x - hi, lo - x])
+        if np.any(f_all >= 0.0):
+            return None
+        _, w0 = obj_stack.values(point)
+        grads0 = obj_stack.gradients(w0)
+        return f_all, w, con_stack.gradients(w), w0, grads0, grads0.sum(axis=0)
+
+    def dual_residual(at, lam):
+        _, _, grads, _, _, g0 = at
+        r = g0 + grads.T @ lam[:mc]
+        r[:nb] += lam[mc:mc + nb] - lam[mc + nb:]
+        return r
+
+    def residual_norm(at, lam, t):
+        """2-norm of the whole residual: dual and centrality at t."""
+        r_cent = -lam * at[0] - 1.0 / t
+        return math.hypot(np.linalg.norm(dual_residual(at, lam)), np.linalg.norm(r_cent))
+
+    y = np.array(y0, dtype=float)
+    at = evaluate(y)
+    if at is None:
+        raise GPSolverError("primal-dual start point is not strictly feasible")
+    lam = 1.0 / (BARRIER_T0 * -at[0])
+    mu = settings.barrier_mu
+    while True:
+        f_all, w, grads, w0, grads0, g0 = at
+        gap = float(-f_all @ lam)
+        residual = float(np.linalg.norm(dual_residual(at, lam)))
+        if gap <= settings.tol and residual <= settings.feas_tol:
+            return y, budget.used, gap, residual, True
+        budget.spend()
+        t = mu * m / gap
+        u = lam / -f_all
+        hess = (obj_stack.weighted_hessian(w0, ones, grads0)
+                + con_stack.weighted_hessian(w, lam[:mc], grads)
+                + grads.T @ (u[:mc, None] * grads))
+        hess[diag, diag] += u[mc:mc + nb] + u[mc + nb:]
+        v = 1.0 / (t * -f_all)
+        grad = g0 + grads.T @ v[:mc]
+        grad[:nb] += v[mc:mc + nb] - v[mc + nb:]
+        step = _newton_step(hess, grad)
+        df = np.concatenate([grads @ step, step[:nb], -step[:nb]])
+        dlam = (lam * df + 1.0 / t) / -f_all - lam
+
+        # the largest step keeping lambda > 0, then strict feasibility, then
+        # sufficient decrease of the residual at this t
+        shrinking = dlam < 0.0
+        s = 0.99 * float(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0))
+        r_now = residual_norm(at, lam, t)
+        while True:
+            at_cand = evaluate(y + s * step)
+            if (at_cand is not None and residual_norm(at_cand, lam + s * dlam, t)
+                    <= (1.0 - ARMIJO * s) * r_now):
+                break
+            s *= BACKTRACK
+            if s < 1e-14:
+                return y, budget.used, gap, residual, False
+        y, lam, at = y + s * step, lam + s * dlam, at_cand
+        # a short step leaves the iterate off-center: re-center before
+        # shrinking the gap again
+        mu = settings.barrier_mu if s >= 0.5 else 1.0
 
 
 # --- geometric program entry point -------------------------------------------
@@ -533,9 +621,8 @@ def _feasible_start(cons, box, settings):
         vals, _ = cons.values(point[:n])
         return vals.max() < -1e-7
 
-    y, used, _, _ = _barrier_path(_slack_objective(n), epigraph, box, y0, settings,
-                                  gap_target=min(settings.tol, 1e-9),
-                                  early_exit=feasible_now)
+    y, used = _barrier_path(_slack_objective(n), epigraph, box, y0, settings,
+                            gap_target=min(settings.tol, 1e-9), early_exit=feasible_now)
     if not feasible_now(y):
         raise GPInfeasibleError("geometric program is infeasible "
                                 f"(phase-1 slack minimum {y[-1]:.3e} > 0)", float(y[-1]))
@@ -544,9 +631,11 @@ def _feasible_start(cons, box, settings):
 
 def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
              initial: dict = None) -> GPSolution:
-    """Solve a geometric program to the duality-gap target in settings.tol.
-    The status is "optimal" when every centering met its decrement test,
-    so that the gap m/t certifies the result, and "inaccurate" otherwise.
+    """Solve a geometric program by the primal-dual method. The status is
+    "optimal" when the certificate holds: the surrogate duality gap is at
+    most settings.tol and the dual residual at most settings.feas_tol, both
+    reported in the solution. A line-search stall before that reads
+    "inaccurate".
 
     `initial` (a strictly feasible point, per variable) skips phase 1.
     Raises GPInfeasibleError with the phase-1 margin when no feasible point
@@ -566,8 +655,7 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
     if y0 is None:
         y0, phase1_used = _feasible_start(cons, box, settings)
 
-    y, used, gap, centered = _barrier_path(obj, cons, box, y0, settings,
-                                           gap_target=settings.tol)
+    y, used, gap, residual, certified = _primal_dual(obj, cons, box, y0, settings)
     log_factors, _ = obj.values(y)
     log_obj = log_factors.sum()
     values = {v: math.exp(y[i]) for v, i in var_index.items()}
@@ -575,9 +663,9 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
                       objective=float(np.exp(log_obj)),
                       log_objective=float(log_obj),
                       log_factors=log_factors,
-                      status="optimal" if centered else "inaccurate",
+                      status="optimal" if certified else "inaccurate",
                       newton_iterations=used + phase1_used,
-                      duality_gap=float(gap))
+                      duality_gap=gap, dual_residual=residual)
 
 
 # --- linear feasibility entry point -------------------------------------------
@@ -618,9 +706,9 @@ def lp_feasible(lp: LinearFeasibilityProblem,
     def strictly_ok(point):
         return float((a @ point[:n] - c).max()) <= feas_cut
 
-    y, *_ = _barrier_path(_slack_objective(n), rows, box, y0, settings,
-                          gap_target=min(settings.tol, 0.25 * settings.feas_tol),
-                          early_exit=strictly_ok)
+    y, _ = _barrier_path(_slack_objective(n), rows, box, y0, settings,
+                         gap_target=min(settings.tol, 0.25 * settings.feas_tol),
+                         early_exit=strictly_ok)
     witness = y[:n]
     margin = float((a @ witness - c).max())
     return LPFeasibility(margin <= settings.feas_tol, witness, margin)

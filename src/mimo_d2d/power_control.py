@@ -352,12 +352,12 @@ def _snap_small_powers(scn, alloc, processing, still_ok):
 # lifted GP has the optimum of the multiplied-out one.
 
 # An auxiliary starts this fraction above its factor's value. At 1e-4 the
-# first centering (t = 1) of a reference joint-MR GP took about 40 more
-# Newton steps, to move the auxiliaries off their constraints. A CU
-# denominator holds two auxiliaries, so at the start it is up to
-# (1 + LIFT_MARGIN)^2 above the multiplied-out one; the cold max-min target
-# at half the weakest SINR stays interior, and Algorithm 2 shrinks its warm
-# target by that factor.
+# reference joint-MR max-product GP (drop_seed(0, 0)) took 92 Newton steps
+# instead of 40, to move the auxiliaries off their constraints; at 0.5 the
+# max-min GP took 71 instead of 51. A CU denominator holds two auxiliaries,
+# so at the start it is up to (1 + LIFT_MARGIN)^2 above the multiplied-out
+# one; the max-min target at half the weakest half-power SINR stays
+# interior, for every Algorithm 2 GP too.
 LIFT_MARGIN = 0.1
 
 
@@ -554,8 +554,7 @@ def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots
     return out, {}
 
 
-def _solve_gp_problem(scn, objective, constraint_map, lifts, joint, processing, settings,
-                      warm=None):
+def _solve_gp_problem(scn, objective, constraint_map, lifts, joint, processing, settings):
     """Assemble and solve one GP; returns (solution, SINR level per user).
 
     Max-product minimizes the product of den/num over the users, and a
@@ -563,11 +562,11 @@ def _solve_gp_problem(scn, objective, constraint_map, lifts, joint, processing, 
     maximizes a common target subject to target * den / num <= 1, which is
     every user's level. Each auxiliary of lifts adds factor / aux <= 1 and
     the box [factor's lower bound, twice its upper bound]. The start puts
-    every power at half budget unless warm gives it, and every auxiliary
-    LIFT_MARGIN above its factor's value there, so it is strictly interior.
+    every power at half budget and every auxiliary LIFT_MARGIN above its
+    factor's value there, so it is strictly interior.
     """
     bounds = _power_bounds(scn, joint)
-    start = dict(warm) if warm else dict.fromkeys(bounds, scn.p_max / 2.0)
+    start = dict.fromkeys(bounds, scn.p_max / 2.0)
     lift_constraints = []
     for name, factor in lifts.items():
         lower, upper = _posynomial_range(factor, bounds)
@@ -583,10 +582,10 @@ def _solve_gp_problem(scn, objective, constraint_map, lifts, joint, processing, 
     ub = _joint_upper_bounds(scn, processing)
     base = _half_power_sinrs(scn, processing)
     # the start sits at half the weakest half-power SINR, strictly above the
-    # lower bound, so a warm start needs no phase 1
+    # lower bound
     weakest = min(base[u] for u in constraint_map)
     bounds["target"] = (max(weakest * 0.25, 1e-280), min(ub[u] for u in constraint_map))
-    start.setdefault("target", weakest * 0.5)
+    start["target"] = weakest * 0.5
     constraints = [den * Monomial(1.0, {"target": 1.0}) / num
                    for num, den in constraint_map.values()]
     gp = GeometricProgram(objective=Monomial(1.0, {"target": -1.0}),
@@ -691,12 +690,13 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     monomial approximation of the non-posynomial residual ratios.
 
     Each iteration rebuilds the approximation at the previous pilot powers
-    and solves the resulting GP, warm-started at the previous solution with
-    every auxiliary re-lifted at the new anchor; the loop stops when no
-    pilot power moves by more than sca_power_tol * p_max. A GP whose status
-    is not "optimal" is noted in diag.notes. Returns (allocation, objective
-    value, diagnostics) where the objective value is the max-min SE level or
-    the log SINR product evaluated with the true (unapproximated) expressions.
+    and solves the resulting GP from the same cold start as the first; the
+    previous solution is feasible for it, so the true objective never falls.
+    The loop stops when no pilot power moves by more than sca_power_tol *
+    p_max. A GP whose status is not "optimal" is noted in diag.notes.
+    Returns (allocation, objective value, diagnostics) where the objective
+    value is the max-min SE level or the log SINR product evaluated with the
+    true (unapproximated) expressions.
     """
     t0 = time.perf_counter()
     settings = settings or ControlSettings()
@@ -708,7 +708,6 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     alloc = full_power_allocation(scn.dims, scn.p_max)  # full-power initialization
     diag.objective_trace.append(_true_objective(scn, alloc, objective, users))
     tol = settings.sca_power_tol * scn.p_max
-    warm = None
     last_levels = None
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
@@ -717,7 +716,7 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
                                                   pilot_point=pilot_point)
         try:
             solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts,
-                                                 True, Processing.ZF, settings, warm=warm)
+                                                 True, Processing.ZF, settings)
         except (GPInfeasibleError, GPSolverError) as exc:
             diag.notes.append(f"iteration {it}: solver failure: {exc}")
             status = "solver_failure"
@@ -731,9 +730,6 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
         alloc = new_alloc
         last_levels = levels
         diag.iterations = it
-        shrink = (1.0 - 1e-3) / (1.0 + LIFT_MARGIN) ** 2
-        warm = {name: val * shrink if name == "target" else val
-                for name, val in solution.values.items()}
         if move < tol:
             status = "converged"
             break

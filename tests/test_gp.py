@@ -248,6 +248,29 @@ def test_gp_log_space_convexity_certificate():
         assert eigs.min() > -1e-6
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_primal_dual_matches_barrier_path_oracle(seed):
+    """The primal-dual solve certifies its result and reaches the log
+    objective of the barrier path, run to the same gap target from the same
+    phase-1 start, to 1e-8 relative (absolute below 1, the gap's scale)."""
+    gp, _ = _random_gp(seed)
+    solver_settings = SolverSettings()
+    sol = gp_solve(gp, solver_settings)
+    assert sol.status == "optimal"
+    assert sol.duality_gap <= solver_settings.tol
+    assert sol.dual_residual <= solver_settings.feas_tol
+
+    _, var_index, box = gp_module._compile_gp(gp)
+    cons = gp_module._stack_from_posynomials(gp.posy_constraints, var_index)
+    obj = gp_module._stack_from_posynomials(gp.objective, var_index)
+    y0, _ = gp_module._feasible_start(cons, box, solver_settings)
+    y, _ = gp_module._barrier_path(obj, cons, box, y0, solver_settings,
+                                   gap_target=solver_settings.tol)
+    want = obj.values(y)[0].sum()
+    assert abs(sol.log_objective - want) <= 1e-8 * max(1.0, abs(want))
+
+
 # --- log-sum-exp stack -------------------------------------------------------------
 
 def _assert_close(got, want, scale):

@@ -16,8 +16,9 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
 from mimo_d2d.power_control import (_fixed_pilot_model, _pc, _pd, _qc, _qd,
                                     _stacked_upper, _minimal_powers, Processing)
 from mimo_d2d import gp as gp_module
-from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, LinearFeasibilityProblem,
-                         LPFeasibility, Monomial, SolverSettings, gp_solve, lp_feasible)
+from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, GPSolverError,
+                         LinearFeasibilityProblem, LPFeasibility, Monomial,
+                         SolverSettings, gp_solve, lp_feasible)
 from mimo_d2d.harness import cellular_only_view, drop_seed
 from expanded import expanded_sinr_constraints, lifted_point, solve_expanded_joint_mr
 from gridsearch import refine_maximize
@@ -438,13 +439,46 @@ def test_joint_mr_lifted_optimum_matches_expanded_oracle(small_scenario, referen
         assert value == pytest.approx(want, rel=1e-8), objective
 
 
-def test_step_capped_centering_is_reported_inaccurate(reference_drops):
-    """With a barrier multiplier of 100 a joint-MR max-min centering runs into
-    its Newton step cap, so the duality gap certifies nothing and the status
-    says so."""
+def _spy_gp_solutions(monkeypatch):
+    """Record every GPSolution power_control's solvers get back."""
+    solutions = []
+    solve = power_control.gp_solve
+
+    def spy(gp, settings=None, initial=None):
+        solutions.append(solve(gp, settings, initial=initial))
+        return solutions[-1]
+
+    monkeypatch.setattr(power_control, "gp_solve", spy)
+    return solutions
+
+
+def test_certificate_holds_at_large_centering_factor(reference_drops, monkeypatch):
+    """With a centering factor of 100 the joint-MR max-min solve still meets
+    its certificate, the surrogate gap and the dual residual, and returns
+    the level of the default factor."""
+    _, want, _ = maxmin_joint_mr(reference_drops[0])
+    solutions = _spy_gp_solutions(monkeypatch)
     settings = ControlSettings(gp=SolverSettings(barrier_mu=100.0))
-    _, _, diag = maxmin_joint_mr(reference_drops[0], settings)
-    assert diag.status == "inaccurate"
+    _, level, diag = maxmin_joint_mr(reference_drops[0], settings)
+    (solution,) = solutions
+    assert diag.status == solution.status == "optimal"
+    assert solution.duality_gap <= settings.gp.tol
+    assert solution.dual_residual <= settings.gp.feas_tol
+    assert level == pytest.approx(want, rel=1e-6)
+
+
+def test_unreachable_dual_residual_is_never_optimal(reference_drops, monkeypatch):
+    """A dual-residual tolerance below floating-point reach cannot be
+    certified: the solve stalls ("inaccurate") or runs out of steps."""
+    solutions = _spy_gp_solutions(monkeypatch)
+    settings = ControlSettings(gp=SolverSettings(feas_tol=1e-20))
+    try:
+        _, _, diag = maxmin_joint_mr(reference_drops[0], settings)
+    except GPSolverError:
+        return
+    (solution,) = solutions
+    assert diag.status == solution.status == "inaccurate"
+    assert solution.dual_residual > settings.gp.feas_tol
 
 
 def test_joint_mr_symmetric_pilots():
@@ -714,8 +748,8 @@ def test_zf_joint_maxmin_variant():
 
 @pytest.mark.parametrize("objective", ["maxmin", "maxprod"])
 def test_zf_joint_starts_inside_without_phase_one(small_scenario, monkeypatch, objective):
-    """Every Algorithm 2 GP, the cold first one and each warm start re-lifted
-    at the new anchor, starts strictly interior, so phase 1 never runs."""
+    """Every Algorithm 2 GP starts from the same cold start, strictly
+    interior at each new anchor, so phase 1 never runs."""
     calls = []
     feasible_start = gp_module._feasible_start
 
@@ -747,6 +781,50 @@ def test_zf_joint_maxmin_at_reference_scale(reference_drops, monkeypatch):
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, "zf")
     for user, level in diag.targets.items():
         assert report.breakdowns[user].sinr >= level * (1 - 1e-6), user
+
+
+# The 4-cell config on which the benchmark runs Algorithm 2.
+ZF_JOINT_CFG = ScenarioConfig(num_cells=4, antennas_per_bs=64, cus_per_cell=1,
+                              num_d2d_pairs=4, num_d2d_pilots=4, area_side=2000.0 / 3.0)
+
+
+def test_zf_joint_maxmin_converges_on_non_unique_optimal_face():
+    """On this drop the max-min optimal face is not unique: allocations whose
+    true levels agree to 1e-9 differ in their pilots by more than
+    sca_power_tol. A GP warm-started at the previous optimum lands on a
+    different point of the face each iteration and Algorithm 2 cycles to its
+    cap; cold-started GPs converge."""
+    scn = Scenario.build(ZF_JOINT_CFG, seed=drop_seed(0, 41))
+    _, _, diag = zf_joint_successive(scn, "maxmin")
+    assert diag.status == "converged"
+    assert diag.iterations <= 5
+
+
+# The eight joint problems' values on the first two drops of master seed 0,
+# MR at the reference config and ZF at ZF_JOINT_CFG, as the benchmark's
+# perfbench/reference.json records them.
+JOINT_REFERENCE = {
+    0: {"mr-maxmin-joint": 2.7974458357739147, "mr-maxprod-joint": 146.9041626957679,
+        "zf-maxmin-joint": 2.8858954435485735, "zf-maxprod-joint": 34.882237595200216},
+    1: {"mr-maxmin-joint": 2.4514378727377024, "mr-maxprod-joint": 142.6792860985511,
+        "zf-maxmin-joint": 3.9062269802248446, "zf-maxprod-joint": 36.31883778591184},
+}
+
+
+@pytest.mark.parametrize("drop", sorted(JOINT_REFERENCE))
+def test_joint_solves_match_reference_values(reference_drops, monkeypatch, drop):
+    """Every joint solve certifies each of its GPs and returns the recorded
+    value to 1e-9 relative."""
+    solutions = _spy_gp_solutions(monkeypatch)
+    zf_scn = Scenario.build(ZF_JOINT_CFG, seed=drop_seed(0, drop))
+    for pid, want in JOINT_REFERENCE[drop].items():
+        proc, objective, _ = pid.split("-")
+        scn = reference_drops[drop] if proc == "mr" else zf_scn
+        solutions.clear()
+        _, value, diag = solve_problem(scn, ControlProblemSpec(objective, "joint", proc))
+        assert diag.status == ("optimal" if proc == "mr" else "converged"), pid
+        assert {s.status for s in solutions} == {"optimal"}, pid
+        assert value == pytest.approx(want, rel=1e-9), pid
 
 
 # --- generic solver behaviour --------------------------------------------------------
