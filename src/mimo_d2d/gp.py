@@ -37,6 +37,13 @@ BARRIER_T0 = 1.0    # barrier parameter of the first centering, and of the initi
 NEWTON_TOL = 1e-11  # centering stops once decrement / 2 <= NEWTON_TOL * max(1, t)
 BACKTRACK = 0.5     # line-search step shrink factor
 ARMIJO = 0.01       # line-search sufficient-decrease fraction
+BOUNDARY = 0.99     # a primal-dual step stops this fraction of the way to the boundary
+
+# lp_feasible's own settings, apart from the GP's SolverSettings
+LP_FEAS_TOL = 1e-9   # scaled feasibility threshold
+LP_GAP = 0.25 * LP_FEAS_TOL  # gap target of its barrier path
+LP_MU = 10.0         # centering factor
+LP_MAX_ITER = 500    # Newton-step budget
 
 
 # --- posynomial algebra -----------------------------------------------------
@@ -250,14 +257,15 @@ class LinearFeasibilityProblem:
 
 @dataclass
 class SolverSettings:
-    """gp_solve certifies its result: "optimal" means the surrogate duality
-    gap -f^T lambda is <= tol and the dual residual (the gradient of the
-    Lagrangian, 2-norm) is <= feas_tol, f counting the constraints and both
-    sides of the box. Phase 1 and lp_feasible stop their barrier path at the
-    gap target m/t <= tol; feas_tol is also lp_feasible's scaled feasibility
-    threshold. max_iter caps the Newton steps of one method run. barrier_mu
-    is the centering factor mu: the primal-dual method aims at t = mu m/gap,
-    and the barrier path multiplies t by it between centerings."""
+    """Settings of gp_solve, which certifies its result: "optimal" means the
+    surrogate duality gap -f^T lambda is <= tol and the dual residual (the
+    gradient of the Lagrangian, 2-norm) is <= feas_tol, f counting the
+    constraints and both sides of the box. Phase 1 stops its barrier path at
+    the gap target m/t <= tol. max_iter caps the Newton steps of one method
+    run. barrier_mu is the centering factor mu: the primal-dual method aims
+    at t = mu m/gap, and phase 1's barrier path multiplies t by it between
+    centerings. lp_feasible reads none of these; it has its own LP_*
+    constants."""
 
     tol: float = 1e-8
     feas_tol: float = 1e-9
@@ -281,7 +289,7 @@ class GPSolution:
 class LPFeasibility:
     feasible: bool
     witness: np.ndarray
-    margin: float  # minimal scaled slack; <= feas_tol means feasible
+    margin: float  # minimal scaled slack; <= LP_FEAS_TOL means feasible
 
 
 # --- stacked log-sum-exp machinery -------------------------------------------
@@ -336,12 +344,34 @@ class _Stack:
                         minlength=self.m * self.n)
         return g.reshape(self.m, self.n)
 
-    def weighted_hessian(self, weights, seg_scale, grads):
-        """sum_i seg_scale[i] * Hess f_i as a dense matrix."""
+    def pair_hessian(self, weights, seg_scale):
+        """sum_i seg_scale[i] E_i^T diag(weights) E_i over the curved segments
+        as a dense matrix: the part of sum_i seg_scale[i] * Hess f_i that is
+        not a gradient outer product."""
         scale = self.pair_val * weights[self.pair_row] * seg_scale[self.pair_seg]
         h1 = np.bincount(self.pair_idx, scale, minlength=self.n * self.n)
-        g = grads[self.curved]
-        return h1.reshape(self.n, self.n) - g.T @ (seg_scale[self.curved, None] * g)
+        return h1.reshape(self.n, self.n)
+
+
+def _stack_hessian(stack, weights, seg_scale, grads):
+    """sum_i seg_scale[i] * Hess f_i as a dense matrix: the pair map less the
+    curved segments' gradient outer products."""
+    g = grads[stack.curved]
+    return stack.pair_hessian(weights, seg_scale) - g.T @ (seg_scale[stack.curved, None] * g)
+
+
+def _newton_matrix(obj_stack, con_stack, w0, grads0, w, grads, lam, u):
+    """Hess f0 + sum_i lam_i Hess f_i + sum_i u_i grad f_i grad f_i^T over
+    the constraint stack, as both stacks' pair maps plus one dense product
+    G^T diag(c) G: G stacks the objective's and the constraints' segment
+    gradients, and c is -1 on a curved objective segment, u_i - lam_i on a
+    curved constraint and u_i on an affine one."""
+    c = np.concatenate([np.zeros(obj_stack.m), u])
+    c[obj_stack.curved] = -1.0
+    c[obj_stack.m + con_stack.curved] -= lam[con_stack.curved]
+    g = np.vstack([grads0, grads])
+    return (obj_stack.pair_hessian(w0, np.ones(obj_stack.m))
+            + con_stack.pair_hessian(w, lam) + g.T @ (c[:, None] * g))
 
 
 def _stack_from_posynomials(posys, var_index):
@@ -429,8 +459,8 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, at_y=None,
         grads = con_stack.gradients(w)
         u = 1.0 / (-f_con)
         grad = t * grads0.sum(axis=0) + grads.T @ u
-        hess = (t * obj_stack.weighted_hessian(w0, ones, grads0)
-                + con_stack.weighted_hessian(w, u, grads)
+        hess = (t * _stack_hessian(obj_stack, w0, ones, grads0)
+                + _stack_hessian(con_stack, w, u, grads)
                 + grads.T @ ((u * u)[:, None] * grads))
         u_hi, u_lo = 1.0 / (hi - y[:nb]), 1.0 / (y[:nb] - lo)
         grad[:nb] += u_hi - u_lo
@@ -480,7 +510,8 @@ def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
                   early_exit=None):
     """Follow the central path until the gap target m/t <= gap_target or
     the caller's early exit; m counts the stack's constraints and both sides
-    of the box. Returns the point and the Newton steps."""
+    of the box. Reads settings.barrier_mu and settings.max_iter. Returns the
+    point and the Newton steps."""
     budget = _BarrierBudget(settings.max_iter)
     y = np.array(y0, dtype=float)
     if not _strictly_inside(con_stack, box, y):
@@ -498,6 +529,39 @@ def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
         t *= settings.barrier_mu
 
 
+def _boundary_step(con_stack, y, step, f_all, df, s):
+    """A step length at most s that keeps y + s step strictly inside every
+    constraint and both sides of the box, with the constraint stack's values
+    there. f_all and df are every constraint's value at y and its slope
+    along step, in _primal_dual's order. The box sides are linear, so the
+    length stops BOUNDARY of the way to the nearest one. A log-sum-exp
+    constraint that a trial length crosses is modelled by the quadratic
+    through its value and slope at y and its value at the trial, and the
+    next trial stops BOUNDARY of the way to that quadratic's root (Nocedal &
+    Wright, Numerical Optimization, 2nd ed., section 19.2). A feasible trial
+    shorter than half the last crossing one gives way to that half, so the
+    result is at least half the largest feasible length up to s."""
+    mc = con_stack.m
+    f, d = f_all[:mc], df[:mc]
+    rising = df[mc:] > 0.0
+    s = min(s, BOUNDARY * float(np.min(-f_all[mc:][rising] / df[mc:][rising],
+                                       initial=np.inf)))
+    crossing = s
+    while True:
+        values = con_stack.values(y + s * step)
+        crossed = values[0] >= 0.0
+        if not crossed.any():
+            if 2.0 * s >= crossing:
+                return s, values
+            s = 0.5 * crossing
+            continue
+        crossing = s
+        fc, dc = f[crossed], d[crossed]
+        c = np.maximum(values[0][crossed] - fc - dc * s, 0.0) / (s * s)
+        # the root of fc + dc x + c x^2 in (0, s], in a form without cancellation
+        s = BOUNDARY * float(np.min(-2.0 * fc / (dc + np.sqrt(dc * dc - 4.0 * c * fc))))
+
+
 def _primal_dual(obj_stack, con_stack, box, y0, settings):
     """Primal-dual interior-point method (Boyd & Vandenberghe, Convex
     Optimization, section 11.7) for min f0 = sum of the objective segments
@@ -505,7 +569,11 @@ def _primal_dual(obj_stack, con_stack, box, y0, settings):
     feasible y0. Every constraint, both sides of the box included, has a
     dual; the duals start at 1/(t0 (-f)). Each iteration aims at t = mu m /
     gap and makes one Newton step on the reduced system, whose constraint
-    curvature is weighted by the duals.
+    curvature is weighted by the duals; its matrix takes one dense product
+    (_newton_matrix). The step length keeps the duals positive and stops
+    short of the primal boundary (_boundary_step), then backtracks until the
+    residual at t falls. After a step shorter than 0.5, mu is 1 for one
+    iteration, which re-centers the iterate.
 
     Returns (point, Newton steps, surrogate gap -f^T lambda, dual residual,
     whether both met their tolerance). A line-search stall returns early;
@@ -513,15 +581,15 @@ def _primal_dual(obj_stack, con_stack, box, y0, settings):
     lo, hi = box
     nb = lo.size
     diag = np.arange(nb)
-    ones = np.ones(obj_stack.m)
     mc = con_stack.m
     m = mc + 2 * nb
     budget = _BarrierBudget(settings.max_iter)
 
-    def evaluate(point):
+    def evaluate(point, con_values=None):
         """Every constraint value (stack, upper box, lower box) and both
-        stacks' weights and gradients at point; None outside the domain."""
-        f, w = con_stack.values(point)
+        stacks' weights and gradients at point; None outside the domain.
+        con_values are the constraint stack's values there, if known."""
+        f, w = con_values or con_stack.values(point)
         x = point[:nb]
         f_all = np.concatenate([f, x - hi, lo - x])
         if np.any(f_all >= 0.0):
@@ -556,9 +624,7 @@ def _primal_dual(obj_stack, con_stack, box, y0, settings):
         budget.spend()
         t = mu * m / gap
         u = lam / -f_all
-        hess = (obj_stack.weighted_hessian(w0, ones, grads0)
-                + con_stack.weighted_hessian(w, lam[:mc], grads)
-                + grads.T @ (u[:mc, None] * grads))
+        hess = _newton_matrix(obj_stack, con_stack, w0, grads0, w, grads, lam[:mc], u[:mc])
         hess[diag, diag] += u[mc:mc + nb] + u[mc + nb:]
         v = 1.0 / (t * -f_all)
         grad = g0 + grads.T @ v[:mc]
@@ -570,14 +636,16 @@ def _primal_dual(obj_stack, con_stack, box, y0, settings):
         # the largest step keeping lambda > 0, then strict feasibility, then
         # sufficient decrease of the residual at this t
         shrinking = dlam < 0.0
-        s = 0.99 * float(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0))
+        s = BOUNDARY * float(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0))
+        s, con_values = _boundary_step(con_stack, y, step, f_all, df, s)
         r_now = residual_norm(at, lam, t)
         while True:
-            at_cand = evaluate(y + s * step)
+            at_cand = evaluate(y + s * step, con_values)
             if (at_cand is not None and residual_norm(at_cand, lam + s * dlam, t)
                     <= (1.0 - ARMIJO * s) * r_now):
                 break
             s *= BACKTRACK
+            con_values = None
             if s < 1e-14:
                 return y, budget.used, gap, residual, False
         y, lam, at = y + s * step, lam + s * dlam, at_cand
@@ -670,15 +738,15 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
 
 # --- linear feasibility entry point -------------------------------------------
 
-def lp_feasible(lp: LinearFeasibilityProblem,
-                settings: SolverSettings = None) -> LPFeasibility:
+def lp_feasible(lp: LinearFeasibilityProblem) -> LPFeasibility:
     """Phase-1 check of a @ x <= c over 0 <= x <= upper: minimize the largest
-    scaled violation s; feasible iff min s <= settings.feas_tol.
+    scaled violation s; feasible iff min s <= LP_FEAS_TOL. The barrier path
+    stops at the first point with every scaled row below -10 LP_FEAS_TOL,
+    or at the gap target LP_GAP.
 
     Rows are normalized by their magnitude at box scale, so the verdict is
     invariant to positive row rescaling.
     """
-    settings = settings or SolverSettings()
     m, n = lp.a.shape
     scale = np.maximum.reduce([np.abs(lp.a) @ lp.upper, np.abs(lp.c),
                                np.ones(m)])
@@ -701,14 +769,14 @@ def lp_feasible(lp: LinearFeasibilityProblem,
     s0 = max(float((a @ x0 - c).max()), 0.0) + 1.0
     y0 = np.concatenate([x0, [s0]])
 
-    feas_cut = -10.0 * settings.feas_tol
+    feas_cut = -10.0 * LP_FEAS_TOL
 
     def strictly_ok(point):
         return float((a @ point[:n] - c).max()) <= feas_cut
 
-    y, _ = _barrier_path(_slack_objective(n), rows, box, y0, settings,
-                         gap_target=min(settings.tol, 0.25 * settings.feas_tol),
-                         early_exit=strictly_ok)
+    y, _ = _barrier_path(_slack_objective(n), rows, box, y0,
+                         SolverSettings(max_iter=LP_MAX_ITER, barrier_mu=LP_MU),
+                         gap_target=LP_GAP, early_exit=strictly_ok)
     witness = y[:n]
     margin = float((a @ witness - c).max())
-    return LPFeasibility(margin <= settings.feas_tol, witness, margin)
+    return LPFeasibility(margin <= LP_FEAS_TOL, witness, margin)

@@ -289,8 +289,7 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
         t = sinr_target(lam_lo)
         lp_a = t * a  # rows g_i p_i >= t (1 + a_i . p) as lp_a @ p <= -t
         lp_a[np.arange(len(g)), cols] -= g
-        result = lp_feasible(LinearFeasibilityProblem(lp_a, np.full(len(g), -t), upper),
-                             settings.gp)
+        result = lp_feasible(LinearFeasibilityProblem(lp_a, np.full(len(g), -t), upper))
         if result.feasible:
             witness = result.witness
         else:  # the LP's verdict differs at its tolerance; the minimal powers pass
@@ -692,11 +691,18 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     Each iteration rebuilds the approximation at the previous pilot powers
     and solves the resulting GP from the same cold start as the first; the
     previous solution is feasible for it, so the true objective never falls.
-    The loop stops when no pilot power moves by more than sca_power_tol *
-    p_max. A GP whose status is not "optimal" is noted in diag.notes.
-    Returns (allocation, objective value, diagnostics) where the objective
-    value is the max-min SE level or the log SINR product evaluated with the
-    true (unapproximated) expressions.
+    Two rules stop the loop with status "converged", and diag.notes says
+    which one fired:
+    - no pilot power moved by more than sca_power_tol * p_max;
+    - the GP anchored at the last iterate did not raise the true objective.
+      That iterate is a point its own approximation cannot improve, which
+      is stationary for the true problem (Marks & Wright, Oper. Res. 26(4),
+      1978); it is returned, with its targets, and the GP's point is not.
+    A GP whose status is not "optimal" is noted in diag.notes. Returns
+    (allocation, objective value, diagnostics) where the objective value is
+    the max-min SE level or the log SINR product evaluated with the true
+    (unapproximated) expressions; objective_trace holds it for the start
+    and every accepted iterate.
     """
     t0 = time.perf_counter()
     settings = settings or ControlSettings()
@@ -724,13 +730,20 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
         if solution.status != "optimal":
             diag.notes.append(f"iteration {it}: GP status {solution.status}")
         new_alloc = _alloc_from_values(scn, solution.values, True, None)
-        diag.objective_trace.append(_true_objective(scn, new_alloc, objective, users))
+        value = _true_objective(scn, new_alloc, objective, users)
+        diag.iterations = it
+        if last_levels is not None and value <= diag.objective_trace[-1]:
+            diag.notes.append(f"iteration {it}: objective did not rise; "
+                              f"iteration {it - 1} is a fixed point")
+            status = "converged"
+            break
 
         move = float(np.max(np.abs(_stacked_pilots(new_alloc) - _stacked_pilots(alloc))))
         alloc = new_alloc
         last_levels = levels
-        diag.iterations = it
+        diag.objective_trace.append(value)
         if move < tol:
+            diag.notes.append(f"iteration {it}: pilot move below sca_power_tol")
             status = "converged"
             break
 

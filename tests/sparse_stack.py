@@ -5,6 +5,9 @@ gradients as `agg @ E`, with `agg` scattering each row's softmax weight onto
 its segment, and the weighted Hessian as `E^T diag E - G^T diag G` over every
 segment, affine ones included. The source reads the same stack through index
 arrays and skips the affine segments, whose two terms cancel.
+
+`newton_matrix` is the primal-dual Newton matrix as three terms, the formula
+the source's one-product assembly replaced.
 """
 
 import numpy as np
@@ -39,3 +42,12 @@ class SparseStack:
         h1 = np.asarray((self.ET @ sparse.diags(term_scale) @ self.E).todense())
         h2 = grads.T @ (seg_scale[:, None] * grads)
         return h1, h2
+
+
+def newton_matrix(obj, con, w0, grads0, w, grads, lam, u):
+    """Hess f0 + sum_i lam_i Hess f_i + sum_i u_i grad f_i grad f_i^T as the
+    objective's Hessian, the constraints' lam-weighted Hessian and the
+    u-weighted gradient outer products, each from its own dense product."""
+    h1, h2 = obj.hessian_terms(w0, np.ones(obj.m), grads0)
+    c1, c2 = con.hessian_terms(w, lam, grads)
+    return (h1 - h2) + (c1 - c2) + grads.T @ (u[:, None] * grads)

@@ -11,7 +11,7 @@ from mimo_d2d import (Monomial, Posynomial, GeometricProgram,
 from mimo_d2d import gp as gp_module
 from mimo_d2d.gp import GPInfeasibleError, GPSolverError, variable, as_posynomial
 from gridsearch import refine_maximize
-from sparse_stack import SparseStack
+from sparse_stack import SparseStack, newton_matrix
 
 
 # --- algebra -------------------------------------------------------------------
@@ -290,25 +290,25 @@ def _assert_stack_matches(stack, oracle, rng):
     _assert_close(grads, grads_ref, np.abs(grads_ref).max(initial=0.0))
     seg_scale = rng.uniform(0.1, 10.0, size=stack.m)
     h1, h2 = oracle.hessian_terms(w_ref, seg_scale, grads_ref)
-    hess = stack.weighted_hessian(w, seg_scale, grads)
+    hess = gp_module._stack_hessian(stack, w, seg_scale, grads)
     _assert_close(hess, h1 - h2, np.abs(h1).max(initial=0.0))
     return hess
 
 
-@given(st.integers(0, 10_000), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_stack_matches_sparse_oracle(seed, dense):
-    """Random stacks against the scipy.sparse formulas: affine and curved
-    segments, rows with no nonzeros (constant terms), unused columns, or a
-    dense LP-style stack of affine rows, whose Hessian is exactly zero."""
-    rng = np.random.default_rng(seed)
+def _random_stack(rng, dense=False, curved=False):
+    """A random stack and its sparse-matrix oracle: affine and curved
+    segments, a row with no nonzeros (a constant term) and an unused column,
+    or with dense=True an LP-style stack of affine rows. curved=True makes
+    every segment curved."""
     n = int(rng.integers(1, 9))
     if dense:
         sizes = np.ones(int(rng.integers(1, 12)), dtype=int)
         E = rng.normal(size=(sizes.size, n))
     else:
+        first = rng.integers(2, 5) if curved else 1
+        lengths = [2, 3, 5] if curved else [1, 2, 3, 5]
         sizes = rng.permutation(np.concatenate([
-            [1, rng.integers(2, 5)], rng.choice([1, 2, 3, 5], size=rng.integers(0, 5))]))
+            [first, rng.integers(2, 5)], rng.choice(lengths, size=rng.integers(0, 5))]))
         E = rng.uniform(-2.0, 2.0, size=(sizes.sum(), n))
         E[rng.random(E.shape) < 0.4] = 0.0
         E[rng.integers(E.shape[0])] = 0.0      # a constant term
@@ -318,12 +318,99 @@ def test_stack_matches_sparse_oracle(seed, dense):
     row, col = np.nonzero(E)
     shuffle = rng.permutation(row.size)
     row, col = row[shuffle], col[shuffle]
-    stack = gp_module._Stack(row, col, E[row, col], d, ptr, n)
+    return gp_module._Stack(row, col, E[row, col], d, ptr, n), SparseStack(E, d, ptr)
 
-    hess = _assert_stack_matches(stack, SparseStack(E, d, ptr), rng)
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stack_matches_sparse_oracle(seed, dense):
+    """Random stacks against the scipy.sparse formulas: affine and curved
+    segments, rows with no nonzeros (constant terms), unused columns, or a
+    dense LP-style stack of affine rows, whose Hessian is exactly zero."""
+    rng = np.random.default_rng(seed)
+    stack, oracle = _random_stack(rng, dense)
+    hess = _assert_stack_matches(stack, oracle, rng)
     if dense:
         assert np.all(hess == 0.0)
 
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_newton_matrix_matches_three_term_oracle(seed):
+    """The primal-dual Newton matrix, two pair maps and one dense product,
+    against its three-term formula on random stacks sharing their columns: a
+    curved objective, and constraints mixing affine and curved segments with
+    a row of no nonzeros. Agreement to 1e-12 of the terms' scale."""
+    rng = np.random.default_rng(seed)
+    con, con_oracle = _random_stack(rng)
+    while True:
+        obj, obj_oracle = _random_stack(rng, curved=True)
+        if obj.n == con.n:
+            break
+    y = rng.normal(size=con.n)
+    _, w0 = obj.values(y)
+    _, w = con.values(y)
+    grads0, grads = obj.gradients(w0), con.gradients(w)
+    lam = rng.uniform(0.1, 10.0, size=con.m)
+    u = lam * rng.uniform(0.1, 10.0, size=con.m)
+    got = gp_module._newton_matrix(obj, con, w0, grads0, w, grads, lam, u)
+    want = newton_matrix(obj_oracle, con_oracle, w0, grads0, w, grads, lam, u)
+    scale = max(np.abs(t).max(initial=0.0) for t in
+                [*obj_oracle.hessian_terms(w0, np.ones(obj.m), grads0),
+                 *con_oracle.hessian_terms(w, lam, grads), grads.T @ (u[:, None] * grads)])
+    _assert_close(got, want, scale)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_boundary_step_stays_inside_and_reaches_half_way(seed):
+    """On a random convex stack with a box, from a strictly feasible point
+    along a random direction: the boundary step keeps every constraint and
+    box side strictly negative, returns the stack's values there, and is at
+    least half the largest feasible step up to the cap, found by bisection."""
+    rng = np.random.default_rng(seed)
+    stack, _ = _random_stack(rng)
+    y = rng.normal(size=stack.n)
+    f, _ = stack.values(y)
+    # shift each segment's offsets so that f(y) = -margin
+    stack.d -= np.repeat(f + rng.uniform(0.05, 2.0, size=stack.m), np.diff(stack.ptr))
+    f, w = stack.values(y)
+    lo, hi = y - rng.uniform(0.2, 3.0, size=stack.n), y + rng.uniform(0.2, 3.0, size=stack.n)
+    step = rng.normal(size=stack.n) * rng.uniform(0.5, 8.0)
+    cap = float(rng.uniform(0.1, 1.0))
+    f_all = np.concatenate([f, y - hi, lo - y])
+    df = np.concatenate([stack.gradients(w) @ step, step, -step])
+
+    def inside(s):
+        point = y + s * step
+        return bool(np.all(stack.values(point)[0] < 0.0) and np.all(point < hi)
+                    and np.all(point > lo))
+
+    s, (f_s, w_s) = gp_module._boundary_step(stack, y, step, f_all, df, cap)
+    assert 0.0 < s <= cap and inside(s)
+    f_ref, w_ref = stack.values(y + s * step)
+    assert np.array_equal(f_s, f_ref) and np.array_equal(w_s, w_ref)
+
+    feasible, infeasible = (cap, cap) if inside(cap) else (0.0, cap)
+    while infeasible - feasible > 1e-12 * cap:
+        mid = 0.5 * (feasible + infeasible)
+        feasible, infeasible = (mid, infeasible) if inside(mid) else (feasible, mid)
+    assert s >= 0.5 * feasible
+
+
+def test_boundary_step_reaches_half_way_past_a_sharp_kink():
+    """f = log(exp(-1) + exp(100 y - 50)) is flat at y = 0 and steep past
+    its kink, so the quadratic through f, its slope and its value at the
+    trial puts the root at 0.14, short of the true 0.495; the step still
+    reaches half of it."""
+    stack = gp_module._Stack([1], [0], [100.0], [-1.0, -50.0], [0, 2], 1)
+    y, step = np.zeros(1), np.ones(1)
+    f, w = stack.values(y)
+    f_all = np.concatenate([f, y - 10.0, -10.0 - y])
+    df = np.concatenate([stack.gradients(w) @ step, step, -step])
+    s, _ = gp_module._boundary_step(stack, y, step, f_all, df, 1.0)
+    root = (50.0 + math.log(1.0 - math.exp(-1.0))) / 100.0
+    assert 0.5 * root <= s < root
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,7 @@
+import itertools
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,13 +137,12 @@ def test_maxmin_bisection_iterations_and_sandwich(small_scenario):
     assert lam + 2 * eps >= lam_upper or _level_infeasible(scn, "mr", lam + 2 * eps)
 
 
-def _lp_probe(g, a, cols, t, upper, gp_settings=None):
+def _lp_probe(g, a, cols, t, upper):
     """Barrier-LP feasibility of the common SINR target t over the box: the
     rows g_i p_i >= t (1 + a_i . p), where cols[i] is row i's own power."""
     lp_a = t * a
     lp_a[np.arange(len(g)), cols] -= g
-    return lp_feasible(LinearFeasibilityProblem(lp_a, np.full(len(g), -t), upper),
-                       gp_settings)
+    return lp_feasible(LinearFeasibilityProblem(lp_a, np.full(len(g), -t), upper))
 
 
 def _level_infeasible(scn, processing, level):
@@ -190,8 +191,7 @@ def _lp_bisection(scn, processing, settings):
     lam_lo, witness, trace = 0.0, upper.copy(), []
     while lam_hi - lam_lo > settings.bisection_eps and len(trace) < settings.bisection_cap:
         lam = (lam_lo + lam_hi) / 2.0
-        result = _lp_probe(g, a, cols, 2.0 ** (lam / scn.dims.prelog) - 1.0, upper,
-                           settings.gp)
+        result = _lp_probe(g, a, cols, 2.0 ** (lam / scn.dims.prelog) - 1.0, upper)
         if result.feasible:
             lam_lo, witness = lam, result.witness
         else:
@@ -230,19 +230,18 @@ def test_minimal_power_probe_matches_lp(small_scenario, reference_drops, process
     a feasible level's minimal powers meet every SINR row with equality and
     lie below any strictly feasible LP witness (Yates' minimality)."""
     scn = small_scenario if drop is None else reference_drops[drop]
-    gp_settings = ControlSettings().gp
     g, a = _fixed_pilot_model(scn, Processing(processing),
                               full_power_allocation(scn.dims, scn.p_max))
     upper = _stacked_upper(scn)
     t = 2.0 ** (frac * np.log2(1.0 + scn.p_max * g).min() / scn.dims.prelog) - 1.0
     p = _minimal_powers(a / g[:, None], 1.0 / g, t, upper)
-    lp = _lp_probe(g, a, np.arange(len(g)), t, upper, gp_settings)
-    if abs(lp.margin) > 10 * gp_settings.feas_tol:
+    lp = _lp_probe(g, a, np.arange(len(g)), t, upper)
+    if abs(lp.margin) > 10 * gp_module.LP_FEAS_TOL:
         assert (p is not None) == lp.feasible
     if p is None:
         return
     np.testing.assert_allclose(g * p, t * (1.0 + a @ p), rtol=1e-9)
-    if lp.margin < -10 * gp_settings.feas_tol:
+    if lp.margin < -10 * gp_module.LP_FEAS_TOL:
         assert np.all(p <= lp.witness * (1.0 + 1e-9))
 
 
@@ -276,12 +275,25 @@ def test_maxmin_minimal_powers_when_lp_rejects_level(small_scenario, monkeypatch
     """Should the LP reject the final level at its tolerance, the minimal
     powers that passed the test are returned, and they meet the level."""
     monkeypatch.setattr(power_control, "lp_feasible",
-                        lambda lp, settings=None: LPFeasibility(False, lp.upper / 2.0, 1.0))
+                        lambda lp: LPFeasibility(False, lp.upper / 2.0, 1.0))
     alloc, lam, diag = maxmin_data(small_scenario, "mr")
     assert lam > 0.0
     assert "witness=minimal_powers" in diag.notes
     assert _min_se_at(small_scenario, alloc, "mr") >= lam - 1e-6
 
+
+
+@pytest.mark.parametrize("processing", ["mr", "zf"])
+def test_maxmin_data_ignores_gp_settings(reference_drops, processing):
+    """The max-min witness LP has its own settings: GP settings far from the
+    defaults leave the level and every power bit-identical."""
+    want_alloc, want_level, _ = maxmin_data(reference_drops[0], processing)
+    gp_settings = SolverSettings(tol=1e-4, feas_tol=1e-20, barrier_mu=100.0)
+    alloc, level, _ = maxmin_data(reference_drops[0], processing,
+                                  ControlSettings(gp=gp_settings))
+    assert level == want_level
+    for name in ("data_cu", "data_d2d", "pilot_cu", "pilot_d2d"):
+        assert np.array_equal(getattr(alloc, name), getattr(want_alloc, name)), name
 
 # --- max product SINR over data powers ----------------------------------------------
 
@@ -788,16 +800,75 @@ ZF_JOINT_CFG = ScenarioConfig(num_cells=4, antennas_per_bs=64, cus_per_cell=1,
                               num_d2d_pairs=4, num_d2d_pilots=4, area_side=2000.0 / 3.0)
 
 
-def test_zf_joint_maxmin_converges_on_non_unique_optimal_face():
-    """On this drop the max-min optimal face is not unique: allocations whose
-    true levels agree to 1e-9 differ in their pilots by more than
-    sca_power_tol. A GP warm-started at the previous optimum lands on a
-    different point of the face each iteration and Algorithm 2 cycles to its
-    cap; cold-started GPs converge."""
-    scn = Scenario.build(ZF_JOINT_CFG, seed=drop_seed(0, 41))
+@pytest.mark.parametrize("seed, drop", [(0, 41), (3, 57), (19, 56)])
+def test_zf_joint_maxmin_converges_on_non_unique_optimal_face(seed, drop):
+    """On these drops the max-min optimal face is not unique: allocations
+    whose true levels agree to about 1e-9 differ in their pilots by more
+    than sca_power_tol. A GP warm-started at the previous optimum lands on a
+    different point of the face each iteration, and the pilot-move rule
+    alone can let Algorithm 2 cycle to its cap; a GP that does not raise the
+    true objective stops it."""
+    scn = Scenario.build(ZF_JOINT_CFG, seed=drop_seed(seed, drop))
     _, _, diag = zf_joint_successive(scn, "maxmin")
     assert diag.status == "converged"
     assert diag.iterations <= 5
+
+
+def test_zf_joint_stops_at_the_fixed_point_of_a_two_cycle(small_scenario, monkeypatch):
+    """GPs that alternate between two solutions force a 2-cycle that the
+    pilot-move rule never ends. Algorithm 2 stops as "converged" at the
+    first GP that does not raise the true objective, its trace never falls,
+    and it returns the best iterate's allocation, value and targets."""
+    scn = small_scenario
+    best, _, _ = zf_joint_successive(scn, "maxprod")
+    full = full_power_allocation(scn.dims, scn.p_max)
+    names = ("data_cu", "data_d2d", "pilot_cu", "pilot_d2d")
+    # every power at the geometric mean of the optimum's and full power
+    worse = PowerAllocation(*(np.sqrt(getattr(best, n) * getattr(full, n)) for n in names),
+                            scn.p_max)
+
+    def gp_result(alloc, level):
+        stacked = (np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d]),
+                   np.concatenate([alloc.pilot_cu.ravel(), alloc.pilot_d2d]))
+        values = {name: p for pilot, powers in zip((False, True), stacked)
+                  for name, p in zip(power_control._stacked_names(scn, pilot), powers)}
+        return (SimpleNamespace(values=values, status="optimal"),
+                dict.fromkeys(power_control._all_users(scn), level))
+
+    cycle = itertools.cycle([gp_result(worse, 1.0), gp_result(best, 2.0)])
+    monkeypatch.setattr(power_control, "_solve_gp_problem", lambda *args: next(cycle))
+    alloc, value, diag = zf_joint_successive(scn, "maxprod")
+
+    users = power_control._all_users(scn)
+    want = [power_control._true_objective(scn, a, power_control.Objective.MAXPROD, users)
+            for a in (full, worse, best)]
+    assert want[0] <= want[1] < want[2]  # the cycle rises once, then falls
+    assert diag.status == "converged"
+    assert diag.iterations == 3
+    assert "did not rise" in diag.notes[-1]
+    assert diag.objective_trace == want
+    assert value == want[2]
+    for name in names:
+        assert np.array_equal(getattr(alloc, name), getattr(best, name)), name
+    assert set(diag.targets.values()) == {2.0}
+
+
+# Newton steps of the joint-MR GPs on drop_seed(0, 0) and drop_seed(0, 1)
+# when an infeasible step was halved instead of stopped short of the boundary.
+HALVING_JOINT_MR_STEPS = {"maxmin": (51, 67), "maxprod": (40, 41)}
+
+
+@pytest.mark.parametrize("objective", sorted(HALVING_JOINT_MR_STEPS))
+def test_joint_mr_takes_fewer_newton_steps(reference_drops, monkeypatch, objective):
+    """The boundary step saves at least a fifth of the joint-MR GPs' Newton
+    steps, on each of the first two reference drops."""
+    solutions = _spy_gp_solutions(monkeypatch)
+    solve = maxmin_joint_mr if objective == "maxmin" else maxprod_joint_mr
+    for drop, halving_steps in enumerate(HALVING_JOINT_MR_STEPS[objective]):
+        solutions.clear()
+        solve(reference_drops[drop])
+        (solution,) = solutions
+        assert solution.newton_iterations <= 0.8 * halving_steps, drop
 
 
 # The eight joint problems' values on the first two drops of master seed 0,
