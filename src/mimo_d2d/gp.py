@@ -6,9 +6,10 @@ to posynomial constraints <= 1 inside a variable box. After the
 substitution x = exp(y) the log of the objective is a sum of log-sum-exp
 functions, one per factor, and every constraint is a log-sum-exp <= 0; the
 resulting smooth convex program is minimized with a primal-dual
-interior-point method, stopped by a certificate: the surrogate duality gap
-and the dual residual. Phase 1 and the linear-feasibility path follow a
-log-barrier central path on an epigraph reformulation, with early exits.
+interior-point method from a strictly feasible start the caller supplies,
+stopped by a certificate: the surrogate duality gap and the dual residual.
+The linear-feasibility check minimizes its largest slack along a log-barrier
+central path, with an early exit at its first strictly feasible point.
 Both methods share the stacked log-sum-exp evaluation and the Newton solve.
 """
 
@@ -22,15 +23,13 @@ logger = logging.getLogger(__name__)
 
 
 class GPInfeasibleError(RuntimeError):
-    """Problem proven infeasible; `margin` is the minimal phase-1 slack."""
-
-    def __init__(self, message, margin):
-        super().__init__(message)
-        self.margin = margin
+    """The model admits no feasible point, found before any solve (a user
+    with no usable desired link)."""
 
 
 class GPSolverError(RuntimeError):
-    """Numerical failure (iteration limit or line-search stall)."""
+    """A start point that is not strictly feasible, or a numerical failure
+    (iteration limit, singular Newton system)."""
 
 
 BARRIER_T0 = 1.0    # barrier parameter of the first centering, and of the initial duals
@@ -260,12 +259,10 @@ class SolverSettings:
     """Settings of gp_solve, which certifies its result: "optimal" means the
     surrogate duality gap -f^T lambda is <= tol and the dual residual (the
     gradient of the Lagrangian, 2-norm) is <= feas_tol, f counting the
-    constraints and both sides of the box. Phase 1 stops its barrier path at
-    the gap target m/t <= tol. max_iter caps the Newton steps of one method
-    run. barrier_mu is the centering factor mu: the primal-dual method aims
-    at t = mu m/gap, and phase 1's barrier path multiplies t by it between
-    centerings. lp_feasible reads none of these; it has its own LP_*
-    constants."""
+    constraints and both sides of the box. max_iter caps the Newton steps of
+    one solve. barrier_mu is the centering factor mu: the primal-dual method
+    aims at t = mu m/gap. lp_feasible reads none of these; its barrier path
+    has its own LP_* constants."""
 
     tol: float = 1e-8
     feas_tol: float = 1e-9
@@ -353,13 +350,6 @@ class _Stack:
         return h1.reshape(self.n, self.n)
 
 
-def _stack_hessian(stack, weights, seg_scale, grads):
-    """sum_i seg_scale[i] * Hess f_i as a dense matrix: the pair map less the
-    curved segments' gradient outer products."""
-    g = grads[stack.curved]
-    return stack.pair_hessian(weights, seg_scale) - g.T @ (seg_scale[stack.curved, None] * g)
-
-
 def _newton_matrix(obj_stack, con_stack, w0, grads0, w, grads, lam, u):
     """Hess f0 + sum_i lam_i Hess f_i + sum_i u_i grad f_i grad f_i^T over
     the constraint stack, as both stacks' pair maps plus one dense product
@@ -390,16 +380,11 @@ def _stack_from_posynomials(posys, var_index):
     return _Stack(rows, cols, data, offsets, ptr, len(var_index))
 
 
-def _slack_objective(s_col):
-    """The phase-1 objective s as a one-entry stack over s_col + 1 variables."""
-    return _Stack([0], [s_col], [1.0], [0.0], [0, 1], s_col + 1)
-
-
 # --- interior-point kernels --------------------------------------------------
 #
 # The box lo <= y[:len(lo)] <= hi never enters a stack: its barrier
 # -sum log(hi - y) - sum log(y - lo) is separable, so it adds a diagonal to
-# the Newton Hessian. Coordinates past len(lo) (the phase-1 slack) are free.
+# the Newton Hessian. Coordinates past len(lo) (the LP's slack) are free.
 
 class _BarrierBudget:
     def __init__(self, limit):
@@ -412,7 +397,7 @@ class _BarrierBudget:
             raise GPSolverError(f"iteration limit ({self.limit} Newton steps) exceeded")
 
 
-def _strictly_inside(con_stack, box, y, margin=0.0):
+def _strictly_inside(con_stack, box, y, margin):
     """Every constraint and both sides of the box hold with slack > margin."""
     lo, hi = box
     x = y[:lo.size]
@@ -421,47 +406,37 @@ def _strictly_inside(con_stack, box, y, margin=0.0):
                 and np.all(lo - x < -margin))
 
 
-def _newton_centering(obj_stack, con_stack, box, y, t, budget, at_y=None,
-                      early_exit=None):
-    """Minimize t*f0 + barrier at fixed t, where f0 sums the objective
-    stack's segments. at_y is (f, w, w0, f0), both stacks' values at y as
-    the previous centering returned them; None evaluates them. Stops on the
-    decrement test, the caller's early exit, a line-search stall or the
-    per-centering step cap; returns the point and the values there."""
+def _newton_centering(rows, grads, box, y, t, budget, f_y, early_exit):
+    """Minimize t*s + barrier at fixed t, s = y[-1], over the affine rows
+    <= 0 with gradients grads; f_y is the rows' values at y. Stops on the
+    decrement test, the early exit, a line-search stall or the per-centering
+    step cap; returns the point and the rows' values there."""
     lo, hi = box
     nb = lo.size
     diag = np.arange(nb)
-    ones = np.ones(obj_stack.m)
 
-    def stack_values(point):
-        """Both stacks' values at point; None outside the barrier's domain."""
-        f, w = con_stack.values(point)
+    def row_values(point):
+        """The rows' values at point; None outside the barrier's domain."""
+        f, _ = rows.values(point)
         x = point[:nb]
         if np.any(f >= 0.0) or np.any(x >= hi) or np.any(x <= lo):
             return None
-        f0, w0 = obj_stack.values(point)
-        return f, w, w0, f0
+        return f
 
-    def barrier_value(point, at):
-        if at is None:
+    def barrier_value(point, f):
+        if f is None:
             return np.inf
-        f, _, _, f0 = at
         x = point[:nb]
-        return (t * f0.sum() - np.log(-f).sum()
+        return (t * point[-1] - np.log(-f).sum()
                 - np.log(hi - x).sum() - np.log(x - lo).sum())
 
-    at_y = at_y or stack_values(y)
-    phi = barrier_value(y, at_y)
+    phi = barrier_value(y, f_y)
     for _ in range(100):  # per-centering cap; the path tolerates inexact centers
-        f_con, w, w0, _ = at_y
         budget.spend()
-        grads0 = obj_stack.gradients(w0)
-        grads = con_stack.gradients(w)
-        u = 1.0 / (-f_con)
-        grad = t * grads0.sum(axis=0) + grads.T @ u
-        hess = (t * _stack_hessian(obj_stack, w0, ones, grads0)
-                + _stack_hessian(con_stack, w, u, grads)
-                + grads.T @ ((u * u)[:, None] * grads))
+        u = 1.0 / (-f_y)
+        grad = grads.T @ u
+        grad[-1] += t
+        hess = grads.T @ ((u * u)[:, None] * grads)
         u_hi, u_lo = 1.0 / (hi - y[:nb]), 1.0 / (y[:nb] - lo)
         grad[:nb] += u_hi - u_lo
         hess[diag, diag] += u_hi * u_hi + u_lo * u_lo
@@ -475,17 +450,17 @@ def _newton_centering(obj_stack, con_stack, box, y, t, budget, at_y=None,
         alpha = 1.0
         while True:
             cand = y + alpha * step
-            at_cand = stack_values(cand)
-            phi_cand = barrier_value(cand, at_cand)
+            f_cand = row_values(cand)
+            phi_cand = barrier_value(cand, f_cand)
             if phi_cand <= phi - ARMIJO * alpha * decrement:
-                y, phi, at_y = cand, phi_cand, at_cand
+                y, phi, f_y = cand, phi_cand, f_cand
                 break
             alpha *= BACKTRACK
             if alpha < 1e-14:
-                return y, at_y
-        if early_exit is not None and early_exit(y):
+                return y, f_y
+        if early_exit(y):
             break
-    return y, at_y
+    return y, f_y
 
 
 def _newton_step(hess, grad):
@@ -506,27 +481,26 @@ def _newton_step(hess, grad):
             raise GPSolverError("Newton system is numerically singular")
 
 
-def _barrier_path(obj_stack, con_stack, box, y0, settings, gap_target,
-                  early_exit=None):
-    """Follow the central path until the gap target m/t <= gap_target or
-    the caller's early exit; m counts the stack's constraints and both sides
-    of the box. Reads settings.barrier_mu and settings.max_iter. Returns the
-    point and the Newton steps."""
-    budget = _BarrierBudget(settings.max_iter)
-    y = np.array(y0, dtype=float)
-    if not _strictly_inside(con_stack, box, y):
-        raise GPSolverError("barrier start point is not strictly feasible")
-    if early_exit is not None and early_exit(y):
-        return y, 0
-    m = con_stack.m + 2 * box[0].size
+def _barrier_path(rows, box, y, early_exit):
+    """Minimize the slack s = y[-1] subject to the affine single-term rows
+    <= 0 and the box along the central path, from the strictly feasible y,
+    until the gap target m/t <= LP_GAP or the early exit; m counts the rows
+    and both sides of the box. The barrier parameter grows by LP_MU between
+    centerings, and LP_MAX_ITER caps the Newton steps. Every row's softmax
+    weight is 1, so the rows' gradients are constant and add no curvature.
+    Returns the point."""
+    budget = _BarrierBudget(LP_MAX_ITER)
+    if early_exit(y):
+        return y
+    f_y, weights = rows.values(y)
+    grads = rows.gradients(weights)
+    m = rows.m + 2 * box[0].size
     t = BARRIER_T0
-    at_y = None
     while True:
-        y, at_y = _newton_centering(obj_stack, con_stack, box, y, t, budget,
-                                    at_y=at_y, early_exit=early_exit)
-        if (early_exit is not None and early_exit(y)) or m / t <= gap_target:
-            return y, budget.used
-        t *= settings.barrier_mu
+        y, f_y = _newton_centering(rows, grads, box, y, t, budget, f_y, early_exit)
+        if early_exit(y) or m / t <= LP_GAP:
+            return y
+        t *= LP_MU
 
 
 def _boundary_step(con_stack, y, step, f_all, df, s):
@@ -611,8 +585,6 @@ def _primal_dual(obj_stack, con_stack, box, y0, settings):
 
     y = np.array(y0, dtype=float)
     at = evaluate(y)
-    if at is None:
-        raise GPSolverError("primal-dual start point is not strictly feasible")
     lam = 1.0 / (BARRIER_T0 * -at[0])
     mu = settings.barrier_mu
     while True:
@@ -667,62 +639,26 @@ def _compile_gp(gp: GeometricProgram):
     return variables, var_index, (np.log(lo), np.log(hi))
 
 
-def _feasible_start(cons, box, settings):
-    """Strictly feasible log-space point via a phase-1 epigraph solve:
-    minimize s subject to f_i(y) - s <= 0 inside the box."""
-    y_lo, y_hi = box
-    n = y_lo.size
-    center = (y_lo + y_hi) / 2.0
-    if not cons.m:
-        return center, 0
+def gp_solve(gp: GeometricProgram, settings: SolverSettings = None, *,
+             initial: dict) -> GPSolution:
+    """Solve a geometric program by the primal-dual method from `initial`, a
+    value per variable. The status is "optimal" when the certificate holds:
+    the surrogate duality gap is at most settings.tol and the dual residual
+    at most settings.feas_tol, both reported in the solution. A line-search
+    stall before that reads "inaccurate".
 
-    # the slack enters every term of every segment with exponent -1
-    terms = np.arange(cons.d.size)
-    epigraph = _Stack(np.concatenate([cons.row, terms]),
-                      np.concatenate([cons.col, np.full(terms.size, n)]),
-                      np.concatenate([cons.val, np.full(terms.size, -1.0)]),
-                      cons.d, cons.ptr, n + 1)
-    f_init, _ = cons.values(center)
-    y0 = np.concatenate([center, [max(f_init.max(), 0.0) + 1.0]])
-
-    def feasible_now(point):
-        vals, _ = cons.values(point[:n])
-        return vals.max() < -1e-7
-
-    y, used = _barrier_path(_slack_objective(n), epigraph, box, y0, settings,
-                            gap_target=min(settings.tol, 1e-9), early_exit=feasible_now)
-    if not feasible_now(y):
-        raise GPInfeasibleError("geometric program is infeasible "
-                                f"(phase-1 slack minimum {y[-1]:.3e} > 0)", float(y[-1]))
-    return y[:n], used
-
-
-def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
-             initial: dict = None) -> GPSolution:
-    """Solve a geometric program by the primal-dual method. The status is
-    "optimal" when the certificate holds: the surrogate duality gap is at
-    most settings.tol and the dual residual at most settings.feas_tol, both
-    reported in the solution. A line-search stall before that reads
-    "inaccurate".
-
-    `initial` (a strictly feasible point, per variable) skips phase 1.
-    Raises GPInfeasibleError with the phase-1 margin when no feasible point
-    exists, GPSolverError on iteration limit.
+    Raises GPSolverError when `initial` does not satisfy every constraint
+    and both sides of the box with log-space slack above 1e-12, and on the
+    iteration limit.
     """
     settings = settings or SolverSettings()
     variables, var_index, box = _compile_gp(gp)
     cons = _stack_from_posynomials(gp.posy_constraints, var_index)
     obj = _stack_from_posynomials(gp.objective, var_index)
 
-    phase1_used = 0
-    y0 = None
-    if initial is not None:
-        cand = np.array([math.log(initial[v]) for v in variables])
-        if _strictly_inside(cons, box, cand, margin=1e-12):
-            y0 = cand
-    if y0 is None:
-        y0, phase1_used = _feasible_start(cons, box, settings)
-
+    y0 = np.array([math.log(initial[v]) for v in variables])
+    if not _strictly_inside(cons, box, y0, margin=1e-12):
+        raise GPSolverError("start point is not strictly feasible")
     y, used, gap, residual, certified = _primal_dual(obj, cons, box, y0, settings)
     log_factors, _ = obj.values(y)
     log_obj = log_factors.sum()
@@ -732,14 +668,14 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None,
                       log_objective=float(log_obj),
                       log_factors=log_factors,
                       status="optimal" if certified else "inaccurate",
-                      newton_iterations=used + phase1_used,
+                      newton_iterations=used,
                       duality_gap=gap, dual_residual=residual)
 
 
 # --- linear feasibility entry point -------------------------------------------
 
 def lp_feasible(lp: LinearFeasibilityProblem) -> LPFeasibility:
-    """Phase-1 check of a @ x <= c over 0 <= x <= upper: minimize the largest
+    """Feasibility of a @ x <= c over 0 <= x <= upper: minimize the largest
     scaled violation s; feasible iff min s <= LP_FEAS_TOL. The barrier path
     stops at the first point with every scaled row below -10 LP_FEAS_TOL,
     or at the gap target LP_GAP.
@@ -767,16 +703,12 @@ def lp_feasible(lp: LinearFeasibilityProblem) -> LPFeasibility:
 
     x0 = lp.upper / 2.0
     s0 = max(float((a @ x0 - c).max()), 0.0) + 1.0
-    y0 = np.concatenate([x0, [s0]])
-
     feas_cut = -10.0 * LP_FEAS_TOL
 
     def strictly_ok(point):
         return float((a @ point[:n] - c).max()) <= feas_cut
 
-    y, _ = _barrier_path(_slack_objective(n), rows, box, y0,
-                         SolverSettings(max_iter=LP_MAX_ITER, barrier_mu=LP_MU),
-                         gap_target=LP_GAP, early_exit=strictly_ok)
+    y = _barrier_path(rows, box, np.concatenate([x0, [s0]]), strictly_ok)
     witness = y[:n]
     margin = float((a @ witness - c).max())
     return LPFeasibility(margin <= LP_FEAS_TOL, witness, margin)

@@ -545,8 +545,7 @@ def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots
     out = {}
     for user, name, g_i, a_i in zip(_all_users(scn), names, g, a):
         if g_i <= 0.0:
-            raise GPInfeasibleError(f"user {user} has no usable desired link",
-                                    margin=np.inf)
+            raise GPInfeasibleError(f"user {user} has no usable desired link")
         out[user] = (Monomial(g_i, {name: 1.0}), Posynomial(
             [Monomial(1.0)] + [Monomial(c, {names[j]: 1.0})
                                for j, c in enumerate(a_i) if c > 0.0]))

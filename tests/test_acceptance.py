@@ -24,6 +24,7 @@ from mimo_d2d.gp import as_posynomial, variable
 from mimo_d2d.harness import drop_seed
 from mimo_d2d.power_control import _fixed_pilot_model, _stacked_upper, Processing
 from mimo_d2d.gp import LinearFeasibilityProblem, lp_feasible
+import phase_one
 
 
 def _report(num, name, ok, detail):
@@ -131,14 +132,15 @@ def test_criterion_04_d2d_approximation_tightness():
 
 def test_criterion_05_gp_solver_and_monomial_bound():
     x, y = variable("x"), variable("y")
-    sol = gp_solve(GeometricProgram(objective=as_posynomial(x),
-                                    posy_constraints=[as_posynomial(x ** -1.0)],
-                                    bounds={"x": (1e-3, 1e3)}))
+    gp = GeometricProgram(objective=as_posynomial(x),
+                          posy_constraints=[as_posynomial(x ** -1.0)],
+                          bounds={"x": (1e-3, 1e3)})
+    sol = gp_solve(gp, initial=phase_one.start(gp))
     err1 = abs(sol.values["x"] - 1.0)
-    sol2 = gp_solve(GeometricProgram(objective=as_posynomial(x**-1.0 * y**-1.0),
-                                     posy_constraints=[as_posynomial(x / 2.0),
-                                                       as_posynomial(y / 3.0)],
-                                     bounds={"x": (1e-3, 1e3), "y": (1e-3, 1e3)}))
+    gp2 = GeometricProgram(objective=as_posynomial(x**-1.0 * y**-1.0),
+                           posy_constraints=[as_posynomial(x / 2.0), as_posynomial(y / 3.0)],
+                           bounds={"x": (1e-3, 1e3), "y": (1e-3, 1e3)})
+    sol2 = gp_solve(gp2, initial=phase_one.start(gp2))
     err2 = abs(sol2.objective - 1.0 / 6.0) * 6.0
 
     rng = np.random.default_rng(7)

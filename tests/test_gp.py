@@ -10,6 +10,7 @@ from mimo_d2d import (Monomial, Posynomial, GeometricProgram,
                       lp_feasible, monomial_lower_bound)
 from mimo_d2d import gp as gp_module
 from mimo_d2d.gp import GPInfeasibleError, GPSolverError, variable, as_posynomial
+import phase_one
 from gridsearch import refine_maximize
 from sparse_stack import SparseStack, newton_matrix
 
@@ -94,21 +95,26 @@ def test_monomial_bound_rejects_nonpositive_point():
 
 # --- gp_solve -------------------------------------------------------------------
 
+def _solve_from_phase_one(gp, settings=None):
+    """gp_solve from the oracle's phase-1 start."""
+    return gp_solve(gp, settings, initial=phase_one.start(gp))
+
+
 def test_gp_analytic_reciprocal():
     x = variable("x")
-    sol = gp_solve(GeometricProgram(objective=as_posynomial(x),
-                                    posy_constraints=[as_posynomial(x ** -1.0)],
-                                    bounds={"x": (1e-3, 1e3)}))
+    sol = _solve_from_phase_one(GeometricProgram(objective=as_posynomial(x),
+                                                 posy_constraints=[as_posynomial(x ** -1.0)],
+                                                 bounds={"x": (1e-3, 1e3)}))
     assert sol.values["x"] == pytest.approx(1.0, rel=1e-6)
     assert sol.status == "optimal"
 
 
 def test_gp_analytic_separable():
     x, y = variable("x"), variable("y")
-    sol = gp_solve(GeometricProgram(objective=as_posynomial(x**-1.0 * y**-1.0),
-                                    posy_constraints=[as_posynomial(x / 2.0),
-                                                      as_posynomial(y / 3.0)],
-                                    bounds={"x": (1e-3, 1e3), "y": (1e-3, 1e3)}))
+    sol = _solve_from_phase_one(GeometricProgram(
+        objective=as_posynomial(x**-1.0 * y**-1.0),
+        posy_constraints=[as_posynomial(x / 2.0), as_posynomial(y / 3.0)],
+        bounds={"x": (1e-3, 1e3), "y": (1e-3, 1e3)}))
     assert sol.values["x"] == pytest.approx(2.0, rel=1e-6)
     assert sol.values["y"] == pytest.approx(3.0, rel=1e-6)
     assert sol.objective == pytest.approx(1.0 / 6.0, rel=1e-6)
@@ -146,7 +152,7 @@ def _product_gp():
                          ids=["empty-stack-box-corner", "phase-one", "product-objective"])
 def test_gp_box_closed_form_optima(build):
     gp, point, optimum = build()
-    sol = gp_solve(gp)
+    sol = _solve_from_phase_one(gp)
     assert sol.objective == pytest.approx(optimum, rel=1e-6)
     for var, value in point.items():
         assert sol.values[var] == pytest.approx(value, rel=1e-6)
@@ -155,12 +161,14 @@ def test_gp_box_closed_form_optima(build):
 
 
 def test_gp_infeasible_certificate():
+    """The oracle's phase 1 proves x <= 0.5 and x >= 2 infeasible with a
+    positive slack minimum."""
     x = variable("x")
     with pytest.raises(GPInfeasibleError) as err:
-        gp_solve(GeometricProgram(objective=as_posynomial(x),
-                                  posy_constraints=[as_posynomial(x / 0.5),
-                                                    as_posynomial(2.0 * x**-1.0)],
-                                  bounds={"x": (1e-3, 1e3)}))
+        phase_one.start(GeometricProgram(objective=as_posynomial(x),
+                                         posy_constraints=[as_posynomial(x / 0.5),
+                                                           as_posynomial(2.0 * x**-1.0)],
+                                         bounds={"x": (1e-3, 1e3)}))
     assert err.value.margin > 0
 
 
@@ -168,16 +176,38 @@ def test_gp_iteration_limit():
     x = variable("x")
     settings = SolverSettings(max_iter=3)
     with pytest.raises(GPSolverError):
-        gp_solve(GeometricProgram(objective=as_posynomial(x + x**-1.0),
-                                  posy_constraints=[as_posynomial(x / 5.0)],
-                                  bounds={"x": (1e-3, 1e3)}), settings)
+        _solve_from_phase_one(GeometricProgram(objective=as_posynomial(x + x**-1.0),
+                                               posy_constraints=[as_posynomial(x / 5.0)],
+                                               bounds={"x": (1e-3, 1e3)}), settings)
 
 
 def test_gp_missing_bounds_rejected():
     x, y = variable("x"), variable("y")
     with pytest.raises(ValueError):
         gp_solve(GeometricProgram(objective=as_posynomial(x * y),
-                                  bounds={"x": (1e-3, 1e3)}))
+                                  bounds={"x": (1e-3, 1e3)}),
+                 initial={"x": 1.0, "y": 1.0})
+
+
+@pytest.mark.parametrize("point, on_constraint", [
+    ({"x": 200.0, "y": 2.0}, False),              # outside x's box
+    ({"x": 2.0, "y": 2.0}, True),                 # 4/(xy) = 1 exactly
+    ({"x": 2.0 * (1.0 + 1e-13), "y": 2.0}, False),  # inside by about 1e-13 in log space
+], ids=["outside-box", "on-constraint", "inside-by-less-than-1e-12"])
+def test_gp_solve_rejects_start_not_strictly_inside(point, on_constraint, monkeypatch):
+    """A start that is not inside every constraint and both sides of the
+    box by more than 1e-12 in log space raises GPSolverError, and no solve
+    runs from anywhere else."""
+    gp, _, _ = _phase_one_gp()
+    value = gp.posy_constraints[0].value(point)
+    assert value == 1.0 if on_constraint else value < 1.0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(gp_module, "_primal_dual", no_solve)
+    with pytest.raises(GPSolverError, match="not strictly feasible"):
+        gp_solve(gp, initial=point)
 
 
 def _random_gp(seed):
@@ -202,7 +232,7 @@ def _random_gp(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gp_matches_grid_refinement_oracle(seed):
     gp, bounds = _random_gp(seed)
-    sol = gp_solve(gp)
+    sol = _solve_from_phase_one(gp)
 
     names = sorted(bounds)
     lo = [bounds[v][0] for v in names]
@@ -224,7 +254,7 @@ def test_gp_matches_grid_refinement_oracle(seed):
 def test_gp_log_space_convexity_certificate():
     """Numerical Hessians of log f(exp y) at the solution are PSD."""
     gp, _ = _random_gp(5)
-    sol = gp_solve(gp)
+    sol = _solve_from_phase_one(gp)
     y0 = {v: np.log(val) for v, val in sol.values.items()}
     names = sorted(y0)
 
@@ -252,21 +282,23 @@ def test_gp_log_space_convexity_certificate():
 @settings(max_examples=30, deadline=None)
 def test_primal_dual_matches_barrier_path_oracle(seed):
     """The primal-dual solve certifies its result and reaches the log
-    objective of the barrier path, run to the same gap target from the same
-    phase-1 start, to 1e-8 relative (absolute below 1, the gap's scale)."""
+    objective of the oracle's barrier path, run to the same gap target from
+    the same phase-1 start, to 1e-8 relative (absolute below 1, the gap's
+    scale)."""
     gp, _ = _random_gp(seed)
     solver_settings = SolverSettings()
-    sol = gp_solve(gp, solver_settings)
+    start = phase_one.start(gp, solver_settings)
+    sol = gp_solve(gp, solver_settings, initial=start)
     assert sol.status == "optimal"
     assert sol.duality_gap <= solver_settings.tol
     assert sol.dual_residual <= solver_settings.feas_tol
 
-    _, var_index, box = gp_module._compile_gp(gp)
+    variables, var_index, box = gp_module._compile_gp(gp)
     cons = gp_module._stack_from_posynomials(gp.posy_constraints, var_index)
     obj = gp_module._stack_from_posynomials(gp.objective, var_index)
-    y0, _ = gp_module._feasible_start(cons, box, solver_settings)
-    y, _ = gp_module._barrier_path(obj, cons, box, y0, solver_settings,
-                                   gap_target=solver_settings.tol)
+    y0 = np.array([math.log(start[v]) for v in variables])
+    y, _ = phase_one.barrier_path(obj, cons, box, y0, solver_settings,
+                                  gap_target=solver_settings.tol)
     want = obj.values(y)[0].sum()
     assert abs(sol.log_objective - want) <= 1e-8 * max(1.0, abs(want))
 
@@ -290,7 +322,8 @@ def _assert_stack_matches(stack, oracle, rng):
     _assert_close(grads, grads_ref, np.abs(grads_ref).max(initial=0.0))
     seg_scale = rng.uniform(0.1, 10.0, size=stack.m)
     h1, h2 = oracle.hessian_terms(w_ref, seg_scale, grads_ref)
-    hess = gp_module._stack_hessian(stack, w, seg_scale, grads)
+    g = grads[stack.curved]
+    hess = stack.pair_hessian(w, seg_scale) - g.T @ (seg_scale[stack.curved, None] * g)
     _assert_close(hess, h1 - h2, np.abs(h1).max(initial=0.0))
     return hess
 
@@ -415,8 +448,8 @@ def test_boundary_step_reaches_half_way_past_a_sharp_kink():
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_phase_one_epigraph_appends_dense_slack_column(seed):
-    """The phase-1 stack equals the constraint stack with a -1 column
-    appended densely, the slack's exponent in every term."""
+    """The oracle's phase-1 stack equals the constraint stack with a -1
+    column appended densely, the slack's exponent in every term."""
     rng = np.random.default_rng(seed)
     names = ["a", "b", "c", "d"]
     x_star = {v: float(rng.uniform(0.5, 2.0)) for v in names}
@@ -433,15 +466,15 @@ def test_phase_one_epigraph_appends_dense_slack_column(seed):
     con_stack = gp_module._stack_from_posynomials(gp.posy_constraints, var_index)
 
     seen = []
-    barrier_path = gp_module._barrier_path
+    barrier_path = phase_one.barrier_path
 
     def spy(obj_stack, epigraph, *args, **kwargs):
         seen.append(epigraph)
         return barrier_path(obj_stack, epigraph, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gp_module, "_barrier_path", spy)
-        gp_module._feasible_start(con_stack, box, SolverSettings())
+        mp.setattr(phase_one, "barrier_path", spy)
+        phase_one.feasible_start(con_stack, box, SolverSettings())
     (epigraph,) = seen
 
     E = np.zeros((con_stack.d.size, len(names)))
@@ -460,6 +493,29 @@ def test_lp_feasible_trivial_cases():
     bad = lp_feasible(LinearFeasibilityProblem(a=[[1.0]], c=[-1.0], upper=[1.0]))
     assert not bad.feasible
     assert bad.margin == pytest.approx(1.0, rel=1e-6)
+
+
+@given(st.integers(1, 15), st.integers(1, 8), st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_lp_barrier_matches_general_path_oracle(m, n, feasible, seed):
+    """lp_feasible's slack-only barrier path is the general path with the
+    slack objective as a stack, bit for bit: witness, margin and verdict
+    equal the oracle's, from the same start with the LP_* constants. A
+    feasible LP keeps a random box point strictly inside every row; an
+    infeasible one has a first row that no point of the box satisfies, and
+    the verdict says which."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n))
+    upper = rng.uniform(0.5, 2.0, size=n)
+    c = a @ rng.uniform(0.0, upper) + rng.uniform(0.01, 1.0, size=m)
+    if not feasible:
+        c[0] = np.minimum(a[0] * upper, 0.0).sum() - rng.uniform(0.01, 1.0)
+    lp = LinearFeasibilityProblem(a, c, upper)
+    got, want = lp_feasible(lp), phase_one.lp_feasible(lp)
+    assert got.feasible == want.feasible
+    assert np.array_equal(got.witness, want.witness)
+    assert got.margin == want.margin
+    assert got.feasible == feasible
 
 
 def _vertex_enumeration_feasible(a, c, upper):

@@ -410,27 +410,61 @@ def test_joint_mr_dominates_data_only(small_scenario):
     assert prod_joint >= prod_data - 1e-6
 
 
-def test_joint_mr_maxmin_warm_start_is_interior(small_scenario, monkeypatch):
-    """The start handed to the GP lies strictly inside every bound and
-    strictly satisfies every constraint, so it is used without phase 1.
-    Every auxiliary starts just above its factor's value at the start powers."""
+def _spy_gp_starts(monkeypatch):
+    """Record (gp, initial) of every gp_solve call power_control makes."""
     calls = []
     solve = power_control.gp_solve
 
-    def spy(gp, settings=None, initial=None):
+    def spy(gp, settings=None, *, initial):
         calls.append((gp, initial))
         return solve(gp, settings, initial=initial)
 
     monkeypatch.setattr(power_control, "gp_solve", spy)
-    maxmin_joint_mr(small_scenario)
-    (gp, initial), = calls
+    return calls
+
+
+def _assert_strictly_interior(gp, initial):
+    """`initial` sets every variable inside its bounds and satisfies every
+    constraint, each by more than gp_solve's log-space margin of 1e-12."""
     assert set(initial) == set(gp.bounds)
     for var, (lo, hi) in gp.bounds.items():
-        assert lo < initial[var] < hi, var
-    assert max(c.value(initial) for c in gp.posy_constraints) < 1.0
+        y = math.log(initial[var])
+        assert math.log(lo) + 1e-12 < y < math.log(hi) - 1e-12, var
+    assert max((math.log(c.value(initial)) for c in gp.posy_constraints),
+               default=-math.inf) < -1e-12
+
+
+# every GP family power_control builds; for Algorithm 2, its first GP
+GP_FAMILIES = {
+    "mr-maxprod-data": (lambda scn: maxprod_data(scn, "mr"), None),
+    "zf-maxprod-data": (lambda scn: maxprod_data(scn, "zf"), None),
+    "mr-maxmin-joint": (maxmin_joint_mr, Processing.MR),
+    "mr-maxprod-joint": (maxprod_joint_mr, Processing.MR),
+    "zf-maxmin-joint": (lambda scn: zf_joint_successive(scn, "maxmin"), Processing.ZF),
+}
+
+
+@pytest.mark.parametrize("family", GP_FAMILIES)
+def test_joint_mr_maxmin_warm_start_is_interior(small_scenario, monkeypatch, family):
+    """The start handed to the GP lies strictly inside every bound and
+    strictly satisfies every constraint, so gp_solve accepts it. In a joint
+    GP every auxiliary starts just above its factor's value at the start
+    powers; the first Algorithm 2 GP is anchored at full power."""
+    solve, processing = GP_FAMILIES[family]
+    calls = _spy_gp_starts(monkeypatch)
+    solve(small_scenario)
+    gp, initial = calls[0]
+    _assert_strictly_interior(gp, initial)
+    if processing is None:
+        assert len(calls) == 1
+        return
 
     dims = small_scenario.dims
-    _, lifts = power_control._sinr_constraints(small_scenario, Processing.MR, True, None)
+    anchor = dict(zip(power_control._stacked_names(small_scenario, pilot=True),
+                      power_control._stacked_pilots(
+                          full_power_allocation(dims, small_scenario.p_max))))
+    _, lifts = power_control._sinr_constraints(small_scenario, processing, True, None,
+                                               pilot_point=anchor)
     assert len(lifts) == dims.num_cells * (dims.cus_per_cell + 1) + dims.num_d2d_pairs
     assert set(lifts) <= set(gp.bounds)
     for name, factor in lifts.items():
@@ -761,31 +795,26 @@ def test_zf_joint_maxmin_variant():
 @pytest.mark.parametrize("objective", ["maxmin", "maxprod"])
 def test_zf_joint_starts_inside_without_phase_one(small_scenario, monkeypatch, objective):
     """Every Algorithm 2 GP starts from the same cold start, strictly
-    interior at each new anchor, so phase 1 never runs."""
-    calls = []
-    feasible_start = gp_module._feasible_start
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return feasible_start(*args, **kwargs)
-
-    monkeypatch.setattr(gp_module, "_feasible_start", spy)
+    interior at each new anchor, so gp_solve accepts every start."""
+    calls = _spy_gp_starts(monkeypatch)
     _, _, diag = zf_joint_successive(small_scenario, objective)
     assert diag.status == "converged"
     assert diag.iterations >= 2
-    assert not calls
+    assert len(calls) == diag.iterations
+    for gp, initial in calls:
+        _assert_strictly_interior(gp, initial)
 
 
 def test_zf_joint_maxmin_at_reference_scale(reference_drops, monkeypatch):
-    """Algorithm 2 on a reference-config drop: it converges without phase 1,
-    its true objective never falls, and every certified level holds under
-    the closed-form SINRs."""
-    def no_phase_one(*args, **kwargs):
-        raise AssertionError("phase 1 ran")
-
-    monkeypatch.setattr(gp_module, "_feasible_start", no_phase_one)
+    """Algorithm 2 on a reference-config drop: every GP starts strictly
+    inside, it converges, its true objective never falls, and every
+    certified level holds under the closed-form SINRs."""
+    calls = _spy_gp_starts(monkeypatch)
     scn = reference_drops[0]
     alloc, value, diag = zf_joint_successive(scn, "maxmin")
+    assert len(calls) == diag.iterations
+    for gp, initial in calls:
+        _assert_strictly_interior(gp, initial)
     assert diag.status == "converged"
     trace = diag.objective_trace
     assert all(t2 >= t1 - 1e-9 for t1, t2 in zip(trace, trace[1:]))
