@@ -31,9 +31,9 @@ from .spectral import (
     SEReport,
     cu_sinr_mr,
     cu_sinr_zf,
-    d2d_sinr_approx,
     d2d_se_exact,
     se_from_sinr,
+    sinr_terms,
     evaluate_network,
 )
 from .gp import (

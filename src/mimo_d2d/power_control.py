@@ -5,13 +5,14 @@ joint ZF problem.
 
 With pilot powers fixed, user i's SINR is g_i p_i / (1 + a_i . p) in the
 data powers p, a standard interference function given by one gain vector g
-and one coupling matrix a (_fixed_pilot_model); Algorithm 1, its LP witness
-and the data-power GP all read (g, a). The joint problems compile the
-closed-form SINR expressions with pilot powers as variables, in lifted form:
-each posynomial factor of a denominator product is one auxiliary GP variable
-(_joint_sinr_model). Because every user shares the prelog factor, a common
-SE target is equivalent to a common SINR target, which is how the max-min
-problems are expressed in GP form.
+and one coupling matrix a, the sum of spectral.sinr_terms' per-mechanism
+matrices. Algorithm 1, its LP witness and the data-power GPs read (g, a),
+and evaluate_network reads the same arrays. The joint problems compile the
+closed-form SINR expressions with pilot powers as variables, in lifted
+form: each posynomial factor of a denominator product is one auxiliary GP
+variable (_joint_sinr_model). Because every user shares the prelog factor,
+a common SE target is equivalent to a common SINR target, which is how the
+max-min problems are expressed in GP form.
 """
 
 import enum
@@ -23,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import Scenario
-from .estimation import (PowerAllocation, compute_gamma_bs, compute_gamma_d2drx,
-                         full_power_allocation, gamma_cu_bs_full)
-from .spectral import evaluate_network, se_from_sinr
+from .estimation import PowerAllocation, full_power_allocation
+# perfbench/spans.py wraps the gamma functions at this import site
+from .estimation import compute_gamma_bs, compute_gamma_d2drx, gamma_cu_bs_full  # noqa: F401
+from .spectral import evaluate_network, se_from_sinr, sinr_terms
 from .gp import (Monomial, Posynomial, GeometricProgram, LinearFeasibilityProblem,
                  SolverSettings, gp_solve, lp_feasible, monomial_lower_bound,
                  GPInfeasibleError, GPSolverError)
@@ -153,63 +155,15 @@ def _alloc_from_values(scn: Scenario, values, pilot_vars, fixed_pilots):
 def _degenerate_users(scn: Scenario):
     """Users whose desired-link gain is vanishingly small compared to the
     strongest same-kind link; they would drag the max-min level to zero."""
-    dims = scn.dims
-    out = []
-    own_cu = np.array([[scn.gains.beta_cu_bs[b, b, k] for k in range(dims.cus_per_cell)]
-                       for b in range(dims.num_cells)])
-    if own_cu.size:
-        cutoff = own_cu.max() * DEGENERATE_GAIN_RATIO
-        out += [("cu", b, k) for b in range(dims.num_cells)
-                for k in range(dims.cus_per_cell) if own_cu[b, k] < cutoff]
-    if dims.num_d2d_pairs:
-        own_d = np.diag(scn.gains.beta_d2dtx_d2drx)
-        cutoff = own_d.max() * DEGENERATE_GAIN_RATIO
-        out += [("d2d", -1, l) for l in range(dims.num_d2d_pairs) if own_d[l] < cutoff]
-    return out
+    cells = np.arange(scn.dims.num_cells)
+    own = (scn.gains.beta_cu_bs[cells, cells].ravel(), np.diag(scn.gains.beta_d2dtx_d2drx))
+    weak = np.concatenate([g < g.max(initial=0.0) * DEGENERATE_GAIN_RATIO for g in own])
+    return [user for user, w in zip(_all_users(scn), weak) if w]
 
-
-# --- SINR model at fixed pilot powers -------------------------------------------
 
 def _stacked_upper(scn: Scenario):
     n = scn.dims.num_cells * scn.dims.cus_per_cell + scn.dims.num_d2d_pairs
     return np.full(n, scn.p_max)
-
-
-def _fixed_pilot_model(scn: Scenario, processing: Processing,
-                       fixed_pilots: PowerAllocation):
-    """With pilot powers fixed, user i's SINR is g_i p_i / (1 + a_i . p) over
-    the stacked data powers p. Returns the desired-link gains g (n,) and the
-    coupling matrix a (n, n), rows in _all_users order and columns in
-    _stacked_names order."""
-    dims, gains = scn.dims, scn.gains
-    b_, k_, l_ = dims.num_cells, dims.cus_per_cell, dims.num_d2d_pairs
-    n_cu = b_ * k_
-    gamma_full = gamma_cu_bs_full(gains, fixed_pilots, dims)  # (B, B', K)
-    gamma_rx = compute_gamma_d2drx(gains, fixed_pilots, scn.pilots, dims).gamma_d2d_d2drx
-    if processing is Processing.ZF:
-        dims.require_zf()
-        factor = dims.zf_dof
-        gamma_d2d_bs = compute_gamma_bs(gains, fixed_pilots, scn.pilots, dims).gamma_d2d_bs
-        cu_leak = gains.beta_cu_bs - gamma_full
-        d2d_leak = gains.beta_d2dtx_bs - gamma_d2d_bs
-    else:
-        factor = dims.antennas_per_bs
-        cu_leak, d2d_leak = gains.beta_cu_bs, gains.beta_d2dtx_bs
-    cells = np.arange(b_)
-    g = np.concatenate([factor * gamma_full[cells, cells].ravel(), np.diag(gamma_rx)])
-
-    a = np.empty((n_cu + l_, n_cu + l_))
-    a[:n_cu] = np.repeat(np.hstack([cu_leak.reshape(b_, n_cu), d2d_leak]), k_, axis=0)
-    # coherent interference from the CUs of other cells on the same pilot
-    b, b2, k = np.nonzero(np.broadcast_to(~np.eye(b_, dtype=bool)[:, :, None],
-                                          gamma_full.shape))
-    a[b * k_ + k, b2 * k_ + k] += factor * gamma_full[b, b2, k]
-    a[n_cu:, :n_cu] = gains.beta_cu_d2drx.reshape(l_, n_cu)
-    a[n_cu:, n_cu:] = gains.beta_d2dtx_d2drx
-    # a D2D receiver's own link interferes only through its estimation error
-    own = np.arange(n_cu, n_cu + l_)
-    a[own, own] -= np.diag(gamma_rx)
-    return g, a
 
 
 # --- max-min over data powers: Algorithm-1 bisection ---------------------------
@@ -250,9 +204,8 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
     users = _all_users(scn)
     cols = np.array([i for i, u in enumerate(users) if u not in diag.excluded_users],
                     dtype=int)
-    included = [users[i] for i in cols]
-    g, a = _fixed_pilot_model(scn, processing, fixed_pilots)
-    g, a = g[cols], a[cols]
+    g, terms = sinr_terms(dims, scn.gains, scn.pilots, fixed_pilots, processing.value)
+    g, a = g[cols], terms.sum(axis=0)[cols]
     upper = _stacked_upper(scn)
     prelog = dims.prelog
 
@@ -301,27 +254,30 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
     data[cols] = witness[cols]
     alloc = _stacked_alloc(scn, data, _stacked_pilots(fixed_pilots))
     alloc = _snap_small_powers(scn, alloc, processing,
-                               lambda rep: _min_se(rep, included) >= lam_lo - 1e-6)
+                               lambda rep: _min_se(rep, cols) >= lam_lo - 1e-6)
 
     report = evaluate_network(dims, scn.gains, scn.pilots, alloc, processing.value)
-    min_se = _min_se(report, included)
+    min_se = _min_se(report, cols)
+    se = _stacked_se(report)
     diag.iterations = iterations
     diag.status = ("optimal" if lam_hi - lam_lo <= settings.bisection_eps
                    else "iteration_cap")
-    diag.active_constraints = [u for u in included
-                               if _user_se(report, u) <= lam_lo + settings.bisection_eps]
+    diag.active_constraints = [users[i] for i in cols
+                               if se[i] <= lam_lo + settings.bisection_eps]
     diag.notes.append(f"min_se_at_witness={min_se:.6f}")
     diag.wall_time = time.perf_counter() - t0
     return alloc, lam_lo, diag
 
 
-def _user_se(report, user):
-    kind, b, idx = user
-    return report.cu_se[b, idx] if kind == "cu" else report.d2d_se_approx[idx]
+def _stacked_se(report):
+    """Every user's closed-form SE in _all_users order."""
+    return np.concatenate([report.cu_se.ravel(), report.d2d_se_approx])
 
 
-def _min_se(report, users):
-    return min(_user_se(report, u) for u in users) if users else 0.0
+def _min_se(report, cols=slice(None)):
+    """The least SE of the users at cols (all by default); 0 for none."""
+    se = _stacked_se(report)[cols]
+    return float(se.min()) if se.size else 0.0
 
 
 def _snap_small_powers(scn, alloc, processing, still_ok):
@@ -528,7 +484,7 @@ def _half_power_sinrs(scn: Scenario, processing: Processing, fixed_pilots=None):
     pilots = fixed_pilots or PowerAllocation(cu, d2d, cu, d2d, scn.p_max)
     alloc = PowerAllocation(cu, d2d, pilots.pilot_cu, pilots.pilot_d2d, scn.p_max)
     report = evaluate_network(dims, scn.gains, scn.pilots, alloc, processing.value)
-    return {u: report.breakdowns[u].sinr for u in _all_users(scn)}
+    return dict(zip(_all_users(scn), report.sinr.tolist()))
 
 
 def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots,
@@ -540,10 +496,10 @@ def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots
     (constraint_map, lifts)."""
     if joint:
         return _joint_sinr_model(scn, processing, pilot_point)
-    g, a = _fixed_pilot_model(scn, processing, fixed_pilots)
+    g, terms = sinr_terms(scn.dims, scn.gains, scn.pilots, fixed_pilots, processing.value)
     names = _stacked_names(scn)
     out = {}
-    for user, name, g_i, a_i in zip(_all_users(scn), names, g, a):
+    for user, name, g_i, a_i in zip(_all_users(scn), names, g, terms.sum(axis=0)):
         if g_i <= 0.0:
             raise GPInfeasibleError(f"user {user} has no usable desired link")
         out[user] = (Monomial(g_i, {name: 1.0}), Posynomial(
@@ -612,7 +568,7 @@ def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing
     alloc = _alloc_from_values(scn, solution.values, joint, fixed_pilots)
     if objective is Objective.MAXMIN:
         value = float(se_from_sinr(solution.values["target"], scn.dims))
-        still_ok = lambda rep: _min_se(rep, list(constraint_map)) >= value - 1e-6
+        still_ok = lambda rep: _min_se(rep) >= value - 1e-6
     else:
         value = -solution.log_objective
         still_ok = lambda rep: _report_log_product(rep) >= value - 1e-9 * max(1.0, abs(value))
@@ -654,10 +610,9 @@ def maxprod_joint_mr(scn: Scenario, settings: ControlSettings = None):
 
 
 def _report_log_product(report):
-    sinrs = [bd.sinr for bd in report.breakdowns.values()]
-    if any(s <= 0 for s in sinrs):
+    if np.any(report.sinr <= 0):
         return -np.inf
-    return float(sum(np.log(s) for s in sinrs))
+    return float(np.log(report.sinr).sum())
 
 
 def _tight_constraints(scn, alloc, processing, sinr_levels, rel=1e-5):
@@ -667,8 +622,9 @@ def _tight_constraints(scn, alloc, processing, sinr_levels, rel=1e-5):
     out = []
     if sinr_levels:
         report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, processing.value)
+        sinr = dict(zip(_all_users(scn), report.sinr))
         out += [("sinr", user) for user, target in sinr_levels.items()
-                if report.breakdowns[user].sinr <= target * (1 + rel)]
+                if sinr[user] <= target * (1 + rel)]
     data = np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d])
     return out + [("p_max", user) for user, p in zip(_all_users(scn), data)
                   if p >= scn.p_max * (1 - 1e-5)]
@@ -676,11 +632,11 @@ def _tight_constraints(scn, alloc, processing, sinr_levels, rel=1e-5):
 
 # --- Algorithm 2: successive approximation for joint ZF --------------------------
 
-def _true_objective(scn, alloc, objective, users):
+def _true_objective(scn, alloc, objective):
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, "zf")
     if objective is Objective.MAXPROD:
         return _report_log_product(report)
-    return _min_se(report, users)
+    return _min_se(report)
 
 
 def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = None):
@@ -708,10 +664,9 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     objective = Objective(objective)
     scn.dims.require_zf()
     diag = SolveDiagnostics()
-    users = _all_users(scn)
 
     alloc = full_power_allocation(scn.dims, scn.p_max)  # full-power initialization
-    diag.objective_trace.append(_true_objective(scn, alloc, objective, users))
+    diag.objective_trace.append(_true_objective(scn, alloc, objective))
     tol = settings.sca_power_tol * scn.p_max
     last_levels = None
     status = "iteration_cap"
@@ -729,7 +684,7 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
         if solution.status != "optimal":
             diag.notes.append(f"iteration {it}: GP status {solution.status}")
         new_alloc = _alloc_from_values(scn, solution.values, True, None)
-        value = _true_objective(scn, new_alloc, objective, users)
+        value = _true_objective(scn, new_alloc, objective)
         diag.iterations = it
         if last_levels is not None and value <= diag.objective_trace[-1]:
             diag.notes.append(f"iteration {it}: objective did not rise; "

@@ -5,9 +5,9 @@ evaluated deterministically as Hamdi's one-dimensional integral of Laplace
 transforms (K. A. Hamdi, "A useful lemma for capacity analysis of fading
 interference channels", IEEE Trans. Commun. 58(2), 2010).
 
-Each per-user SINR is reported as a named breakdown so individual
-interference mechanisms can be asserted in tests. SINR values are
-invariant to the normalization chosen for the breakdown.
+Given the pilot powers, every closed-form SINR is g_i p_i / (1 + a_i . p) in
+the data powers p (Yates, IEEE JSAC 1995); sinr_terms builds g and a, split
+into one matrix per interference mechanism, for the whole network at once.
 """
 
 import csv
@@ -23,6 +23,8 @@ from .estimation import (PowerAllocation, compute_gamma_bs, compute_gamma_d2drx,
 
 DENOMINATOR_TERMS = ("noise", "intra_cell", "inter_cell", "d2d_interference",
                      "coherent_contamination", "estimation_error")
+# key order of each SinrBreakdown.denominator_terms
+_BREAKDOWN_KEYS = ("noise", "estimation_error", *DENOMINATOR_TERMS[1:-1])
 
 
 @dataclass
@@ -40,13 +42,6 @@ class SinrBreakdown:
     sinr: float
     se: float
 
-    @classmethod
-    def assemble(cls, numerator, terms, prelog):
-        total = sum(terms.values())
-        sinr = numerator / total if total > 0 else 0.0
-        return cls(float(numerator), {k: float(v) for k, v in terms.items()},
-                   float(sinr), float(prelog * np.log2(1.0 + sinr)))
-
 
 def se_from_sinr(sinr, dims: SystemDimensions):
     """Spectral efficiency in bits/s/Hz from a linear SINR (>= 0)."""
@@ -57,75 +52,98 @@ def se_from_sinr(sinr, dims: SystemDimensions):
     return out if out.ndim else float(out)
 
 
-def cu_sinr_mr(b, k, gains: LargeScaleGains, alloc: PowerAllocation,
-               dims: SystemDimensions, _gamma_full=None) -> SinrBreakdown:
-    """MR lower-bound SINR of CU k served by BS b."""
-    m = dims.antennas_per_bs
-    gamma = gamma_cu_bs_full(gains, alloc, dims) if _gamma_full is None else _gamma_full
-    beta = gains.beta_cu_bs[b]  # (B', K) gains into BS b
-    p = alloc.data_cu
-    num = m * p[b, k] * gamma[b, b, k]
+def _stacked_data(alloc: PowerAllocation):
+    """Data powers stacked as [cu (b, k) row-major, d2d]."""
+    return np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d])
 
-    cross = p * beta  # (B', K)
-    others = np.arange(dims.num_cells) != b
-    terms = {
-        "noise": 1.0,
-        "estimation_error": cross[b, k],
-        "intra_cell": cross[b].sum() - cross[b, k],
-        "inter_cell": cross[others].sum(),
-        "d2d_interference": float(alloc.data_d2d @ gains.beta_d2dtx_bs[b]),
-        "coherent_contamination": m * float(p[others, k] @ gamma[b, others, k]),
-    }
-    return SinrBreakdown.assemble(num, terms, dims.prelog)
+
+def _cu_terms(dims: SystemDimensions, gains: LargeScaleGains, alloc: PowerAllocation,
+              processing, pilots: PilotAllocation = None):
+    """The CU rows of sinr_terms: gains (B*K,) and terms (5, B*K, n). MR
+    reads no pilot allocation; ZF nulls the K own-cell CU directions and the
+    N D2D pilot-set directions, so only the estimation residuals leak."""
+    if processing not in ("mr", "zf"):
+        raise ValueError("processing must be 'mr' or 'zf'")
+    b_, k_ = dims.num_cells, dims.cus_per_cell
+    n_cu = b_ * k_
+    gamma = gamma_cu_bs_full(gains, alloc, dims)  # (B, B', K)
+    if processing == "zf":
+        dims.require_zf()
+        factor = dims.zf_dof
+        cu_leak = gains.beta_cu_bs - gamma
+        d2d_leak = (gains.beta_d2dtx_bs
+                    - compute_gamma_bs(gains, alloc, pilots, dims).gamma_d2d_bs)
+    else:
+        factor = dims.antennas_per_bs
+        cu_leak, d2d_leak = gains.beta_cu_bs, gains.beta_d2dtx_bs
+    # block[t, b, k, b2, k2]: how CU (b2, k2)'s data power reaches CU (b, k)
+    block = np.zeros((5, b_, k_, b_, k_))
+    cells, ks = np.arange(b_), np.arange(k_)
+    own_cell = cu_leak[cells, cells]  # (B, K)
+    block[1] = cu_leak[:, None]
+    block[1, cells, :, cells] = 0.0
+    block[0, cells, :, cells] = own_cell[:, None]
+    block[0, cells[:, None], ks, cells[:, None], ks] = 0.0
+    block[4, cells[:, None], ks, cells[:, None], ks] = own_cell
+    # the other cells' CUs on the same pilot add coherently
+    block[3, :, ks, :, ks] = factor * gamma.transpose(2, 0, 1)
+    block[3, cells, :, cells] = 0.0
+    terms = np.zeros((5, n_cu, n_cu + dims.num_d2d_pairs))
+    terms[:, :, :n_cu] = block.reshape(5, n_cu, n_cu)
+    terms[2, :, n_cu:] = np.repeat(d2d_leak, k_, axis=0)
+    return factor * gamma[cells, cells].ravel(), terms
+
+
+def sinr_terms(dims: SystemDimensions, gains: LargeScaleGains, pilots: PilotAllocation,
+               alloc: PowerAllocation, processing):
+    """Every user's closed-form SINR at alloc's pilot powers as
+    g_i p_i / (1 + sum_t terms[t, i] . p) over the stacked data powers p.
+
+    Returns g (n,) and terms (5, n, n), one coupling matrix per mechanism of
+    DENOMINATOR_TERMS after noise. Rows are users as evaluate_network keys
+    them (CUs (b, k) row-major, then the D2D pairs) and columns the data
+    powers in the same order. The D2D rows are the closed-form approximation:
+    the expectations of the exact bound's numerator and denominator."""
+    g_cu, cu = _cu_terms(dims, gains, alloc, processing, pilots)
+    l_, n_cu = dims.num_d2d_pairs, len(g_cu)
+    gamma = compute_gamma_d2drx(gains, alloc, pilots, dims).gamma_d2d_d2drx  # (L, L')
+    beta, own = gains.beta_d2dtx_d2drx, np.eye(l_, dtype=bool)
+    d2d = np.zeros((5, l_, n_cu + l_))
+    d2d[1, :, :n_cu] = gains.beta_cu_d2drx.reshape(l_, n_cu)
+    d2d[2, :, n_cu:] = np.where(own, 0.0, beta)
+    # a receiver's own link interferes only through its estimation error
+    d2d[4, :, n_cu:] = np.where(own, beta - gamma, 0.0)
+    return np.concatenate([g_cu, np.diag(gamma)]), np.concatenate([cu, d2d], axis=1)
+
+
+def _assess(num, parts, prelog):
+    """SINRs, SEs and breakdowns of users with numerators num (n,) and named
+    denominator terms parts (5, n)."""
+    sinr = num / (1.0 + parts.sum(axis=0))
+    se = prelog * np.log2(1.0 + sinr)
+    return sinr, se, [
+        SinrBreakdown(n, dict(zip(_BREAKDOWN_KEYS, (1.0, t[-1], *t[:-1]))), s, e)
+        for n, t, s, e in zip(num.tolist(), parts.T.tolist(), sinr.tolist(), se.tolist())]
+
+
+def _cu_breakdown(b, k, gains, alloc, pilots, dims, processing):
+    """CU (b, k)'s SinrBreakdown from its row of the CU block."""
+    g, terms = _cu_terms(dims, gains, alloc, processing, pilots)
+    i = b * dims.cus_per_cell + k
+    p = _stacked_data(alloc)
+    return _assess(g[i:i + 1] * p[i:i + 1], terms[:, i:i + 1] @ p, dims.prelog)[2][0]
+
+
+def cu_sinr_mr(b, k, gains: LargeScaleGains, alloc: PowerAllocation,
+               dims: SystemDimensions) -> SinrBreakdown:
+    """MR lower-bound SINR of CU k served by BS b (its row of sinr_terms)."""
+    return _cu_breakdown(b, k, gains, alloc, None, dims, "mr")
 
 
 def cu_sinr_zf(b, k, gains: LargeScaleGains, alloc: PowerAllocation,
-               pilots: PilotAllocation, dims: SystemDimensions,
-               _gamma_full=None, _gamma_d2d=None) -> SinrBreakdown:
-    """ZF lower-bound SINR of CU k served by BS b; the detector nulls the
-    K own-cell CU directions and the N D2D pilot-set directions."""
-    dims.require_zf()
-    dof = dims.zf_dof
-    gamma = gamma_cu_bs_full(gains, alloc, dims) if _gamma_full is None else _gamma_full
-    if _gamma_d2d is None:
-        _gamma_d2d = compute_gamma_bs(gains, alloc, pilots, dims).gamma_d2d_bs
-    beta = gains.beta_cu_bs[b]
-    p = alloc.data_cu
-    num = dof * p[b, k] * gamma[b, b, k]
-
-    resid = p * (beta - gamma[b])  # (B', K) post-nulling residuals
-    others = np.arange(dims.num_cells) != b
-    terms = {
-        "noise": 1.0,
-        "estimation_error": resid[b, k],
-        "intra_cell": resid[b].sum() - resid[b, k],
-        "inter_cell": resid[others].sum(),
-        "d2d_interference": float(alloc.data_d2d @ (gains.beta_d2dtx_bs[b] - _gamma_d2d[b])),
-        "coherent_contamination": dof * float(p[others, k] @ gamma[b, others, k]),
-    }
-    return SinrBreakdown.assemble(num, terms, dims.prelog)
-
-
-def d2d_sinr_approx(l, gains: LargeScaleGains, alloc: PowerAllocation,
-                    pilots: PilotAllocation, dims: SystemDimensions,
-                    _gamma_rx=None) -> SinrBreakdown:
-    """Closed-form approximate SINR of D2D pair l (expectation of numerator
-    and denominator of the exact bound)."""
-    if _gamma_rx is None:
-        _gamma_rx = compute_gamma_d2drx(gains, alloc, pilots, dims).gamma_d2d_d2drx
-    gamma_row = _gamma_rx[l]
-    beta_row = gains.beta_d2dtx_d2drx[l]
-    pd = alloc.data_d2d
-    num = pd[l] * gamma_row[l]
-    terms = {
-        "noise": 1.0,
-        "estimation_error": pd[l] * (beta_row[l] - gamma_row[l]),
-        "intra_cell": 0.0,
-        "inter_cell": float(np.sum(alloc.data_cu * gains.beta_cu_d2drx[l])),
-        "d2d_interference": float(pd @ beta_row - pd[l] * beta_row[l]),
-        "coherent_contamination": 0.0,
-    }
-    return SinrBreakdown.assemble(num, terms, dims.prelog)
+               pilots: PilotAllocation, dims: SystemDimensions) -> SinrBreakdown:
+    """ZF lower-bound SINR of CU k served by BS b (its row of sinr_terms)."""
+    return _cu_breakdown(b, k, gains, alloc, pilots, dims, "zf")
 
 
 # Hamdi's integral by the trapezoid rule in u = ln z. The integrand is
@@ -137,8 +155,7 @@ _HAMDI_CUTOFF = 1e-13
 
 
 def d2d_se_exact(gains: LargeScaleGains, alloc: PowerAllocation,
-                 pilots: PilotAllocation, dims: SystemDimensions,
-                 _rx=None) -> np.ndarray:
+                 pilots: PilotAllocation, dims: SystemDimensions) -> np.ndarray:
     """Exact SE lower bound of every D2D pair, shape (L,).
 
     Given the channel estimates, pair l's SINR is `a·Y_s / (c + Σᵢ wᵢ·Yᵢ)`
@@ -152,7 +169,7 @@ def d2d_se_exact(gains: LargeScaleGains, alloc: PowerAllocation,
     (S = c + Σᵢ xᵢ + x_s + n) and n·e^{−zc}, so cutting z below ε/S and
     above (ln(S/c) + ln(1/ε))/c drops at most a fraction ε of it each.
     """
-    rx = compute_gamma_d2drx(gains, alloc, pilots, dims) if _rx is None else _rx
+    rx = compute_gamma_d2drx(gains, alloc, pilots, dims)
     pc, pd = alloc.data_cu, alloc.data_d2d
     g_cu, g_d = rx.gamma_cu_d2drx, rx.gamma_d2d_d2drx  # (L, B, K), (L, L)
     sets = np.eye(dims.num_d2d_pilots)[pilots.pair_to_pilot]  # (L, N) membership
@@ -184,6 +201,7 @@ class SEReport:
     processing: str                  # "mr" | "zf"
     breakdowns: dict = field(default_factory=dict)  # (user_type, cell, index) -> SinrBreakdown
     d2d_se_exact: np.ndarray = None  # (L,), optional
+    sinr: np.ndarray = None          # (B*K + L,), users in breakdowns order
 
     def rows(self):
         """Yield per-user dicts (user_type, cell, index, sinr, se, terms)."""
@@ -221,31 +239,12 @@ def evaluate_network(dims: SystemDimensions, gains: LargeScaleGains,
     `exact_d2d`, also every D2D pair's exact bound (Hamdi's integral, see
     `d2d_se_exact`), which `SEReport.rows` then reports as its SE."""
     processing = processing.lower()
-    if processing not in ("mr", "zf"):
-        raise ValueError("processing must be 'mr' or 'zf'")
-    gamma_full = gamma_cu_bs_full(gains, alloc, dims)
-    gamma_d2d_bs = compute_gamma_bs(gains, alloc, pilots, dims).gamma_d2d_bs
-    rx = compute_gamma_d2drx(gains, alloc, pilots, dims)
-
-    b_, k_, l_ = dims.num_cells, dims.cus_per_cell, dims.num_d2d_pairs
-    cu_se = np.zeros((b_, k_))
-    breakdowns = {}
-    for b in range(b_):
-        for k in range(k_):
-            if processing == "mr":
-                bd = cu_sinr_mr(b, k, gains, alloc, dims, _gamma_full=gamma_full)
-            else:
-                bd = cu_sinr_zf(b, k, gains, alloc, pilots, dims,
-                                _gamma_full=gamma_full, _gamma_d2d=gamma_d2d_bs)
-            cu_se[b, k] = bd.se
-            breakdowns[("cu", b, k)] = bd
-
-    d2d_se = np.zeros(l_)
-    for l in range(l_):
-        bd = d2d_sinr_approx(l, gains, alloc, pilots, dims,
-                             _gamma_rx=rx.gamma_d2d_d2drx)
-        d2d_se[l] = bd.se
-        breakdowns[("d2d", -1, l)] = bd
-
-    exact = d2d_se_exact(gains, alloc, pilots, dims, _rx=rx) if exact_d2d else None
-    return SEReport(cu_se, d2d_se, processing, breakdowns, exact)
+    g, terms = sinr_terms(dims, gains, pilots, alloc, processing)
+    p = _stacked_data(alloc)
+    sinr, se, breakdowns = _assess(g * p, terms @ p, dims.prelog)
+    b_, k_ = dims.num_cells, dims.cus_per_cell
+    users = ([("cu", b, k) for b in range(b_) for k in range(k_)]
+             + [("d2d", -1, l) for l in range(dims.num_d2d_pairs)])
+    exact = d2d_se_exact(gains, alloc, pilots, dims) if exact_d2d else None
+    return SEReport(se[:b_ * k_].reshape(b_, k_), se[b_ * k_:], processing,
+                    dict(zip(users, breakdowns)), exact, sinr)

@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from mimo_d2d import Scenario, ScenarioConfig
+# One BLAS thread, set before numpy loads, as perfbench/run.py does: competing
+# OpenBLAS thread pools make test times depend on the machine's load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from mimo_d2d import Scenario, ScenarioConfig  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,8 @@ from mimo_d2d import (ScenarioConfig, Scenario, PowerAllocation,
                       gp_solve, monomial_lower_bound)
 from mimo_d2d.gp import as_posynomial, variable
 from mimo_d2d.harness import drop_seed
-from mimo_d2d.power_control import _fixed_pilot_model, _stacked_upper, Processing
+from mimo_d2d.power_control import _stacked_upper
+from mimo_d2d.spectral import sinr_terms
 from mimo_d2d.gp import LinearFeasibilityProblem, lp_feasible
 import phase_one
 
@@ -189,7 +190,8 @@ def test_criterion_06_bisection_and_equal_power_dominance():
 
         # a level two accuracy steps above the optimum must be infeasible
         full = full_power_allocation(scn.dims, scn.p_max)
-        g, a = _fixed_pilot_model(scn, Processing.MR, full)
+        g, terms = sinr_terms(scn.dims, scn.gains, scn.pilots, full, "mr")
+        a = terms.sum(axis=0)
         t = 2.0 ** ((lam + 2 * settings.bisection_eps) / scn.dims.prelog) - 1.0
         probe = lp_feasible(LinearFeasibilityProblem(t * a - np.diag(g), np.full(len(g), -t),
                                                      _stacked_upper(scn)))

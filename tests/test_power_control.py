@@ -13,9 +13,9 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       ControlProblemSpec, ControlSettings,
                       maxmin_data, maxprod_data, maxmin_joint_mr,
                       maxprod_joint_mr, zf_joint_successive, solve_problem,
-                      cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx, se_from_sinr,
+                      cu_sinr_mr, cu_sinr_zf, se_from_sinr, sinr_terms,
                       power_control)
-from mimo_d2d.power_control import (_fixed_pilot_model, _pc, _pd, _qc, _qd,
+from mimo_d2d.power_control import (_pc, _pd, _qc, _qd,
                                     _stacked_upper, _minimal_powers, Processing)
 from mimo_d2d import gp as gp_module
 from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, GPSolverError,
@@ -24,6 +24,7 @@ from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, GPSolverError,
 from mimo_d2d.harness import cellular_only_view, drop_seed
 from expanded import expanded_sinr_constraints, lifted_point, solve_expanded_joint_mr
 from gridsearch import refine_maximize
+import closed_forms
 
 
 def _scenario_from_gains(dims, beta_cu_bs, beta_d2dtx_bs, beta_cu_d2drx,
@@ -64,6 +65,18 @@ def _symmetric_small_scenario(seed=0, m=24):
     return _scenario_from_gains(dims, beta_cu_bs, beta_d2dtx_bs,
                                 beta_cu_d2drx, beta_d2dtx_d2drx,
                                 pair_to_pilot=[0, 1])
+
+
+def _summed_model(scn, processing, pilots):
+    """(g, a) of SINR_i = g_i p_i / (1 + a_i . p) at the given pilot powers:
+    the model's gains and its mechanisms' coupling matrices summed."""
+    g, terms = sinr_terms(scn.dims, scn.gains, scn.pilots, pilots, Processing(processing).value)
+    return g, terms.sum(axis=0)
+
+
+def _d2d_sinr(l, scn, alloc):
+    return evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, "mr").breakdowns[
+        ("d2d", -1, l)]
 
 
 def _min_se_at(scn, alloc, processing):
@@ -146,8 +159,8 @@ def _lp_probe(g, a, cols, t, upper):
 
 
 def _level_infeasible(scn, processing, level):
-    g, a = _fixed_pilot_model(scn, Processing(processing),
-                              full_power_allocation(scn.dims, scn.p_max))
+    g, a = _summed_model(scn, Processing(processing),
+                            full_power_allocation(scn.dims, scn.p_max))
     t = 2.0 ** (level / scn.dims.prelog) - 1.0
     return not _lp_probe(g, a, np.arange(len(g)), t, _stacked_upper(scn)).feasible
 
@@ -157,8 +170,8 @@ def _included_model(scn, processing, excluded):
     users' own columns."""
     users = power_control._all_users(scn)
     cols = np.array([i for i, u in enumerate(users) if u not in excluded], dtype=int)
-    g, a = _fixed_pilot_model(scn, Processing(processing),
-                              full_power_allocation(scn.dims, scn.p_max))
+    g, a = _summed_model(scn, Processing(processing),
+                            full_power_allocation(scn.dims, scn.p_max))
     return g[cols], a[cols], cols
 
 
@@ -185,7 +198,6 @@ def _lp_bisection(scn, processing, settings):
     level, objective trace)."""
     processing = Processing(processing)
     g, a, cols = _included_model(scn, processing, power_control._degenerate_users(scn))
-    included = [power_control._all_users(scn)[i] for i in cols]
     upper = _stacked_upper(scn)
     lam_hi = np.log2(1.0 + scn.p_max * g).min()
     lam_lo, witness, trace = 0.0, upper.copy(), []
@@ -202,7 +214,7 @@ def _lp_bisection(scn, processing, settings):
     alloc = power_control._alloc_from_values(scn, values, False,
                                              full_power_allocation(scn.dims, scn.p_max))
     alloc = power_control._snap_small_powers(
-        scn, alloc, processing, lambda rep: power_control._min_se(rep, included) >= lam_lo - 1e-6)
+        scn, alloc, processing, lambda rep: power_control._min_se(rep, cols) >= lam_lo - 1e-6)
     return alloc, lam_lo, trace
 
 
@@ -230,8 +242,8 @@ def test_minimal_power_probe_matches_lp(small_scenario, reference_drops, process
     a feasible level's minimal powers meet every SINR row with equality and
     lie below any strictly feasible LP witness (Yates' minimality)."""
     scn = small_scenario if drop is None else reference_drops[drop]
-    g, a = _fixed_pilot_model(scn, Processing(processing),
-                              full_power_allocation(scn.dims, scn.p_max))
+    g, a = _summed_model(scn, Processing(processing),
+                            full_power_allocation(scn.dims, scn.p_max))
     upper = _stacked_upper(scn)
     t = 2.0 ** (frac * np.log2(1.0 + scn.p_max * g).min() / scn.dims.prelog) - 1.0
     p = _minimal_powers(a / g[:, None], 1.0 / g, t, upper)
@@ -361,7 +373,7 @@ def _aux_maxprod(scn, processing, joint):
                       power_control._sinr_constraints(scn, processing, False, pilots)[0])
     bounds = power_control._power_bounds(scn, joint)
     ub = power_control._joint_upper_bounds(scn, processing) if joint else dict(
-        zip(constraint_map, scn.p_max * _fixed_pilot_model(scn, processing, pilots)[0]))
+        zip(constraint_map, scn.p_max * _summed_model(scn, processing, pilots)[0]))
     base = power_control._half_power_sinrs(scn, processing, pilots)
     start = dict.fromkeys(bounds, scn.p_max / 2.0)
     names = [f"aux_{i}" for i in range(len(constraint_map))]
@@ -628,7 +640,7 @@ def test_compiled_constraints_match_closed_forms(small_scenario, rng):
         lifted = lifted_point(point, lifts)
         for (kind, b, idx), (num, den) in constraint_map.items():
             closed = (cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims) if kind == "cu"
-                      else d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots, scn.dims))
+                      else _d2d_sinr(idx, scn, alloc))
             assert num.value(point) / den.value(lifted) == pytest.approx(closed.sinr,
                                                                          rel=1e-9)
         # the data-scope posynomials, at the trial's pilot powers
@@ -636,7 +648,7 @@ def test_compiled_constraints_match_closed_forms(small_scenario, rng):
             for (kind, b, idx), (num, den) in power_control._sinr_constraints(
                     scn, processing, False, alloc)[0].items():
                 if kind == "d2d":
-                    closed = d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots, scn.dims)
+                    closed = _d2d_sinr(idx, scn, alloc)
                 elif processing is Processing.MR:
                     closed = cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims)
                 else:
@@ -672,21 +684,23 @@ def test_lifted_denominators_match_expanded_oracle(small_scenario, seed, bump):
 
 
 def test_affine_rows_match_closed_forms(small_scenario, rng):
-    """g_i p_i / (1 + a_i . p) from _fixed_pilot_model is every user's
-    closed-form SINR, with and without D2D pairs."""
+    """g_i p_i / (1 + a_i . p) from the summed model is every user's
+    closed-form SINR (the per-user oracle), with and without D2D pairs."""
     for scn in (small_scenario, cellular_only_view(small_scenario)):
         alloc = _random_alloc(scn, rng)
         stacked = np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d])
         for processing in (Processing.MR, Processing.ZF):
-            g, a = _fixed_pilot_model(scn, processing, alloc)
+            g, a = _summed_model(scn, processing, alloc)
             got = g * stacked / (1.0 + a @ stacked)
             for (kind, b, idx), sinr in zip(power_control._all_users(scn), got):
                 if kind == "cu":
-                    fn = cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims) \
+                    fn = closed_forms.cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims) \
                         if processing is Processing.MR \
-                        else cu_sinr_zf(b, idx, scn.gains, alloc, scn.pilots, scn.dims)
+                        else closed_forms.cu_sinr_zf(b, idx, scn.gains, alloc, scn.pilots,
+                                                     scn.dims)
                 else:
-                    fn = d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots, scn.dims)
+                    fn = closed_forms.d2d_sinr_approx(idx, scn.gains, alloc, scn.pilots,
+                                                      scn.dims)
                 assert sinr == pytest.approx(fn.sinr, rel=1e-9)
 
 
@@ -868,8 +882,7 @@ def test_zf_joint_stops_at_the_fixed_point_of_a_two_cycle(small_scenario, monkey
     monkeypatch.setattr(power_control, "_solve_gp_problem", lambda *args: next(cycle))
     alloc, value, diag = zf_joint_successive(scn, "maxprod")
 
-    users = power_control._all_users(scn)
-    want = [power_control._true_objective(scn, a, power_control.Objective.MAXPROD, users)
+    want = [power_control._true_objective(scn, a, power_control.Objective.MAXPROD)
             for a in (full, worse, best)]
     assert want[0] <= want[1] < want[2]  # the cycle rises once, then falls
     assert diag.status == "converged"

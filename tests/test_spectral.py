@@ -5,13 +5,20 @@ from scipy import integrate
 
 from mimo_d2d import (ScenarioConfig, Scenario, SystemDimensions, LargeScaleGains,
                       PilotAllocation, PowerAllocation, full_power_allocation,
-                      cu_sinr_mr, cu_sinr_zf, d2d_sinr_approx, d2d_se_exact,
+                      cu_sinr_mr, cu_sinr_zf, d2d_se_exact,
                       se_from_sinr, evaluate_network, oracle_uatf_mr, oracle_zf,
-                      wishart_inverse_diagonal_mean)
+                      sinr_terms, wishart_inverse_diagonal_mean)
 from mimo_d2d.harness import cellular_only_view
+from mimo_d2d.power_control import Processing
 from mimo_d2d.scenario import ScenarioError
 
+import closed_forms
 from montecarlo import d2d_rate_samples, d2d_se_quad
+
+
+def _d2d_breakdown(l, gains, alloc, pilots, dims):
+    """D2D pair l's closed-form breakdown as evaluate_network reports it."""
+    return evaluate_network(dims, gains, pilots, alloc, "mr").breakdowns[("d2d", -1, l)]
 
 
 def _single_user_setup(m=32, tau_c=200, beta=0.8):
@@ -138,7 +145,7 @@ def test_d2d_approx_trivial_and_cross_form(small_scenario):
     scn = small_scenario
     alloc = full_power_allocation(scn.dims, scn.p_max)
     alloc.data_d2d = np.array([0.0, 150.0])
-    bd = d2d_sinr_approx(0, scn.gains, alloc, scn.pilots, scn.dims)
+    bd = _d2d_breakdown(0, scn.gains, alloc, scn.pilots, scn.dims)
     assert bd.sinr == 0.0 and bd.se == 0.0
 
     rng = np.random.default_rng(0)
@@ -148,7 +155,7 @@ def test_d2d_approx_trivial_and_cross_form(small_scenario):
         alloc2.data_d2d = alloc2.data_d2d * rng.uniform(0.01, 1.0, alloc2.data_d2d.shape)
         alloc2.pilot_d2d = alloc2.pilot_d2d * rng.uniform(0.01, 1.0, alloc2.pilot_d2d.shape)
         for l in range(scn.dims.num_d2d_pairs):
-            mid = d2d_sinr_approx(l, scn.gains, alloc2, scn.pilots, scn.dims)
+            mid = _d2d_breakdown(l, scn.gains, alloc2, scn.pilots, scn.dims)
             expanded = _d2d_sinr_expanded(l, scn.gains, alloc2, scn.pilots, scn.dims)
             assert expanded == pytest.approx(mid.sinr, rel=1e-9)
 
@@ -164,7 +171,7 @@ def test_d2d_interference_free_limit():
     pd = 3.0 / beta
     alloc = PowerAllocation(np.zeros((1, 1)), np.array([pd]),
                             np.zeros((1, 1)), np.array([pp]), 2e9)
-    bd = d2d_sinr_approx(0, scn.gains, alloc, scn.pilots, scn.dims)
+    bd = _d2d_breakdown(0, scn.gains, alloc, scn.pilots, scn.dims)
     assert bd.sinr == pytest.approx(pd * beta, rel=1e-3)
 
 
@@ -254,7 +261,7 @@ def test_sinr_monotone_in_powers(small_scenario):
     base.data_cu = base.data_cu * 0.5
     base.data_d2d = base.data_d2d * 0.5
     ref_mr = cu_sinr_mr(0, 0, scn.gains, base, scn.dims).sinr
-    ref_d2d = d2d_sinr_approx(0, scn.gains, base, scn.pilots, scn.dims).sinr
+    ref_d2d = _d2d_breakdown(0, scn.gains, base, scn.pilots, scn.dims).sinr
 
     up_own = base.copy()
     up_own.data_cu[0, 0] *= 1.3
@@ -265,7 +272,7 @@ def test_sinr_monotone_in_powers(small_scenario):
     assert cu_sinr_mr(0, 0, scn.gains, up_other, scn.dims).sinr <= ref_mr
     up_d = base.copy()
     up_d.data_d2d[1] *= 1.4
-    assert d2d_sinr_approx(0, scn.gains, up_d, scn.pilots, scn.dims).sinr <= ref_d2d
+    assert _d2d_breakdown(0, scn.gains, up_d, scn.pilots, scn.dims).sinr <= ref_d2d
 
 
 def test_wishart_identity(rng):
@@ -302,3 +309,50 @@ def test_breakdown_terms_sum_to_sinr(small_scenario):
             total = sum(bd.denominator_terms.values())
             assert bd.sinr == pytest.approx(bd.numerator / total, rel=1e-12)
             assert all(v >= 0 for v in bd.denominator_terms.values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), cells=st.integers(1, 3), cus=st.integers(1, 3),
+       pairs=st.integers(0, 4), spare=st.integers(1, 40),
+       processing=st.sampled_from(["mr", "zf"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_sinr_model_matches_per_user_oracle(data, cells, cus, pairs, spare, processing,
+                                            seed):
+    """The array model against the per-user closed forms of closed_forms.py:
+    every SINR and SE to 1e-12, each named term to 1e-12 of its user's
+    denominator, the same breakdown keys in the same order, and the summed
+    coupling equal to the directly built (g, a)."""
+    d2d_pilots = data.draw(st.integers(1, max(pairs, 1)))
+    cfg = ScenarioConfig(num_cells=cells, antennas_per_bs=cus + d2d_pilots + spare,
+                         cus_per_cell=cus, num_d2d_pairs=pairs,
+                         num_d2d_pilots=d2d_pilots, area_side=600.0)
+    scn = Scenario.build(cfg, seed=seed % 2 ** 16)
+    rng = np.random.default_rng(seed)
+
+    def powers(shape):  # log-uniform in [1e-3, 1] * p_max, some exactly zero
+        p = scn.p_max * 10.0 ** rng.uniform(-3.0, 0.0, shape)
+        return np.where(rng.uniform(size=shape) < 0.15, 0.0, p)
+
+    shape = (cells, cus)
+    alloc = PowerAllocation(powers(shape), powers(pairs), powers(shape), powers(pairs),
+                            scn.p_max)
+    dims, gains, pilots = scn.dims, scn.gains, scn.pilots
+
+    report = evaluate_network(dims, gains, pilots, alloc, processing)
+    want = closed_forms.evaluate_breakdowns(dims, gains, pilots, alloc, processing)
+    assert list(report.breakdowns) == list(want)
+    for i, (user, bd) in enumerate(report.breakdowns.items()):
+        ref = want[user]
+        assert list(bd.denominator_terms) == list(ref.denominator_terms)
+        assert abs(bd.sinr - ref.sinr) <= 1e-12 * ref.sinr, user
+        assert abs(bd.se - ref.se) <= 1e-12 * ref.se, user
+        assert report.sinr[i] == bd.sinr
+        total = sum(ref.denominator_terms.values())
+        for name, value in ref.denominator_terms.items():
+            assert abs(bd.denominator_terms[name] - value) <= 1e-12 * total, (user, name)
+
+    g, terms = sinr_terms(dims, gains, pilots, alloc, processing)
+    g_want, a_want = closed_forms.fixed_pilot_model(scn, Processing(processing), alloc)
+    n = cells * cus + pairs
+    assert g.shape == (n,) and terms.shape == (5, n, n)
+    assert np.array_equal(g, g_want)
+    assert np.array_equal(terms.sum(axis=0), a_want)
