@@ -37,6 +37,7 @@ from .spectral import (
     evaluate_network,
 )
 from .gp import (
+    Factors,
     Monomial,
     Posynomial,
     GeometricProgram,

@@ -2,7 +2,9 @@
 geometric programs in standard form, and a linear-feasibility solver.
 
 A geometric program here minimizes a product of posynomial factors subject
-to posynomial constraints <= 1 inside a variable box. After the
+to posynomial constraints <= 1 inside a variable box. Its objective is held
+in one array form, Factors, which a caller builds from arrays or converts
+from posynomials; every stack is compiled from that form. After the
 substitution x = exp(y) the log of the objective is a sum of log-sum-exp
 functions, one per factor, and every constraint is a log-sum-exp <= 0; the
 resulting smooth convex program is minimized with a primal-dual
@@ -203,34 +205,78 @@ def monomial_lower_bound(f: Posynomial, x0: dict) -> Monomial:
 
 # --- problem containers -----------------------------------------------------
 
+@dataclass(frozen=True)
+class Factors:
+    """Posynomial factors in array form. Factor i sums the terms ptr[i] to
+    ptr[i + 1] - 1. Term r is exp(log_coeff[r]) times the product of
+    names[var[k]] ** exp[k] over its nonzeros k, those with term[k] == r; a
+    term with no nonzero is a constant."""
+
+    ptr: np.ndarray
+    log_coeff: np.ndarray
+    term: np.ndarray
+    var: np.ndarray
+    exp: np.ndarray
+    names: tuple
+
+    def __post_init__(self):
+        for attr, dtype in (("ptr", np.intp), ("log_coeff", float), ("term", np.intp),
+                            ("var", np.intp), ("exp", float)):
+            object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=dtype))
+        if np.any(np.diff(self.ptr) < 1):
+            raise ValueError("every factor needs at least one term")
+        if not (np.all(np.isfinite(self.log_coeff)) and np.all(np.isfinite(self.exp))):
+            raise ValueError("coefficients and exponents must be finite")
+
+    @classmethod
+    def from_posynomials(cls, posys):
+        """The factors of a list of posynomials, term for term."""
+        index, ptr, log_coeff, term, var, exp = {}, [0], [], [], [], []
+        for posy in posys:
+            for t in posy.terms:
+                for name, e in t.exponents.items():
+                    term.append(len(log_coeff))
+                    var.append(index.setdefault(name, len(index)))
+                    exp.append(e)
+                log_coeff.append(math.log(t.coeff))
+            ptr.append(len(log_coeff))
+        return cls(ptr, log_coeff, term, var, exp, tuple(index))
+
+
 @dataclass
 class GeometricProgram:
-    """minimize the product of the posynomial factors in `objective` s.t.
+    """minimize the product of the objective's factors s.t.
     posy_constraints <= 1 and per-variable bounds lo <= x <= hi with
-    0 < lo <= hi < inf. A lone posynomial objective is one factor.
+    0 < lo <= hi < inf.
+
+    The objective is held as Factors. It may be given as Factors built from
+    arrays, or as posynomial factors (a lone posynomial is one factor),
+    which are converted term for term. Either way gp_solve compiles it along
+    the one path from Factors to its log-sum-exp stack.
 
     Every variable must have finite bounds; the compact box rules out
     unbounded programs by construction.
     """
 
-    objective: list
+    objective: Factors
     posy_constraints: list = field(default_factory=list)
     bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        factors = self.objective if isinstance(self.objective, list) else [self.objective]
-        if not factors:
+        if not isinstance(self.objective, Factors):
+            factors = self.objective if isinstance(self.objective, list) else [self.objective]
+            self.objective = Factors.from_posynomials([as_posynomial(f) for f in factors])
+        if self.objective.ptr.size < 2:
             raise ValueError("objective needs at least one factor")
-        self.objective = [as_posynomial(f) for f in factors]
         self.posy_constraints = [as_posynomial(c) for c in self.posy_constraints]
         for var, (lo, hi) in self.bounds.items():
             if not (0.0 < lo <= hi < math.inf):
                 raise ValueError(f"bounds for {var} must satisfy 0 < lo <= hi < inf")
 
     def variables(self):
-        out = set(self.bounds)
-        for f in [*self.objective, *self.posy_constraints]:
-            out |= f.variables()
+        out = set(self.bounds) | set(self.objective.names)
+        for c in self.posy_constraints:
+            out |= c.variables()
         return sorted(out)
 
 
@@ -364,20 +410,16 @@ def _newton_matrix(obj_stack, con_stack, w0, grads0, w, grads, lam, u):
             + con_stack.pair_hessian(w, lam) + g.T @ (c[:, None] * g))
 
 
+def _stack_from_factors(factors, var_index):
+    """Compile Factors into one stack, one segment per factor."""
+    cols = np.array([var_index[name] for name in factors.names], dtype=np.intp)
+    return _Stack(factors.term, cols[factors.var], factors.exp, factors.log_coeff,
+                  factors.ptr, len(var_index))
+
+
 def _stack_from_posynomials(posys, var_index):
     """Compile posynomials into one stack, one segment per posynomial."""
-    rows, cols, data, offsets, ptr = [], [], [], [], [0]
-    r = 0
-    for posy in posys:
-        for t in posy.terms:
-            for var, exp in t.exponents.items():
-                rows.append(r)
-                cols.append(var_index[var])
-                data.append(exp)
-            offsets.append(math.log(t.coeff))
-            r += 1
-        ptr.append(r)
-    return _Stack(rows, cols, data, offsets, ptr, len(var_index))
+    return _stack_from_factors(Factors.from_posynomials(posys), var_index)
 
 
 # --- interior-point kernels --------------------------------------------------
@@ -654,7 +696,7 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None, *,
     settings = settings or SolverSettings()
     variables, var_index, box = _compile_gp(gp)
     cons = _stack_from_posynomials(gp.posy_constraints, var_index)
-    obj = _stack_from_posynomials(gp.objective, var_index)
+    obj = _stack_from_factors(gp.objective, var_index)
 
     y0 = np.array([math.log(initial[v]) for v in variables])
     if not _strictly_inside(cons, box, y0, margin=1e-12):

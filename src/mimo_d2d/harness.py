@@ -59,6 +59,8 @@ class ExperimentPlan:
             raise ScenarioError("num_drops must be >= 1")
         if self.workers < 1:
             raise ScenarioError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ScenarioError("master_seed must be >= 0")
 
 
 @dataclass

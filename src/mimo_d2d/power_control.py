@@ -6,18 +6,21 @@ joint ZF problem.
 With pilot powers fixed, user i's SINR is g_i p_i / (1 + a_i . p) in the
 data powers p, a standard interference function given by one gain vector g
 and one coupling matrix a, the sum of spectral.sinr_terms' per-mechanism
-matrices. Algorithm 1, its LP witness and the data-power GPs read (g, a),
-and evaluate_network reads the same arrays. The joint problems compile the
-closed-form SINR expressions with pilot powers as variables, in lifted
-form: each posynomial factor of a denominator product is one auxiliary GP
-variable (_joint_sinr_model). Because every user shares the prelog factor,
-a common SE target is equivalent to a common SINR target, which is how the
-max-min problems are expressed in GP form.
+matrices. Algorithm 1 and its LP witness read (g, a), and evaluate_network
+reads the same arrays. The max-product GP over data powers builds its
+objective factors (1 + a_i . p) / (g_i p_i) as gp.Factors straight from
+(g, a), with no posynomial object (_maxprod_data_factors). The joint
+problems compile the closed-form SINR expressions with pilot powers as
+variables, in lifted form: each posynomial factor of a denominator product
+is one auxiliary GP variable (_joint_sinr_model). Because every user shares
+the prelog factor, a common SE target is equivalent to a common SINR
+target, which is how the max-min problems are expressed in GP form.
 """
 
 import enum
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +31,7 @@ from .estimation import PowerAllocation, full_power_allocation
 # perfbench/spans.py wraps the gamma functions at this import site
 from .estimation import compute_gamma_bs, compute_gamma_d2drx, gamma_cu_bs_full  # noqa: F401
 from .spectral import evaluate_network, se_from_sinr, sinr_terms
-from .gp import (Monomial, Posynomial, GeometricProgram, LinearFeasibilityProblem,
+from .gp import (Factors, Monomial, Posynomial, GeometricProgram, LinearFeasibilityProblem,
                  SolverSettings, gp_solve, lp_feasible, monomial_lower_bound,
                  GPInfeasibleError, GPSolverError)
 
@@ -487,39 +490,56 @@ def _half_power_sinrs(scn: Scenario, processing: Processing, fixed_pilots=None):
     return dict(zip(_all_users(scn), report.sinr.tolist()))
 
 
-def _sinr_constraints(scn: Scenario, processing: Processing, joint, fixed_pilots,
-                      pilot_point=None):
-    """Per-user (numerator, denominator) pairs for the GP compile path and the
-    auxiliaries they use: the monomial g_i p_i over the posynomial
-    1 + a_i . p at fixed pilot powers, with no auxiliary, or the lifted joint
-    MR / Algorithm 2 ZF model of _joint_sinr_model. Returns
-    (constraint_map, lifts)."""
-    if joint:
-        return _joint_sinr_model(scn, processing, pilot_point)
+def _maxprod_data_factors(scn: Scenario, processing: Processing, fixed_pilots):
+    """The max-product objective over data powers as Factors, built straight
+    from sinr_terms' (g, a). User i's factor (1 + a_i . p) / (g_i p_i), in
+    _all_users order, is the term 1/g_i with exponent -1 on p_i, then one
+    term a_ij/g_i per positive coupling, with +1 on p_j and -1 on p_i (a
+    constant when j = i). Each coefficient is a_ij * g_i ** -1.0 with
+    numpy's scalar power and each offset its math.log: the arithmetic of
+    Factors.from_posynomials, which a vectorized reciprocal or log can miss
+    by an ulp, so the stack is bit for bit the one the same factors give as
+    posynomials. Raises GPInfeasibleError for a user with g_i <= 0, whose
+    SINR is identically zero."""
     g, terms = sinr_terms(scn.dims, scn.gains, scn.pilots, fixed_pilots, processing.value)
-    names = _stacked_names(scn)
-    out = {}
-    for user, name, g_i, a_i in zip(_all_users(scn), names, g, terms.sum(axis=0)):
-        if g_i <= 0.0:
-            raise GPInfeasibleError(f"user {user} has no usable desired link")
-        out[user] = (Monomial(g_i, {name: 1.0}), Posynomial(
-            [Monomial(1.0)] + [Monomial(c, {names[j]: 1.0})
-                               for j, c in enumerate(a_i) if c > 0.0]))
-    return out, {}
+    dead = np.flatnonzero(g <= 0.0)
+    if dead.size:
+        raise GPInfeasibleError(f"user {_all_users(scn)[dead[0]]} has no usable desired link")
+    a = terms.sum(axis=0)
+    inv = np.array([g_i ** -1.0 for g_i in g])
+    # row i holds user i's terms: column 0 the constant, column j + 1 the
+    # coupling to user j
+    coeffs = np.hstack([inv[:, None], a * inv[:, None]])
+    kept = np.hstack([np.ones((g.size, 1), dtype=bool), a > 0.0])
+    user, col = np.nonzero(kept)
+    partner, term = col - 1, np.arange(user.size)
+    divided = partner != user            # every term but a_ii's has p_i^-1
+    coupled = divided & (partner >= 0)   # a coupling to j != i has p_j
+    return Factors(ptr=np.concatenate([[0], np.cumsum(kept.sum(axis=1))]),
+                   log_coeff=list(map(math.log, coeffs[kept].tolist())),
+                   term=np.concatenate([term[coupled], term[divided]]),
+                   var=np.concatenate([partner[coupled], user[divided]]),
+                   exp=np.concatenate([np.ones(coupled.sum()), -np.ones(divided.sum())]),
+                   names=tuple(_stacked_names(scn)))
 
 
-def _solve_gp_problem(scn, objective, constraint_map, lifts, joint, processing, settings):
-    """Assemble and solve one GP; returns (solution, SINR level per user).
+def _solve_gp_problem(scn, objective, constraint_map, lifts, processing, settings):
+    """Assemble and solve one joint GP over pilot and data powers from the
+    lifted model of _joint_sinr_model; returns (solution, SINR level per
+    user). The max-product GP over data powers is not assembled here: its
+    objective is Factors built from (g, a) by _maxprod_data_factors, and it
+    has no constraint. Both reach gp_solve's one compile path, from Factors
+    to a log-sum-exp stack.
 
     Max-product minimizes the product of den/num over the users, and a
-    user's level is its GP-model SINR at the solution. Max-min (joint scope)
-    maximizes a common target subject to target * den / num <= 1, which is
-    every user's level. Each auxiliary of lifts adds factor / aux <= 1 and
-    the box [factor's lower bound, twice its upper bound]. The start puts
-    every power at half budget and every auxiliary LIFT_MARGIN above its
-    factor's value there, so it is strictly interior.
+    user's level is its GP-model SINR at the solution. Max-min maximizes a
+    common target subject to target * den / num <= 1, which is every
+    user's level. Each auxiliary of lifts adds factor / aux <= 1 and the box
+    [factor's lower bound, twice its upper bound]. The start puts every
+    power at half budget and every auxiliary LIFT_MARGIN above its factor's
+    value there, so it is strictly interior.
     """
-    bounds = _power_bounds(scn, joint)
+    bounds = _power_bounds(scn, True)
     start = dict.fromkeys(bounds, scn.p_max / 2.0)
     lift_constraints = []
     for name, factor in lifts.items():
@@ -562,9 +582,16 @@ def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing
         fixed_pilots = fixed_pilots or full_power_allocation(scn.dims, scn.p_max)
     diag = SolveDiagnostics()
 
-    constraint_map, lifts = _sinr_constraints(scn, processing, joint, fixed_pilots)
-    solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts, joint,
-                                         processing, settings)
+    if joint:
+        constraint_map, lifts = _joint_sinr_model(scn, processing)
+        solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts,
+                                             processing, settings)
+    else:
+        bounds = _power_bounds(scn, False)
+        gp = GeometricProgram(objective=_maxprod_data_factors(scn, processing, fixed_pilots),
+                              bounds=bounds)
+        solution = gp_solve(gp, settings.gp, initial=dict.fromkeys(bounds, scn.p_max / 2.0))
+        levels = dict(zip(_all_users(scn), np.exp(-solution.log_factors)))
     alloc = _alloc_from_values(scn, solution.values, joint, fixed_pilots)
     if objective is Objective.MAXMIN:
         value = float(se_from_sinr(solution.values["target"], scn.dims))
@@ -672,11 +699,10 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
         pilot_point = dict(zip(_stacked_names(scn, pilot=True), _stacked_pilots(alloc)))
-        constraint_map, lifts = _sinr_constraints(scn, Processing.ZF, True, None,
-                                                  pilot_point=pilot_point)
+        constraint_map, lifts = _joint_sinr_model(scn, Processing.ZF, pilot_point)
         try:
             solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts,
-                                                 True, Processing.ZF, settings)
+                                                 Processing.ZF, settings)
         except (GPInfeasibleError, GPSolverError) as exc:
             diag.notes.append(f"iteration {it}: solver failure: {exc}")
             status = "solver_failure"

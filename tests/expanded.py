@@ -1,13 +1,36 @@
-"""The joint SINR expressions multiplied out term by term: the GP form the
-lifted model of power_control._joint_sinr_model replaced, kept as its
-oracle. Each denominator here is a product of posynomials expanded in full,
-with no auxiliary variable.
+"""The SINR expressions as posynomial objects, kept as oracles of the
+forms that replaced them:
+- the joint SINRs multiplied out term by term, for the lifted model of
+  power_control._joint_sinr_model: each denominator here is a product of
+  posynomials expanded in full, with no auxiliary variable;
+- the data-power SINRs g_i p_i / (1 + a_i . p) as one monomial over one
+  posynomial per user, for the max-product factors that
+  power_control._maxprod_data_factors builds from the (g, a) arrays.
 """
 
-from mimo_d2d import se_from_sinr
-from mimo_d2d.gp import GeometricProgram, Monomial, Posynomial, gp_solve, monomial_lower_bound
-from mimo_d2d.power_control import (Objective, Processing, _pc, _pd, _qc, _qd,
-                                    _half_power_sinrs, _joint_upper_bounds, _power_bounds)
+from mimo_d2d import se_from_sinr, sinr_terms
+from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, Monomial, Posynomial, gp_solve,
+                         monomial_lower_bound)
+from mimo_d2d.power_control import (Objective, Processing, _pc, _pd, _qc, _qd, _all_users,
+                                    _half_power_sinrs, _joint_upper_bounds, _power_bounds,
+                                    _stacked_names)
+
+
+def data_sinr_posynomials(scn, processing, fixed_pilots):
+    """Per-user (numerator, denominator): the monomial g_i p_i over the
+    posynomial 1 + a_i . p at the pilot powers of fixed_pilots, with a
+    term per positive coupling. Raises GPInfeasibleError for g_i <= 0."""
+    g, terms = sinr_terms(scn.dims, scn.gains, scn.pilots, fixed_pilots,
+                          Processing(processing).value)
+    names = _stacked_names(scn)
+    out = {}
+    for user, name, g_i, a_i in zip(_all_users(scn), names, g, terms.sum(axis=0)):
+        if g_i <= 0.0:
+            raise GPInfeasibleError(f"user {user} has no usable desired link")
+        out[user] = (Monomial(g_i, {name: 1.0}), Posynomial(
+            [Monomial(1.0)] + [Monomial(c, {names[j]: 1.0})
+                               for j, c in enumerate(a_i) if c > 0.0]))
+    return out
 
 
 def mr_sinr_posynomial(scn, b, k):

@@ -9,7 +9,7 @@ from mimo_d2d import (Monomial, Posynomial, GeometricProgram,
                       LinearFeasibilityProblem, SolverSettings, gp_solve,
                       lp_feasible, monomial_lower_bound)
 from mimo_d2d import gp as gp_module
-from mimo_d2d.gp import GPInfeasibleError, GPSolverError, variable, as_posynomial
+from mimo_d2d.gp import Factors, GPInfeasibleError, GPSolverError, variable, as_posynomial
 import phase_one
 from gridsearch import refine_maximize
 from sparse_stack import SparseStack, newton_matrix
@@ -182,11 +182,29 @@ def test_gp_iteration_limit():
 
 
 def test_gp_missing_bounds_rejected():
+    """A variable without bounds is rejected, whether the objective names it
+    as a posynomial or as Factors built from arrays."""
     x, y = variable("x"), variable("y")
-    with pytest.raises(ValueError):
-        gp_solve(GeometricProgram(objective=as_posynomial(x * y),
-                                  bounds={"x": (1e-3, 1e3)}),
-                 initial={"x": 1.0, "y": 1.0})
+    factors = Factors(ptr=[0, 1], log_coeff=[0.0], term=[0, 0], var=[0, 1],
+                      exp=[1.0, 1.0], names=("x", "y"))
+    for objective in (as_posynomial(x * y), factors):
+        with pytest.raises(ValueError, match="variables without bounds"):
+            gp_solve(GeometricProgram(objective=objective, bounds={"x": (1e-3, 1e3)}),
+                     initial={"x": 1.0, "y": 1.0})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"ptr": [0, 1, 1]}, "at least one term"),
+    ({"log_coeff": [math.inf]}, "finite"),
+    ({"exp": [math.nan]}, "finite"),
+    ({"ptr": [0], "log_coeff": [], "term": [], "var": [], "exp": []}, "at least one factor"),
+], ids=["empty-factor", "infinite-coefficient", "nan-exponent", "no-factor"])
+def test_factors_reject_malformed_arrays(fields, message):
+    """Array-built factors are checked as posynomials are: no empty factor,
+    no non-finite coefficient or exponent, and an objective has a factor."""
+    arrays = dict(ptr=[0, 1], log_coeff=[0.0], term=[0], var=[0], exp=[1.0], names=("x",))
+    with pytest.raises(ValueError, match=message):
+        GeometricProgram(objective=Factors(**{**arrays, **fields}), bounds={"x": (1.0, 2.0)})
 
 
 @pytest.mark.parametrize("point, on_constraint", [
@@ -212,7 +230,8 @@ def test_gp_solve_rejects_start_not_strictly_inside(point, on_constraint, monkey
 
 def _random_gp(seed):
     """Three variables, mixed-sign exponents in the objective, one coupling
-    constraint; optimum away from degenerate corners."""
+    constraint; optimum away from degenerate corners. Returns the program,
+    its bounds and its objective posynomial."""
     rng = np.random.default_rng(seed)
     names = ["x", "y", "z"]
     obj_terms = []
@@ -225,13 +244,14 @@ def _random_gp(seed):
         Monomial(float(rng.uniform(0.05, 0.2)), {"y": -1.0}),
     ])
     bounds = {v: (0.05, 20.0) for v in names}
-    return GeometricProgram(objective=Posynomial(obj_terms),
-                            posy_constraints=[coupling], bounds=bounds), bounds
+    objective = Posynomial(obj_terms)
+    return (GeometricProgram(objective=objective, posy_constraints=[coupling], bounds=bounds),
+            bounds, objective)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gp_matches_grid_refinement_oracle(seed):
-    gp, bounds = _random_gp(seed)
+    gp, bounds, objective = _random_gp(seed)
     sol = _solve_from_phase_one(gp)
 
     names = sorted(bounds)
@@ -242,7 +262,7 @@ def test_gp_matches_grid_refinement_oracle(seed):
         point = dict(zip(names, x))
         if any(c.value(point) > 1.0 for c in gp.posy_constraints):
             return -np.inf
-        return -math.prod(f.value(point) for f in gp.objective)
+        return -objective.value(point)
 
     _, best = refine_maximize(neg_obj, lo, hi, rounds=45, pts=13)
     oracle_obj = -best
@@ -253,7 +273,7 @@ def test_gp_matches_grid_refinement_oracle(seed):
 
 def test_gp_log_space_convexity_certificate():
     """Numerical Hessians of log f(exp y) at the solution are PSD."""
-    gp, _ = _random_gp(5)
+    gp, _, objective = _random_gp(5)
     sol = _solve_from_phase_one(gp)
     y0 = {v: np.log(val) for v, val in sol.values.items()}
     names = sorted(y0)
@@ -261,7 +281,7 @@ def test_gp_log_space_convexity_certificate():
     def logf(f, y):
         return np.log(f.value({v: np.exp(y[v]) for v in names}))
 
-    for f in [*gp.objective, *gp.posy_constraints]:
+    for f in [objective, *gp.posy_constraints]:
         n = len(names)
         hess = np.zeros((n, n))
         h = 1e-4
@@ -285,7 +305,7 @@ def test_primal_dual_matches_barrier_path_oracle(seed):
     objective of the oracle's barrier path, run to the same gap target from
     the same phase-1 start, to 1e-8 relative (absolute below 1, the gap's
     scale)."""
-    gp, _ = _random_gp(seed)
+    gp, _, _ = _random_gp(seed)
     solver_settings = SolverSettings()
     start = phase_one.start(gp, solver_settings)
     sol = gp_solve(gp, solver_settings, initial=start)
@@ -295,7 +315,7 @@ def test_primal_dual_matches_barrier_path_oracle(seed):
 
     variables, var_index, box = gp_module._compile_gp(gp)
     cons = gp_module._stack_from_posynomials(gp.posy_constraints, var_index)
-    obj = gp_module._stack_from_posynomials(gp.objective, var_index)
+    obj = gp_module._stack_from_factors(gp.objective, var_index)
     y0 = np.array([math.log(start[v]) for v in variables])
     y, _ = phase_one.barrier_path(obj, cons, box, y0, solver_settings,
                                   gap_target=solver_settings.tol)

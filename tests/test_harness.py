@@ -190,6 +190,18 @@ def test_cli_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "w")]) == 2
 
 
+def test_negative_master_seed_is_a_config_error(tmp_path):
+    """A negative master seed is rejected when the plan is built, so the CLI
+    exits 2 and writes nothing."""
+    with pytest.raises(mimo_d2d.scenario.ScenarioError, match="master_seed"):
+        ExperimentPlan(config=SMALL, master_seed=-1)
+    from mimo_d2d.cli import main
+    out = tmp_path / "out"
+    good = _write_config(tmp_path / "good.json")
+    assert main(["run", "--config", good, "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     cfg_path = _write_config(tmp_path / "cfg.json")
     # the child imports the same package as this process, installed or not

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -22,7 +23,8 @@ from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, GPSolverError,
                          LinearFeasibilityProblem, LPFeasibility, Monomial,
                          SolverSettings, gp_solve, lp_feasible)
 from mimo_d2d.harness import cellular_only_view, drop_seed
-from expanded import expanded_sinr_constraints, lifted_point, solve_expanded_joint_mr
+from expanded import (data_sinr_posynomials, expanded_sinr_constraints, lifted_point,
+                      solve_expanded_joint_mr)
 from gridsearch import refine_maximize
 import closed_forms
 
@@ -370,7 +372,7 @@ def _aux_maxprod(scn, processing, joint):
     processing = Processing(processing)
     pilots = None if joint else full_power_allocation(scn.dims, scn.p_max)
     constraint_map = (expanded_sinr_constraints(scn, processing) if joint else
-                      power_control._sinr_constraints(scn, processing, False, pilots)[0])
+                      data_sinr_posynomials(scn, processing, pilots))
     bounds = power_control._power_bounds(scn, joint)
     ub = power_control._joint_upper_bounds(scn, processing) if joint else dict(
         zip(constraint_map, scn.p_max * _summed_model(scn, processing, pilots)[0]))
@@ -407,6 +409,58 @@ def test_maxprod_matches_auxiliary_gp_oracle(small_scenario, reference_drops, pr
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, processing)
     for user, level in diag.targets.items():
         assert report.breakdowns[user].sinr == pytest.approx(level, rel=1e-9)
+
+
+def _zero_coupling_scenario(scn):
+    """scn with CU (0, 0) unheard at D2D receiver 1, so that receiver's
+    coupling to the CU is exactly zero."""
+    beta = scn.gains.beta_cu_d2drx.copy()
+    beta[1, 0, 0] = 0.0
+    return dataclasses.replace(scn, gains=dataclasses.replace(scn.gains, beta_cu_d2drx=beta))
+
+
+@pytest.mark.parametrize("processing", ["mr", "zf"])
+@pytest.mark.parametrize("case", ["small", "zero-coupling", "reference"])
+def test_maxprod_data_factors_compile_as_posynomials(small_scenario, reference_drops,
+                                                     processing, case):
+    """The max-product objective built from the (g, a) arrays compiles to
+    exactly the stack of den / num over the per-user posynomial oracle:
+    every nonzero, exponent, log coefficient and segment pointer is equal.
+    A zero coupling drops its term, and a_ii > 0 gives a constant term."""
+    scn = {"small": small_scenario, "zero-coupling": _zero_coupling_scenario(small_scenario),
+           "reference": reference_drops[0]}[case]
+    pilots = full_power_allocation(scn.dims, scn.p_max)
+    _, a = _summed_model(scn, processing, pilots)
+    assert (np.diag(a) > 0.0).any()
+    assert (a == 0.0).any() == (case == "zero-coupling")
+    gp = GeometricProgram(
+        objective=power_control._maxprod_data_factors(scn, Processing(processing), pilots),
+        bounds=power_control._power_bounds(scn, False))
+    _, var_index, _ = gp_module._compile_gp(gp)
+    got = gp_module._stack_from_factors(gp.objective, var_index)
+    want = gp_module._stack_from_posynomials(
+        [den / num for num, den in data_sinr_posynomials(scn, processing, pilots).values()],
+        var_index)
+    for name in ("row", "col", "val", "d", "ptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("solve", [maxprod_data, maxmin_data], ids=["maxprod", "maxmin"])
+@pytest.mark.parametrize("processing", ["mr", "zf"])
+def test_data_power_solves_build_no_monomial(reference_drops, monkeypatch, solve, processing):
+    """The data-power problems read the (g, a) arrays and build no Monomial."""
+    built = []
+    post_init = gp_module.Monomial.__post_init__
+
+    def counting(self):
+        built.append(self.coeff)
+        post_init(self)
+
+    monkeypatch.setattr(gp_module.Monomial, "__post_init__", counting)
+    solve(reference_drops[0], processing)
+    assert len(built) == 0
+    gp_module.variable("x")  # the spy sees a Monomial built anywhere
+    assert len(built) == 1
 
 
 # --- joint pilot and data, MR --------------------------------------------------------
@@ -475,8 +529,7 @@ def test_joint_mr_maxmin_warm_start_is_interior(small_scenario, monkeypatch, fam
     anchor = dict(zip(power_control._stacked_names(small_scenario, pilot=True),
                       power_control._stacked_pilots(
                           full_power_allocation(dims, small_scenario.p_max))))
-    _, lifts = power_control._sinr_constraints(small_scenario, processing, True, None,
-                                               pilot_point=anchor)
+    _, lifts = power_control._joint_sinr_model(small_scenario, processing, pilot_point=anchor)
     assert len(lifts) == dims.num_cells * (dims.cus_per_cell + 1) + dims.num_d2d_pairs
     assert set(lifts) <= set(gp.bounds)
     for name, factor in lifts.items():
@@ -632,7 +685,7 @@ def _random_alloc(scn, rng):
 
 def test_compiled_constraints_match_closed_forms(small_scenario, rng):
     scn = small_scenario
-    constraint_map, lifts = power_control._sinr_constraints(scn, Processing.MR, True, None)
+    constraint_map, lifts = power_control._joint_sinr_model(scn, Processing.MR)
     for trial in range(5):
         alloc = _random_alloc(scn, rng)
         point = _alloc_to_point(alloc)
@@ -645,8 +698,8 @@ def test_compiled_constraints_match_closed_forms(small_scenario, rng):
                                                                          rel=1e-9)
         # the data-scope posynomials, at the trial's pilot powers
         for processing in (Processing.MR, Processing.ZF):
-            for (kind, b, idx), (num, den) in power_control._sinr_constraints(
-                    scn, processing, False, alloc)[0].items():
+            for (kind, b, idx), (num, den) in data_sinr_posynomials(
+                    scn, processing, alloc).items():
                 if kind == "d2d":
                     closed = _d2d_sinr(idx, scn, alloc)
                 elif processing is Processing.MR:
@@ -670,8 +723,8 @@ def test_lifted_denominators_match_expanded_oracle(small_scenario, seed, bump):
     anchor = {name: scn.p_max * 10.0 ** rng.uniform(-6.0, 0.0)
               for name in point if name.startswith("pp")}
     for processing in (Processing.MR, Processing.ZF):
-        constraint_map, lifts = power_control._sinr_constraints(
-            scn, processing, True, None, pilot_point=anchor)
+        constraint_map, lifts = power_control._joint_sinr_model(scn, processing,
+                                                                pilot_point=anchor)
         expanded = expanded_sinr_constraints(scn, processing, anchor)
         at = lifted_point(point, lifts)
         raised = lifted_point(point, lifts, {name: 1.0 + bump * rng.uniform()
@@ -716,8 +769,8 @@ def test_zf_tilde_bound_touch_and_tangency(rng):
     point0 = _alloc_to_point(expansion)
     pilot_point = {k: v for k, v in point0.items() if k.startswith("pp")}
 
-    constraint_map, lifts = power_control._sinr_constraints(
-        scn, Processing.ZF, True, None, pilot_point=pilot_point)
+    constraint_map, lifts = power_control._joint_sinr_model(scn, Processing.ZF,
+                                                            pilot_point=pilot_point)
     for b in range(2):
         num, den = constraint_map[("cu", b, 0)]
 
