@@ -13,7 +13,7 @@ import argparse
 import logging
 import sys
 
-from .scenario import ScenarioConfig, Scenario, ScenarioError
+from .scenario import ScenarioConfig, Scenario, ScenarioError, _grid_shape
 from .power_control import ControlProblemSpec
 from .harness import ExperimentPlan, Baselines, run_experiment
 
@@ -76,11 +76,8 @@ def cmd_validate(args) -> int:
     config = _load_config(args.config)
     dims = config.dimensions()
     if args.build:
-        scn = Scenario.build(config)
-        scn.gains.validate()
-        scn.pilots.validate(dims)
-        from .scenario import _grid_shape
-        scn.geometry.validate(_grid_shape(dims.num_cells))
+        # build_scenario validates the gains and pilots; the geometry check is here
+        Scenario.build(config).geometry.validate(_grid_shape(dims.num_cells))
     print(f"config ok: B={dims.num_cells} M={dims.antennas_per_bs} "
           f"K={dims.cus_per_cell} L={dims.num_d2d_pairs} N={dims.num_d2d_pilots} "
           f"tau={dims.pilot_len} tau_c={dims.coherence_len}")

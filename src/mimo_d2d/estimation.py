@@ -31,6 +31,22 @@ class PowerAllocation:
             if arr.size and (arr.min() < -1e-12 or arr.max() > self.p_max * (1 + 1e-9)):
                 raise ValueError(f"{name} outside [0, p_max]")
 
+    @classmethod
+    def from_stacked(cls, dims: SystemDimensions, data, pilots, p_max) -> "PowerAllocation":
+        """The allocation whose stacked data and pilot powers (in
+        dims.users() order) are data and pilots."""
+        n_cu, shape = dims.num_cells * dims.cus_per_cell, (dims.num_cells, dims.cus_per_cell)
+        return cls(data[:n_cu].reshape(shape), data[n_cu:],
+                   pilots[:n_cu].reshape(shape), pilots[n_cu:], p_max)
+
+    def stacked_data(self) -> np.ndarray:
+        """Data powers in dims.users() order: CUs (b, k) row-major, then D2D."""
+        return np.concatenate([self.data_cu.ravel(), self.data_d2d])
+
+    def stacked_pilots(self) -> np.ndarray:
+        """Pilot powers in dims.users() order."""
+        return np.concatenate([self.pilot_cu.ravel(), self.pilot_d2d])
+
     def copy(self) -> "PowerAllocation":
         return PowerAllocation(self.data_cu.copy(), self.data_d2d.copy(),
                                self.pilot_cu.copy(), self.pilot_d2d.copy(), self.p_max)

@@ -90,8 +90,7 @@ def cellular_only_view(scn: Scenario) -> Scenario:
                             np.zeros((dims.num_cells, 0)),
                             np.zeros((0, dims.num_cells, dims.cus_per_cell)),
                             np.zeros((0, 0)))
-    pilots = PilotAllocation(np.arange(0), [[] for _ in range(dims.num_d2d_pilots)],
-                             np.zeros(0, dtype=int))
+    pilots = PilotAllocation([[] for _ in range(dims.num_d2d_pilots)], np.zeros(0, dtype=int))
     return Scenario(reduced, geom, gains, pilots, scn.p_max, scn.seed)
 
 
@@ -117,32 +116,20 @@ def _plan_jobs(plan: ExperimentPlan):
 
 
 def _nan_rows(drop, job, scn):
-    rows = []
-    for b in range(scn.dims.num_cells):
-        for k in range(scn.dims.cus_per_cell):
-            rows.append({"drop": drop, "problem": job.job_id, "user_type": "cu",
-                         "cell": b, "index": k, "se": math.nan, "sinr": math.nan,
-                         "p_data": math.nan, "p_pilot": math.nan})
-    for l in range(scn.dims.num_d2d_pairs):
-        rows.append({"drop": drop, "problem": job.job_id, "user_type": "d2d",
-                     "cell": -1, "index": l, "se": math.nan, "sinr": math.nan,
-                     "p_data": math.nan, "p_pilot": math.nan})
-    return rows
+    return [{"drop": drop, "problem": job.job_id, "user_type": kind, "cell": cell,
+             "index": index, **dict.fromkeys(ROW_FIELDS[5:], math.nan)}
+            for kind, cell, index in scn.dims.users()]
 
 
 def _job_rows(drop, job, scn, alloc, plan):
     report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc,
                               job.processing.value, exact_d2d=plan.exact_d2d)
-    rows = []
-    for user in report.rows():
-        if user["user_type"] == "cu":
-            data, pilot, at = alloc.data_cu, alloc.pilot_cu, (user["cell"], user["index"])
-        else:
-            data, pilot, at = alloc.data_d2d, alloc.pilot_d2d, user["index"]
-        rows.append({"drop": drop, "problem": job.job_id,
-                     **{key: user[key] for key in ROW_FIELDS[2:7]},
-                     "p_data": float(data[at]), "p_pilot": float(pilot[at])})
-    return rows
+    # report.rows() yields the users in the stacked order of the powers
+    return [{"drop": drop, "problem": job.job_id,
+             **{key: user[key] for key in ROW_FIELDS[2:7]},
+             "p_data": p_data, "p_pilot": p_pilot}
+            for user, p_data, p_pilot in zip(report.rows(), alloc.stacked_data().tolist(),
+                                             alloc.stacked_pilots().tolist())]
 
 
 def run_drop(plan: ExperimentPlan, drop: int):

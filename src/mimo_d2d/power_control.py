@@ -97,7 +97,6 @@ class SolveDiagnostics:
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
     status: str = ""
-    active_constraints: list = field(default_factory=list)
     wall_time: float = 0.0
     excluded_users: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -123,36 +122,21 @@ def _qd(l):
 
 
 def _stacked_names(scn: Scenario, pilot=False):
-    """GP variable names of the stacked powers [cu (b, k) row-major, d2d]:
-    the data powers, or the pilot powers when pilot=True."""
-    dims = scn.dims
+    """GP variable names of the stacked powers, in dims.users() order: the
+    data powers, or the pilot powers when pilot=True."""
     cu, d2d = (_qc, _qd) if pilot else (_pc, _pd)
-    return ([cu(b, k) for b in range(dims.num_cells) for k in range(dims.cus_per_cell)]
-            + [d2d(l) for l in range(dims.num_d2d_pairs)])
-
-
-def _stacked_pilots(alloc: PowerAllocation):
-    return np.concatenate([alloc.pilot_cu.ravel(), alloc.pilot_d2d])
-
-
-def _stacked_alloc(scn: Scenario, data, pilots):
-    """Allocation from stacked data and pilot power vectors, clipped to
-    [0, p_max]."""
-    dims = scn.dims
-    n_cu = dims.num_cells * dims.cus_per_cell
-    shape = (dims.num_cells, dims.cus_per_cell)
-    data, pilots = np.clip(data, 0.0, scn.p_max), np.clip(pilots, 0.0, scn.p_max)
-    return PowerAllocation(data[:n_cu].reshape(shape), data[n_cu:],
-                           pilots[:n_cu].reshape(shape), pilots[n_cu:], scn.p_max)
+    return [cu(b, i) if kind == "cu" else d2d(i) for kind, b, i in scn.dims.users()]
 
 
 def _alloc_from_values(scn: Scenario, values, pilot_vars, fixed_pilots):
-    """Allocation from a GP solution's values; a data power with no value
-    is zero, and pilot powers are fixed unless pilot_vars."""
+    """Allocation from a GP solution's values, clipped to [0, p_max]; a data
+    power with no value is zero, and pilot powers are fixed unless
+    pilot_vars."""
     data = np.array([values.get(name, 0.0) for name in _stacked_names(scn)])
     pilots = (np.array([values[name] for name in _stacked_names(scn, pilot=True)])
-              if pilot_vars else _stacked_pilots(fixed_pilots))
-    return _stacked_alloc(scn, data, pilots)
+              if pilot_vars else fixed_pilots.stacked_pilots())
+    return PowerAllocation.from_stacked(scn.dims, np.clip(data, 0.0, scn.p_max),
+                                        np.clip(pilots, 0.0, scn.p_max), scn.p_max)
 
 
 def _degenerate_users(scn: Scenario):
@@ -161,12 +145,11 @@ def _degenerate_users(scn: Scenario):
     cells = np.arange(scn.dims.num_cells)
     own = (scn.gains.beta_cu_bs[cells, cells].ravel(), np.diag(scn.gains.beta_d2dtx_d2drx))
     weak = np.concatenate([g < g.max(initial=0.0) * DEGENERATE_GAIN_RATIO for g in own])
-    return [user for user, w in zip(_all_users(scn), weak) if w]
+    return [user for user, w in zip(scn.dims.users(), weak) if w]
 
 
 def _stacked_upper(scn: Scenario):
-    n = scn.dims.num_cells * scn.dims.cus_per_cell + scn.dims.num_d2d_pairs
-    return np.full(n, scn.p_max)
+    return np.full(len(scn.dims.users()), scn.p_max)
 
 
 # --- max-min over data powers: Algorithm-1 bisection ---------------------------
@@ -204,12 +187,12 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
 
     dims = scn.dims
     # the included users' own columns; excluded users' powers are zero
-    users = _all_users(scn)
-    cols = np.array([i for i, u in enumerate(users) if u not in diag.excluded_users],
+    cols = np.array([i for i, u in enumerate(dims.users()) if u not in diag.excluded_users],
                     dtype=int)
     g, terms = sinr_terms(dims, scn.gains, scn.pilots, fixed_pilots, processing.value)
     g, a = g[cols], terms.sum(axis=0)[cols]
     upper = _stacked_upper(scn)
+    pilots = np.clip(fixed_pilots.stacked_pilots(), 0.0, scn.p_max)
     prelog = dims.prelog
 
     # interference-free SE bound at maximum data power; 0 if a user has no desired link
@@ -217,7 +200,7 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
     if lam_hi <= 0.0:
         diag.status = "degenerate"
         diag.wall_time = time.perf_counter() - t0
-        return (_stacked_alloc(scn, np.zeros_like(upper), _stacked_pilots(fixed_pilots)),
+        return (PowerAllocation.from_stacked(dims, np.zeros_like(upper), pilots, scn.p_max),
                 0.0, diag)
     diag.notes.append(f"lambda_upper_initial={lam_hi:.6f}")
 
@@ -255,31 +238,21 @@ def maxmin_data(scn: Scenario, processing, settings: ControlSettings = None,
 
     data = np.zeros_like(upper)  # excluded users' powers stay zero
     data[cols] = witness[cols]
-    alloc = _stacked_alloc(scn, data, _stacked_pilots(fixed_pilots))
+    alloc = PowerAllocation.from_stacked(dims, np.clip(data, 0.0, scn.p_max), pilots,
+                                         scn.p_max)
     alloc = _snap_small_powers(scn, alloc, processing,
                                lambda rep: _min_se(rep, cols) >= lam_lo - 1e-6)
-
-    report = evaluate_network(dims, scn.gains, scn.pilots, alloc, processing.value)
-    min_se = _min_se(report, cols)
-    se = _stacked_se(report)
     diag.iterations = iterations
     diag.status = ("optimal" if lam_hi - lam_lo <= settings.bisection_eps
                    else "iteration_cap")
-    diag.active_constraints = [users[i] for i in cols
-                               if se[i] <= lam_lo + settings.bisection_eps]
-    diag.notes.append(f"min_se_at_witness={min_se:.6f}")
     diag.wall_time = time.perf_counter() - t0
     return alloc, lam_lo, diag
 
 
-def _stacked_se(report):
-    """Every user's closed-form SE in _all_users order."""
-    return np.concatenate([report.cu_se.ravel(), report.d2d_se_approx])
-
-
 def _min_se(report, cols=slice(None)):
-    """The least SE of the users at cols (all by default); 0 for none."""
-    se = _stacked_se(report)[cols]
+    """The least closed-form SE of the users at cols (stacked positions, all
+    by default); 0 for none."""
+    se = np.concatenate([report.cu_se.ravel(), report.d2d_se_approx])[cols]
     return float(se.min()) if se.size else 0.0
 
 
@@ -451,49 +424,39 @@ def _power_bounds(scn: Scenario, joint):
     return bounds
 
 
-def _all_users(scn: Scenario):
-    dims = scn.dims
-    return ([("cu", b, k) for b in range(dims.num_cells)
-             for k in range(dims.cus_per_cell)]
-            + [("d2d", -1, l) for l in range(dims.num_d2d_pairs)])
-
-
 def _joint_upper_bounds(scn: Scenario, processing: Processing):
     """Contamination-free utopia SINRs with own pilot at full power (valid
-    upper bounds however the pilot powers are chosen)."""
-    dims = scn.dims
+    upper bounds however the pilot powers are chosen), in dims.users()
+    order."""
+    dims, gains, p_max = scn.dims, scn.gains, scn.p_max
     tau = dims.pilot_len
     factor = dims.zf_dof if processing is Processing.ZF else dims.antennas_per_bs
-    out = {}
-    for b in range(dims.num_cells):
-        for k in range(dims.cus_per_cell):
-            beta = scn.gains.beta_cu_bs[b, b, k]
-            gamma = tau * scn.p_max * beta ** 2 / (1.0 + tau * scn.p_max * beta)
-            out[("cu", b, k)] = scn.p_max * factor * gamma
-    for l in range(dims.num_d2d_pairs):
-        beta = scn.gains.beta_d2dtx_d2drx[l, l]
-        gamma = tau * scn.p_max * beta ** 2 / (1.0 + tau * scn.p_max * beta)
-        out[("d2d", -1, l)] = scn.p_max * gamma
-    return out
+    cells = np.arange(dims.num_cells)
+    own = np.concatenate([gains.beta_cu_bs[cells, cells].ravel(),
+                          np.diag(gains.beta_d2dtx_d2drx)])
+    # numpy's scalar power per user, which can differ from the vectorized
+    # square by an ulp (see _maxprod_data_factors)
+    gamma = np.array([tau * p_max * beta ** 2 / (1.0 + tau * p_max * beta) for beta in own])
+    n_cu = cells.size * dims.cus_per_cell
+    return np.concatenate([p_max * factor * gamma[:n_cu], p_max * gamma[n_cu:]])
 
 
 def _half_power_sinrs(scn: Scenario, processing: Processing, fixed_pilots=None):
-    """Every user's SINR with all data powers at half budget and the given
-    pilot powers (by default at half budget as well)."""
+    """Every user's SINR, in dims.users() order, with all data powers at half
+    budget and the given pilot powers (by default at half budget as well)."""
     half = scn.p_max / 2.0
     dims = scn.dims
     cu = np.full((dims.num_cells, dims.cus_per_cell), half)
     d2d = np.full(dims.num_d2d_pairs, half)
     pilots = fixed_pilots or PowerAllocation(cu, d2d, cu, d2d, scn.p_max)
     alloc = PowerAllocation(cu, d2d, pilots.pilot_cu, pilots.pilot_d2d, scn.p_max)
-    report = evaluate_network(dims, scn.gains, scn.pilots, alloc, processing.value)
-    return dict(zip(_all_users(scn), report.sinr.tolist()))
+    return evaluate_network(dims, scn.gains, scn.pilots, alloc, processing.value).sinr
 
 
 def _maxprod_data_factors(scn: Scenario, processing: Processing, fixed_pilots):
     """The max-product objective over data powers as Factors, built straight
     from sinr_terms' (g, a). User i's factor (1 + a_i . p) / (g_i p_i), in
-    _all_users order, is the term 1/g_i with exponent -1 on p_i, then one
+    dims.users() order, is the term 1/g_i with exponent -1 on p_i, then one
     term a_ij/g_i per positive coupling, with +1 on p_j and -1 on p_i (a
     constant when j = i). Each coefficient is a_ij * g_i ** -1.0 with
     numpy's scalar power and each offset its math.log: the arithmetic of
@@ -504,7 +467,7 @@ def _maxprod_data_factors(scn: Scenario, processing: Processing, fixed_pilots):
     g, terms = sinr_terms(scn.dims, scn.gains, scn.pilots, fixed_pilots, processing.value)
     dead = np.flatnonzero(g <= 0.0)
     if dead.size:
-        raise GPInfeasibleError(f"user {_all_users(scn)[dead[0]]} has no usable desired link")
+        raise GPInfeasibleError(f"user {scn.dims.users()[dead[0]]} has no usable desired link")
     a = terms.sum(axis=0)
     inv = np.array([g_i ** -1.0 for g_i in g])
     # row i holds user i's terms: column 0 the constant, column j + 1 the
@@ -553,12 +516,10 @@ def _solve_gp_problem(scn, objective, constraint_map, lifts, processing, setting
         solution = gp_solve(gp, settings.gp, initial=start)
         return solution, dict(zip(constraint_map, np.exp(-solution.log_factors)))
 
-    ub = _joint_upper_bounds(scn, processing)
-    base = _half_power_sinrs(scn, processing)
     # the start sits at half the weakest half-power SINR, strictly above the
     # lower bound
-    weakest = min(base[u] for u in constraint_map)
-    bounds["target"] = (max(weakest * 0.25, 1e-280), min(ub[u] for u in constraint_map))
+    weakest = _half_power_sinrs(scn, processing).min()
+    bounds["target"] = (max(weakest * 0.25, 1e-280), _joint_upper_bounds(scn, processing).min())
     start["target"] = weakest * 0.5
     constraints = [den * Monomial(1.0, {"target": 1.0}) / num
                    for num, den in constraint_map.values()]
@@ -591,7 +552,7 @@ def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing
         gp = GeometricProgram(objective=_maxprod_data_factors(scn, processing, fixed_pilots),
                               bounds=bounds)
         solution = gp_solve(gp, settings.gp, initial=dict.fromkeys(bounds, scn.p_max / 2.0))
-        levels = dict(zip(_all_users(scn), np.exp(-solution.log_factors)))
+        levels = dict(zip(scn.dims.users(), np.exp(-solution.log_factors)))
     alloc = _alloc_from_values(scn, solution.values, joint, fixed_pilots)
     if objective is Objective.MAXMIN:
         value = float(se_from_sinr(solution.values["target"], scn.dims))
@@ -605,8 +566,6 @@ def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing
     diag.status = solution.status
     diag.objective_trace = [value]
     diag.targets = levels
-    diag.active_constraints = _tight_constraints(
-        scn, alloc, processing, levels if objective is Objective.MAXMIN else {})
     diag.wall_time = time.perf_counter() - t0
     return alloc, value, diag
 
@@ -640,21 +599,6 @@ def _report_log_product(report):
     if np.any(report.sinr <= 0):
         return -np.inf
     return float(np.log(report.sinr).sum())
-
-
-def _tight_constraints(scn, alloc, processing, sinr_levels, rel=1e-5):
-    """Active constraints at alloc: every SINR constraint met within rel of
-    its level (pass none for max-product, which has no SINR constraint) and
-    every power at p_max."""
-    out = []
-    if sinr_levels:
-        report = evaluate_network(scn.dims, scn.gains, scn.pilots, alloc, processing.value)
-        sinr = dict(zip(_all_users(scn), report.sinr))
-        out += [("sinr", user) for user, target in sinr_levels.items()
-                if sinr[user] <= target * (1 + rel)]
-    data = np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d])
-    return out + [("p_max", user) for user, p in zip(_all_users(scn), data)
-                  if p >= scn.p_max * (1 - 1e-5)]
 
 
 # --- Algorithm 2: successive approximation for joint ZF --------------------------
@@ -698,7 +642,7 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     last_levels = None
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
-        pilot_point = dict(zip(_stacked_names(scn, pilot=True), _stacked_pilots(alloc)))
+        pilot_point = dict(zip(_stacked_names(scn, pilot=True), alloc.stacked_pilots()))
         constraint_map, lifts = _joint_sinr_model(scn, Processing.ZF, pilot_point)
         try:
             solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts,
@@ -718,7 +662,7 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
             status = "converged"
             break
 
-        move = float(np.max(np.abs(_stacked_pilots(new_alloc) - _stacked_pilots(alloc))))
+        move = float(np.max(np.abs(new_alloc.stacked_pilots() - alloc.stacked_pilots())))
         alloc = new_alloc
         last_levels = levels
         diag.objective_trace.append(value)
@@ -731,9 +675,6 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     value = diag.objective_trace[-1]
     if last_levels is not None:
         diag.targets = last_levels
-        diag.active_constraints = _tight_constraints(
-            scn, alloc, Processing.ZF,
-            last_levels if objective is Objective.MAXMIN else {})
     diag.wall_time = time.perf_counter() - t0
     return alloc, value, diag
 
@@ -778,7 +719,6 @@ def solve_to_json(spec: ControlProblemSpec, alloc: PowerAllocation, value,
         "diagnostics": {"iterations": diag.iterations,
                         "objective_trace": diag.objective_trace,
                         "status": diag.status,
-                        "active_constraints": [list(map(str, c)) for c in diag.active_constraints],
                         "wall_time": diag.wall_time,
                         "excluded_users": [list(map(str, u)) for u in diag.excluded_users],
                         "notes": diag.notes},

@@ -7,6 +7,7 @@ powers in mW multiply directly onto unit-variance noise.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -72,6 +73,13 @@ class SystemDimensions:
     def zf_dof(self) -> int:
         """Array degrees of freedom left after nulling K + N directions."""
         return self.antennas_per_bs - self.pilot_len
+
+    def users(self) -> list:
+        """User keys (user_type, cell, index) in stacked order: the CUs (b, k)
+        row-major, then the D2D pairs (cell -1). Every stacked power vector,
+        SINR vector and SINR-terms row follows this order."""
+        return ([("cu", b, k) for b in range(self.num_cells) for k in range(self.cus_per_cell)]
+                + [("d2d", -1, l) for l in range(self.num_d2d_pairs)])
 
     def require_zf(self):
         if self.zf_dof <= 0:
@@ -191,7 +199,6 @@ class PilotAllocation:
     """Cellular pilot k is reused by CU k of every cell; D2D pairs are
     partitioned into one index set per D2D pilot."""
 
-    cu_pilot_index: np.ndarray  # (K,) identity
     d2d_pilot_sets: list  # N lists of pair indices, disjoint, covering range(L)
     pair_to_pilot: np.ndarray  # (L,)
 
@@ -222,6 +229,12 @@ def _noise_mw(noise_dbm: float) -> float:
     return 10.0 ** (noise_dbm / 10.0)
 
 
+def _positive_finite(value) -> bool:
+    """True for a real number, not a bool, in (0, inf)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 < value < math.inf)
+
+
 def build_scenario(dims: SystemDimensions, geometry_params: dict,
                    pathloss: PathlossModel, rng_seed):
     """Draw one random drop.
@@ -238,8 +251,8 @@ def build_scenario(dims: SystemDimensions, geometry_params: dict,
     area = float(geometry_params["area_side"])
     d2d_dist = float(geometry_params.get("d2d_link_distance", 10.0))
     noise_dbm = float(geometry_params.get("noise_dbm", DEFAULT_NOISE_DBM))
-    if d2d_dist >= area:
-        raise ScenarioError("d2d_link_distance must be smaller than area_side")
+    if not 0.0 < d2d_dist < area:
+        raise ScenarioError("d2d_link_distance must be positive and smaller than area_side")
 
     rng = np.random.default_rng(rng_seed)
     b_, k_, l_, n_ = (dims.num_cells, dims.cus_per_cell,
@@ -315,7 +328,7 @@ def _allocate_d2d_pilots(num_pairs: int, num_pilots: int, rng) -> PilotAllocatio
         rest = np.setdiff1d(np.arange(num_pairs), seeded)
         pair_to_pilot[rest] = rng.integers(0, num_pilots, size=rest.size)
     sets = [sorted(np.flatnonzero(pair_to_pilot == i).tolist()) for i in range(num_pilots)]
-    return PilotAllocation(np.arange(0), sets, pair_to_pilot)
+    return PilotAllocation(sets, pair_to_pilot)
 
 
 # --- configuration and replayable drops -----------------------------------
@@ -339,6 +352,28 @@ class ScenarioConfig:
     p_max_mw: float = 200.0
     seed: int = 0
     pathloss: PathlossModel = field(default_factory=PathlossModel)
+
+    def __post_init__(self):
+        # a malformed value fails when the config is loaded, so the CLI exits
+        # 2 before it writes anything or draws a drop
+        for name in ("num_cells", "antennas_per_bs", "cus_per_cell", "num_d2d_pairs",
+                     "num_d2d_pilots", "coherence_len", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        for name in ("area_side", "d2d_link_distance", "p_max_mw"):
+            value = getattr(self, name)
+            if not _positive_finite(value):
+                raise ScenarioError(f"{name} must be positive and finite, got {value!r}")
+        try:
+            noise_ok = _positive_finite(_noise_mw(self.noise_dbm))
+        except (TypeError, OverflowError):
+            noise_ok = False
+        if not noise_ok:
+            raise ScenarioError(f"noise_dbm must give a positive finite noise power, "
+                                f"got {self.noise_dbm!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -438,12 +473,11 @@ class Scenario:
             np.array(gr["beta_cu_d2drx"]).reshape(l_, b_, k_),
             np.array(gr["beta_d2dtx_d2drx"]).reshape(l_, l_),
         )
-        pilots = PilotAllocation(np.arange(0),
-                                 [list(s) for s in raw["pilots"]["d2d_pilot_sets"]],
+        pilots = PilotAllocation([list(s) for s in raw["pilots"]["d2d_pilot_sets"]],
                                  np.array(raw["pilots"]["pair_to_pilot"], dtype=int))
         gains.validate()
         pilots.validate(dims)
         p_max = raw["p_max"]
-        if not (isinstance(p_max, (int, float)) and math.isfinite(p_max) and p_max > 0):
+        if not _positive_finite(p_max):
             raise ScenarioError(f"p_max must be positive and finite, got {p_max!r}")
         return cls(dims, geometry, gains, pilots, p_max, raw["seed"])

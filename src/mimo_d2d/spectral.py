@@ -52,11 +52,6 @@ def se_from_sinr(sinr, dims: SystemDimensions):
     return out if out.ndim else float(out)
 
 
-def _stacked_data(alloc: PowerAllocation):
-    """Data powers stacked as [cu (b, k) row-major, d2d]."""
-    return np.concatenate([alloc.data_cu.ravel(), alloc.data_d2d])
-
-
 def _cu_terms(dims: SystemDimensions, gains: LargeScaleGains, alloc: PowerAllocation,
               processing, pilots: PilotAllocation = None):
     """The CU rows of sinr_terms: gains (B*K,) and terms (5, B*K, n). MR
@@ -100,10 +95,10 @@ def sinr_terms(dims: SystemDimensions, gains: LargeScaleGains, pilots: PilotAllo
     g_i p_i / (1 + sum_t terms[t, i] . p) over the stacked data powers p.
 
     Returns g (n,) and terms (5, n, n), one coupling matrix per mechanism of
-    DENOMINATOR_TERMS after noise. Rows are users as evaluate_network keys
-    them (CUs (b, k) row-major, then the D2D pairs) and columns the data
-    powers in the same order. The D2D rows are the closed-form approximation:
-    the expectations of the exact bound's numerator and denominator."""
+    DENOMINATOR_TERMS after noise. Rows are the users in dims.users() order
+    and columns the data powers in the same order. The D2D rows are the
+    closed-form approximation: the expectations of the exact bound's
+    numerator and denominator."""
     g_cu, cu = _cu_terms(dims, gains, alloc, processing, pilots)
     l_, n_cu = dims.num_d2d_pairs, len(g_cu)
     gamma = compute_gamma_d2drx(gains, alloc, pilots, dims).gamma_d2d_d2drx  # (L, L')
@@ -130,7 +125,7 @@ def _cu_breakdown(b, k, gains, alloc, pilots, dims, processing):
     """CU (b, k)'s SinrBreakdown from its row of the CU block."""
     g, terms = _cu_terms(dims, gains, alloc, processing, pilots)
     i = b * dims.cus_per_cell + k
-    p = _stacked_data(alloc)
+    p = alloc.stacked_data()
     return _assess(g[i:i + 1] * p[i:i + 1], terms[:, i:i + 1] @ p, dims.prelog)[2][0]
 
 
@@ -240,11 +235,9 @@ def evaluate_network(dims: SystemDimensions, gains: LargeScaleGains,
     `d2d_se_exact`), which `SEReport.rows` then reports as its SE."""
     processing = processing.lower()
     g, terms = sinr_terms(dims, gains, pilots, alloc, processing)
-    p = _stacked_data(alloc)
+    p = alloc.stacked_data()
     sinr, se, breakdowns = _assess(g * p, terms @ p, dims.prelog)
     b_, k_ = dims.num_cells, dims.cus_per_cell
-    users = ([("cu", b, k) for b in range(b_) for k in range(k_)]
-             + [("d2d", -1, l) for l in range(dims.num_d2d_pairs)])
     exact = d2d_se_exact(gains, alloc, pilots, dims) if exact_d2d else None
     return SEReport(se[:b_ * k_].reshape(b_, k_), se[b_ * k_:], processing,
-                    dict(zip(users, breakdowns)), exact, sinr)
+                    dict(zip(dims.users(), breakdowns)), exact, sinr)

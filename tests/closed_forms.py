@@ -110,8 +110,7 @@ def evaluate_breakdowns(dims, gains, pilots, alloc, processing):
 def fixed_pilot_model(scn, processing, fixed_pilots):
     """With pilot powers fixed, user i's SINR is g_i p_i / (1 + a_i . p) over
     the stacked data powers p. Returns the desired-link gains g (n,) and the
-    coupling matrix a (n, n), rows in _all_users order and columns in
-    _stacked_names order."""
+    coupling matrix a (n, n), rows and columns in dims.users() order."""
     dims, gains = scn.dims, scn.gains
     b_, k_, l_ = dims.num_cells, dims.cus_per_cell, dims.num_d2d_pairs
     n_cu = b_ * k_

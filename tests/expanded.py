@@ -11,7 +11,7 @@ forms that replaced them:
 from mimo_d2d import se_from_sinr, sinr_terms
 from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, Monomial, Posynomial, gp_solve,
                          monomial_lower_bound)
-from mimo_d2d.power_control import (Objective, Processing, _pc, _pd, _qc, _qd, _all_users,
+from mimo_d2d.power_control import (Objective, Processing, _pc, _pd, _qc, _qd,
                                     _half_power_sinrs, _joint_upper_bounds, _power_bounds,
                                     _stacked_names)
 
@@ -24,7 +24,7 @@ def data_sinr_posynomials(scn, processing, fixed_pilots):
                           Processing(processing).value)
     names = _stacked_names(scn)
     out = {}
-    for user, name, g_i, a_i in zip(_all_users(scn), names, g, terms.sum(axis=0)):
+    for user, name, g_i, a_i in zip(scn.dims.users(), names, g, terms.sum(axis=0)):
         if g_i <= 0.0:
             raise GPInfeasibleError(f"user {user} has no usable desired link")
         out[user] = (Monomial(g_i, {name: 1.0}), Posynomial(
@@ -156,10 +156,9 @@ def solve_expanded_joint_mr(scn, objective):
                               bounds=bounds)
         solution = gp_solve(gp, initial=start)
         return solution, -solution.log_objective
-    base = _half_power_sinrs(scn, Processing.MR)
-    ub = _joint_upper_bounds(scn, Processing.MR)
-    weakest = min(base.values())
-    bounds["target"] = (max(weakest * 0.25, 1e-280), min(ub.values()))
+    weakest = _half_power_sinrs(scn, Processing.MR).min()
+    bounds["target"] = (max(weakest * 0.25, 1e-280),
+                        _joint_upper_bounds(scn, Processing.MR).min())
     start["target"] = weakest * 0.5
     gp = GeometricProgram(objective=Monomial(1.0, {"target": -1.0}),
                           posy_constraints=[den * Monomial(1.0, {"target": 1.0}) / num

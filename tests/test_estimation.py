@@ -32,7 +32,7 @@ def test_single_cell_asymptote():
     beta = 1.0
     gains = LargeScaleGains(np.array([[[beta]]]), np.zeros((1, 0)),
                             np.zeros((0, 1, 1)), np.zeros((0, 0)))
-    pilots = PilotAllocation(np.arange(1), [[]], np.zeros(0, dtype=int))
+    pilots = PilotAllocation([[]], np.zeros(0, dtype=int))
     p = 1e6 / tau / beta
     alloc = PowerAllocation(np.array([[p]]), np.zeros(0),
                             np.array([[p]]), np.zeros(0), p)
@@ -50,7 +50,7 @@ def test_cu_gamma_matches_fraction_and_monte_carlo(rng):
     gains = LargeScaleGains(
         np.array([[[1.0], [0.5]], [[0.5], [1.0]]]),  # receiving BS 0 sees (1.0, 0.5)
         np.zeros((2, 0)), np.zeros((0, 2, 1)), np.zeros((0, 0)))
-    pilots = PilotAllocation(np.arange(1), [[] for _ in range(5)], np.zeros(0, dtype=int))
+    pilots = PilotAllocation([[] for _ in range(5)], np.zeros(0, dtype=int))
     alloc = PowerAllocation(np.full((2, 1), power), np.zeros(0),
                             np.full((2, 1), power), np.zeros(0), power)
     got = compute_gamma_bs(gains, alloc, pilots, dims).gamma_cu_bs[0, 0]

@@ -183,6 +183,19 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad), "--drops", "1",
                  "--out", str(tmp_path / "x")]) == 2
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
+    # malformed values fail when the config is loaded: no hang, no traceback,
+    # and no output directory
+    for i, text in enumerate(['{"d2d_link_distance": 0}', '{"d2d_link_distance": -3}',
+                              '{"num_cells": "abc"}', '{"num_cells": 2.5}',
+                              '{"area_side": "x"}', '{"noise_dbm": "loud"}',
+                              '{"noise_dbm": 1e308}', '{"p_max_mw": -1}',
+                              '{"p_max_mw": 0}', '{"seed": -1}', '{"seed": "x"}']):
+        bad.write_text(text)
+        for build in ([], ["--build"]):
+            assert main(["validate", "--config", str(bad), *build]) == 2, text
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2, text
+        assert not out.exists(), text
     # plan values are checked when the plan is built, before any drop runs
     good = _write_config(tmp_path / "good.json")
     assert main(["run", "--config", good, "--drops", "0", "--out", str(tmp_path / "y")]) == 2

@@ -142,6 +142,9 @@ def test_config_json_roundtrip_and_errors(tmp_path):
         ScenarioConfig.from_json("{not json")
     with pytest.raises(ScenarioError):
         ScenarioConfig.from_json(json.dumps({"no_such_key": 1}))
+    # a zero link distance would make every redraw of build_scenario fail
+    with pytest.raises(ScenarioError, match="d2d_link_distance"):
+        ScenarioConfig.from_json(json.dumps({"d2d_link_distance": 0}))
 
 
 def test_scenario_replay_roundtrip():

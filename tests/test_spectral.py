@@ -25,7 +25,7 @@ def _single_user_setup(m=32, tau_c=200, beta=0.8):
     dims = SystemDimensions(1, m, 1, 0, 1, tau_c)
     gains = LargeScaleGains(np.array([[[beta]]]), np.zeros((1, 0)),
                             np.zeros((0, 1, 1)), np.zeros((0, 0)))
-    pilots = PilotAllocation(np.arange(1), [[]], np.zeros(0, dtype=int))
+    pilots = PilotAllocation([[]], np.zeros(0, dtype=int))
     return dims, gains, pilots
 
 
@@ -356,3 +356,47 @@ def test_sinr_model_matches_per_user_oracle(data, cells, cus, pairs, spare, proc
     assert g.shape == (n,) and terms.shape == (5, n, n)
     assert np.array_equal(g, g_want)
     assert np.array_equal(terms.sum(axis=0), a_want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cells=st.integers(1, 3), cus=st.integers(1, 3),
+       pairs=st.integers(1, 4), processing=st.sampled_from(["mr", "zf"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_stacked_user_order(data, cells, cus, pairs, processing, seed):
+    """dims.users() is the order of evaluate_network's breakdowns, of
+    sinr_terms' rows (each row's SINR is its user's per-user closed form)
+    and of PowerAllocation's stacked powers, which from_stacked unstacks
+    exactly; with and without the D2D pairs."""
+    d2d_pilots = data.draw(st.integers(1, pairs))
+    cfg = ScenarioConfig(num_cells=cells, antennas_per_bs=cus + d2d_pilots + 4,
+                         cus_per_cell=cus, num_d2d_pairs=pairs,
+                         num_d2d_pilots=d2d_pilots, area_side=600.0)
+    built = Scenario.build(cfg, seed=seed % 2 ** 16)
+    rng = np.random.default_rng(seed)
+    for scn in (built, cellular_only_view(built)):
+        dims, gains, pilots = scn.dims, scn.gains, scn.pilots
+        shape, l_ = (cells, cus), dims.num_d2d_pairs
+        alloc = PowerAllocation(*(scn.p_max * rng.uniform(0.01, 1.0, s)
+                                  for s in (shape, l_, shape, l_)), scn.p_max)
+        users = dims.users()
+        assert len(users) == cells * cus + l_
+
+        assert list(evaluate_network(dims, gains, pilots, alloc, processing).breakdowns) == users
+
+        g, terms = sinr_terms(dims, gains, pilots, alloc, processing)
+        p = alloc.stacked_data()
+        got = g * p / (1.0 + terms.sum(axis=0) @ p)
+        want = closed_forms.evaluate_breakdowns(dims, gains, pilots, alloc, processing)
+        for user, sinr in zip(users, got):
+            assert sinr == pytest.approx(want[user].sinr, rel=1e-12), user
+
+        per_type = {"cu": (alloc.data_cu, alloc.pilot_cu), "d2d": (alloc.data_d2d, alloc.pilot_d2d)}
+        for (kind, b, i), p_data, p_pilot in zip(users, p, alloc.stacked_pilots()):
+            data_arr, pilot_arr = per_type[kind]
+            at = (b, i) if kind == "cu" else i
+            assert (p_data, p_pilot) == (data_arr[at], pilot_arr[at]), (kind, b, i)
+        back = PowerAllocation.from_stacked(dims, p, alloc.stacked_pilots(), alloc.p_max)
+        for name in ("data_cu", "data_d2d", "pilot_cu", "pilot_d2d"):
+            assert getattr(back, name).shape == getattr(alloc, name).shape
+            assert np.array_equal(getattr(back, name), getattr(alloc, name)), name
+        assert back.p_max == alloc.p_max
