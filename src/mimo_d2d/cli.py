@@ -13,7 +13,7 @@ import argparse
 import logging
 import sys
 
-from .scenario import ScenarioConfig, Scenario, ScenarioError, _grid_shape
+from .scenario import ScenarioConfig, Scenario, ScenarioError
 from .power_control import ControlProblemSpec
 from .harness import ExperimentPlan, Baselines, run_experiment
 
@@ -77,7 +77,7 @@ def cmd_validate(args) -> int:
     dims = config.dimensions()
     if args.build:
         # build_scenario validates the gains and pilots; the geometry check is here
-        Scenario.build(config).geometry.validate(_grid_shape(dims.num_cells))
+        Scenario.build(config).geometry.validate()
     print(f"config ok: B={dims.num_cells} M={dims.antennas_per_bs} "
           f"K={dims.cus_per_cell} L={dims.num_d2d_pairs} N={dims.num_d2d_pilots} "
           f"tau={dims.pilot_len} tau_c={dims.coherence_len}")

@@ -85,7 +85,7 @@ def cellular_only_view(scn: Scenario) -> Scenario:
                                dims.coherence_len)
     geom = Geometry(scn.geometry.area_side, scn.geometry.bs_positions,
                     scn.geometry.cu_positions, np.zeros((0, 2)), np.zeros((0, 2)),
-                    scn.geometry.d2d_link_distance, scn.geometry.wraparound)
+                    scn.geometry.d2d_link_distance)
     gains = LargeScaleGains(scn.gains.beta_cu_bs,
                             np.zeros((dims.num_cells, 0)),
                             np.zeros((0, dims.num_cells, dims.cus_per_cell)),

@@ -84,7 +84,7 @@ def empirical_gamma(tau, pilot_powers, betas, target, num_realizations=100_000,
     With combined=True the estimated quantity is the plain sum of the
     co-pilot channels instead of channel `target`.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     pilot_powers = np.asarray(pilot_powers, dtype=float)
     betas = np.asarray(betas, dtype=float)
     h = _crandn(rng, num_realizations, betas.size, power=betas)
@@ -173,7 +173,7 @@ def oracle_uatf_mr(dims: SystemDimensions, gains: LargeScaleGains,
     """Empirical MR use-and-forget SINR of CU k at BS b from simulated
     pilot + data transmission."""
     _check_guard(dims)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     tau = dims.pilot_len
     denom = 1.0 + tau * float(alloc.pilot_cu[:, k] @ gains.beta_cu_bs[b, :, k])
     coeff = np.sqrt(tau * alloc.pilot_cu[b, k]) * gains.beta_cu_bs[b, b, k] / denom
@@ -211,7 +211,7 @@ def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
     pilot-set channels."""
     _check_guard(dims)
     dims.require_zf()
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     tau = dims.pilot_len
     n_sets = dims.num_d2d_pilots
     k_ = dims.cus_per_cell
@@ -247,7 +247,7 @@ def wishart_inverse_diagonal_mean(m: int, cols: int, num_samples=10_000, rng=Non
     """Empirical mean of [(Z^H Z)^{-1}]_{kk} over i.i.d. complex standard
     Gaussian M x cols matrices, averaged over k; the analytic value is
     1 / (m - cols)."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     total = 0.0
     batch = max(1, min(num_samples, _WISHART_BATCH_ENTRIES // (m * cols)))
     done = 0

@@ -78,14 +78,11 @@ class ControlProblemSpec:
     objective: Objective
     variables: VariableScope
     processing: Processing
-    tolerances: "ControlSettings" = None
 
     def __post_init__(self):
         object.__setattr__(self, "objective", Objective(self.objective))
         object.__setattr__(self, "variables", VariableScope(self.variables))
         object.__setattr__(self, "processing", Processing(self.processing))
-        if self.tolerances is None:
-            object.__setattr__(self, "tolerances", ControlSettings())
 
     @property
     def problem_id(self) -> str:
@@ -105,34 +102,20 @@ class SolveDiagnostics:
 
 # --- variable naming ----------------------------------------------------------
 
-def _pc(b, k):
-    return f"pc_{b}_{k}"
-
-
-def _pd(l):
-    return f"pd_{l}"
-
-
-def _qc(b, k):
-    return f"ppc_{b}_{k}"
-
-
-def _qd(l):
-    return f"ppd_{l}"
-
-
 def _stacked_names(scn: Scenario, pilot=False):
     """GP variable names of the stacked powers, in dims.users() order: the
-    data powers, or the pilot powers when pilot=True."""
-    cu, d2d = (_qc, _qd) if pilot else (_pc, _pd)
-    return [cu(b, i) if kind == "cu" else d2d(i) for kind, b, i in scn.dims.users()]
+    data powers pc_b_k and pd_l, or the pilot powers ppc_b_k and ppd_l when
+    pilot=True. The only place a power's name is spelled; the sorted names
+    set the GP's column order."""
+    prefix = "pp" if pilot else "p"
+    return [f"{prefix}c_{b}_{i}" if kind == "cu" else f"{prefix}d_{i}"
+            for kind, b, i in scn.dims.users()]
 
 
 def _alloc_from_values(scn: Scenario, values, pilot_vars, fixed_pilots):
-    """Allocation from a GP solution's values, clipped to [0, p_max]; a data
-    power with no value is zero, and pilot powers are fixed unless
-    pilot_vars."""
-    data = np.array([values.get(name, 0.0) for name in _stacked_names(scn)])
+    """Allocation from a GP solution's values, clipped to [0, p_max]; pilot
+    powers are fixed unless pilot_vars."""
+    data = np.array([values[name] for name in _stacked_names(scn)])
     pilots = (np.array([values[name] for name in _stacked_names(scn, pilot=True)])
               if pilot_vars else fixed_pilots.stacked_pilots())
     return PowerAllocation.from_stacked(scn.dims, np.clip(data, 0.0, scn.p_max),
@@ -292,62 +275,14 @@ def _snap_small_powers(scn, alloc, processing, still_ok):
 LIFT_MARGIN = 0.1
 
 
-def _pilot_sum(scn: Scenario, b, k, leave_out=None):
-    """1 + sum over cells b2 of tau beta_{b,b2,k} q_{b2,k}: what BS b
-    receives on CU pilot k, optionally without cell leave_out's CU."""
-    tau, beta = scn.dims.pilot_len, scn.gains.beta_cu_bs[b]
-    return Posynomial([Monomial(1.0)] + [
-        Monomial(tau * beta[b2, k], {_qc(b2, k): 1.0})
-        for b2 in range(scn.dims.num_cells) if b2 != leave_out])
-
-
-def _d2d_pilot_sum(scn: Scenario, b, group, leave_out=None):
-    """1 + sum over the pairs j of a D2D pilot set of tau beta_{j,b} q_j: what
-    BS b receives on that pilot, optionally without pair leave_out."""
-    tau, beta = scn.dims.pilot_len, scn.gains.beta_d2dtx_bs[b]
-    return Posynomial([Monomial(1.0)] + [
-        Monomial(tau * beta[j], {_qd(j): 1.0}) for j in group if j != leave_out])
-
-
-def _received_at_bs(scn: Scenario, b):
-    """1 + every CU's and D2D transmitter's data power received at BS b."""
-    dims, gains = scn.dims, scn.gains
-    return Posynomial([Monomial(1.0)] + [
-        Monomial(gains.beta_cu_bs[b, b2, k2], {_pc(b2, k2): 1.0})
-        for b2 in range(dims.num_cells) for k2 in range(dims.cus_per_cell)] + [
-        Monomial(gains.beta_d2dtx_bs[b, l], {_pd(l): 1.0})
-        for l in range(dims.num_d2d_pairs)])
-
-
-def _received_at_d2drx(scn: Scenario, l):
-    """1 + the data power of every CU and every other D2D transmitter
-    received at D2D receiver l."""
-    dims, gains = scn.dims, scn.gains
-    return Posynomial([Monomial(1.0)] + [
-        Monomial(gains.beta_cu_d2drx[l, b, k], {_pc(b, k): 1.0})
-        for b in range(dims.num_cells) for k in range(dims.cus_per_cell)] + [
-        Monomial(gains.beta_d2dtx_d2drx[l, j], {_pd(j): 1.0})
-        for j in range(dims.num_d2d_pairs) if j != l])
-
-
-def _zf_residual_sum(scn: Scenario, b, pilot_point):
-    """1 + R_b, the post-nulling residual interference at ZF BS b with each
-    residual ratio's denominator replaced by its local monomial lower bound
-    at pilot_point: an upper bound that touches at pilot_point. It depends on
-    the cell, not on the CU, so the CUs of a cell share it."""
-    dims, gains, cells = scn.dims, scn.gains, range(scn.dims.num_cells)
-    terms = [Monomial(1.0)]
-    for k2 in range(dims.cus_per_cell):
-        anchor = monomial_lower_bound(_pilot_sum(scn, b, k2), pilot_point)
-        for b2 in cells:
-            power = Monomial(gains.beta_cu_bs[b, b2, k2], {_pc(b2, k2): 1.0}) / anchor
-            terms += (_pilot_sum(scn, b, k2, leave_out=b2) * power).terms
-    for group in scn.pilots.d2d_pilot_sets:
-        anchor = monomial_lower_bound(_d2d_pilot_sum(scn, b, group), pilot_point)
-        for l in group:
-            power = Monomial(gains.beta_d2dtx_bs[b, l], {_pd(l): 1.0}) / anchor
-            terms += (_d2d_pilot_sum(scn, b, group, leave_out=l) * power).terms
-    return Posynomial(terms)
+def _lifted_factor(coeffs, names, skip=None):
+    """1 + the sum over j != skip of coeffs[j] names[j]: one posynomial factor
+    of a joint SINR denominator, a pilot sum 1 + sum tau beta q or a received
+    power 1 + sum beta p. coeffs is one row of gains and names the power
+    names that row reads, position for position in stacked order."""
+    return Posynomial([Monomial(1.0)] + [Monomial(c, {x: 1.0})
+                                         for j, (c, x) in enumerate(zip(coeffs, names))
+                                         if j != skip])
 
 
 def _joint_sinr_model(scn: Scenario, processing: Processing, pilot_point=None):
@@ -360,38 +295,78 @@ def _joint_sinr_model(scn: Scenario, processing: Processing, pilot_point=None):
     A CU's denominator is s_{b,k} r_b plus its coherent pilot-contamination
     terms, with s_{b,k} the pilot sum at BS b and r_b the received power
     (MR) or the residual sum at the anchor pilot_point (ZF, Algorithm 2). A
-    D2D pair's denominator uses the received power at its receiver."""
+    D2D pair's denominator uses the received power at its receiver. Every
+    factor is _lifted_factor over a gain row and the stacked names p and q:
+    user b K + k is CU k of cell b, user n_cu + l is pair l, and q[k:n_cu:K]
+    are the CUs on pilot k, cell by cell."""
     dims, gains = scn.dims, scn.gains
-    tau = dims.pilot_len
+    tau, cus = dims.pilot_len, dims.cus_per_cell
+    cells = range(dims.num_cells)
+    n_cu = dims.num_cells * cus
     factor = dims.zf_dof if processing is Processing.ZF else dims.antennas_per_bs
+    p, q = _stacked_names(scn), _stacked_names(scn, pilot=True)
+    pd, qd = p[n_cu:], q[n_cu:]
+    # every user's gain to BS b (row b) and to D2D receiver l (row l)
+    at_bs = np.hstack([gains.beta_cu_bs.reshape(dims.num_cells, n_cu), gains.beta_d2dtx_bs])
+    at_rx = np.hstack([gains.beta_cu_d2drx.reshape(dims.num_d2d_pairs, n_cu),
+                       gains.beta_d2dtx_d2drx])
+    pilot_gain = tau * gains.beta_cu_bs  # [b, b2, k]: CU pilot k's row at BS b is [b, :, k]
+    # per D2D pilot: its pairs' pilot gains to every BS (row b), and their names
+    sets = scn.pilots.d2d_pilot_sets
+    d2d_pilot_gain = [tau * gains.beta_d2dtx_bs[:, group] for group in sets]
+    d2d_pilot_names = [[qd[j] for j in group] for group in sets]
+
+    def residual_sum(b):
+        """1 + R_b, the post-nulling residual interference at ZF BS b with
+        each residual ratio's denominator replaced by its local monomial
+        lower bound at pilot_point: an upper bound that touches at
+        pilot_point. It depends on the cell, not on the CU, so the CUs of a
+        cell share it."""
+        terms = [Monomial(1.0)]
+        for k2 in range(cus):
+            row, names = pilot_gain[b, :, k2], q[k2:n_cu:cus]
+            anchor = monomial_lower_bound(_lifted_factor(row, names), pilot_point)
+            for b2 in cells:
+                j = b2 * cus + k2
+                power = Monomial(at_bs[b, j], {p[j]: 1.0}) / anchor
+                terms += (_lifted_factor(row, names, skip=b2) * power).terms
+        for group, rows, names in zip(sets, d2d_pilot_gain, d2d_pilot_names):
+            row = rows[b]
+            anchor = monomial_lower_bound(_lifted_factor(row, names), pilot_point)
+            for i, l in enumerate(group):
+                power = Monomial(at_bs[b, n_cu + l], {pd[l]: 1.0}) / anchor
+                terms += (_lifted_factor(row, names, skip=i) * power).terms
+        return Posynomial(terms)
+
     lifts, out = {}, {}
-    for b in range(dims.num_cells):
+    for b in cells:
         beta = gains.beta_cu_bs[b]
         r = f"r_{b}"
-        lifts[r] = (_zf_residual_sum(scn, b, pilot_point) if processing is Processing.ZF
-                    else _received_at_bs(scn, b))
-        for k in range(dims.cus_per_cell):
+        lifts[r] = (residual_sum(b) if processing is Processing.ZF
+                    else _lifted_factor(at_bs[b], p))
+        for k in range(cus):
             s = f"s_{b}_{k}"
-            lifts[s] = _pilot_sum(scn, b, k)
-            coherent = [factor * tau * beta[b2, k] ** 2 for b2 in range(dims.num_cells)]
+            pk, qk = p[k:n_cu:cus], q[k:n_cu:cus]  # CU k of each cell
+            lifts[s] = _lifted_factor(pilot_gain[b, :, k], qk)
+            coherent = [factor * tau * beta[b2, k] ** 2 for b2 in cells]
             out[("cu", b, k)] = (
-                Monomial(coherent[b], {_pc(b, k): 1.0, _qc(b, k): 1.0}),
+                Monomial(coherent[b], {pk[b]: 1.0, qk[b]: 1.0}),
                 Posynomial([Monomial(1.0, {s: 1.0, r: 1.0})] + [
-                    Monomial(c, {_pc(b2, k): 1.0, _qc(b2, k): 1.0})
+                    Monomial(c, {pk[b2]: 1.0, qk[b2]: 1.0})
                     for b2, c in enumerate(coherent) if b2 != b]))
     for l in range(dims.num_d2d_pairs):
         rd = f"rd_{l}"
-        lifts[rd] = _received_at_d2drx(scn, l)
+        lifts[rd] = _lifted_factor(at_rx[l], p, skip=n_cu + l)
         beta_row = gains.beta_d2dtx_d2drx[l]
         group = scn.pilots.set_of(l)
-        own_pilot = Posynomial([Monomial(1.0)] + [
-            Monomial(tau * beta_row[j], {_qd(j): 1.0}) for j in group])
-        den = own_pilot * Monomial(1.0, {rd: 1.0}) + Monomial(beta_row[l], {_pd(l): 1.0})
+        own_pilot = _lifted_factor(tau * beta_row[group],
+                                   d2d_pilot_names[scn.pilots.pair_to_pilot[l]])
+        den = own_pilot * Monomial(1.0, {rd: 1.0}) + Monomial(beta_row[l], {pd[l]: 1.0})
         for j in group:
             if j != l:
                 den = den + Monomial(tau * beta_row[l] * beta_row[j],
-                                     {_pd(l): 1.0, _qd(j): 1.0})
-        out[("d2d", -1, l)] = (Monomial(tau * beta_row[l] ** 2, {_pd(l): 1.0, _qd(l): 1.0}),
+                                     {pd[l]: 1.0, qd[j]: 1.0})
+        out[("d2d", -1, l)] = (Monomial(tau * beta_row[l] ** 2, {pd[l]: 1.0, qd[l]: 1.0}),
                                den)
     return out, lifts
 
@@ -409,19 +384,10 @@ def _posynomial_range(posy: Posynomial, bounds):
 # --- GP assembly ----------------------------------------------------------------
 
 def _power_bounds(scn: Scenario, joint):
-    dims = scn.dims
-    lo = POWER_FLOOR_RATIO * scn.p_max
-    bounds = {}
-    for b in range(dims.num_cells):
-        for k in range(dims.cus_per_cell):
-            bounds[_pc(b, k)] = (lo, scn.p_max)
-            if joint:
-                bounds[_qc(b, k)] = (lo, scn.p_max)
-    for l in range(dims.num_d2d_pairs):
-        bounds[_pd(l)] = (lo, scn.p_max)
-        if joint:
-            bounds[_qd(l)] = (lo, scn.p_max)
-    return bounds
+    """The box [POWER_FLOOR_RATIO p_max, p_max] of every data power, and of
+    every pilot power when joint."""
+    names = _stacked_names(scn) + (_stacked_names(scn, pilot=True) if joint else [])
+    return dict.fromkeys(names, (POWER_FLOOR_RATIO * scn.p_max, scn.p_max))
 
 
 def _joint_upper_bounds(scn: Scenario, processing: Processing):
@@ -687,7 +653,7 @@ def solve_problem(scn: Scenario, spec: ControlProblemSpec,
     """Route one ControlProblemSpec to its solver. Returns (allocation,
     objective value, diagnostics); the value is an SE level in b/s/Hz for
     max-min objectives and a log SINR product for max-product."""
-    settings = settings or spec.tolerances
+    settings = settings or ControlSettings()
     joint = spec.variables is VariableScope.JOINT
     if not joint and spec.objective is Objective.MAXMIN:
         return maxmin_data(scn, spec.processing, settings, fixed_pilots)
@@ -705,11 +671,7 @@ def solve_to_json(spec: ControlProblemSpec, alloc: PowerAllocation, value,
     return json.dumps({
         "problem": {"objective": spec.objective.value,
                     "variables": spec.variables.value,
-                    "processing": spec.processing.value,
-                    "tolerances": {"bisection_eps": spec.tolerances.bisection_eps,
-                                   "sca_power_tol": spec.tolerances.sca_power_tol,
-                                   "bisection_cap": spec.tolerances.bisection_cap,
-                                   "sca_cap": spec.tolerances.sca_cap}},
+                    "processing": spec.processing.value},
         "allocation": {"data_cu": alloc.data_cu.tolist(),
                        "data_d2d": alloc.data_d2d.tolist(),
                        "pilot_cu": alloc.pilot_cu.tolist(),
@@ -729,10 +691,9 @@ def solve_from_json(text: str):
     """Parse a serialized solve back into (spec, allocation, value, status)."""
     raw = json.loads(text)
     prob = raw["problem"]
-    tol = ControlSettings(**prob.get("tolerances", {}))
     spec = ControlProblemSpec(objective=prob["objective"],
                               variables=prob["variables"],
-                              processing=prob["processing"], tolerances=tol)
+                              processing=prob["processing"])
     al = raw["allocation"]
     alloc = PowerAllocation(np.array(al["data_cu"]), np.array(al["data_d2d"]),
                             np.array(al["pilot_cu"]), np.array(al["pilot_d2d"]),

@@ -155,10 +155,9 @@ class Geometry:
     d2d_tx_positions: np.ndarray  # (L, 2)
     d2d_rx_positions: np.ndarray  # (L, 2)
     d2d_link_distance: float
-    wraparound: bool = True
 
-    def validate(self, cell_grid):
-        rows, cols = cell_grid
+    def validate(self):
+        rows, cols = _grid_shape(len(self.bs_positions))
         cell_w = self.area_side / cols
         cell_h = self.area_side / rows
         for b, bs in enumerate(self.bs_positions):
@@ -235,22 +234,22 @@ def _positive_finite(value) -> bool:
             and 0.0 < value < math.inf)
 
 
-def build_scenario(dims: SystemDimensions, geometry_params: dict,
-                   pathloss: PathlossModel, rng_seed):
-    """Draw one random drop.
+def build_scenario(config: "ScenarioConfig", rng_seed):
+    """Draw one random drop of a config.
 
-    geometry_params keys: area_side (m), d2d_link_distance (m), and
-    optionally noise_dbm (default -94). BSs sit at the centers of an exact
-    rectangular tiling of the area; CUs are uniform in their serving cell;
-    D2D transmitters are uniform over the whole area with the receiver at
-    the fixed link distance in a uniform direction (positions wrap).
+    BSs sit at the centers of an exact rectangular tiling of the area; CUs
+    are uniform in their serving cell; D2D transmitters are uniform over the
+    whole area with the receiver at the fixed link distance in a uniform
+    direction (positions wrap).
 
     Returns (Geometry, LargeScaleGains, PilotAllocation); deterministic
     given the seed.
     """
-    area = float(geometry_params["area_side"])
-    d2d_dist = float(geometry_params.get("d2d_link_distance", 10.0))
-    noise_dbm = float(geometry_params.get("noise_dbm", DEFAULT_NOISE_DBM))
+    dims = config.dimensions()
+    area = float(config.area_side)
+    d2d_dist = float(config.d2d_link_distance)
+    # checked again here: the redraw loop below ends only for such a distance,
+    # and a config can be changed after it was loaded
     if not 0.0 < d2d_dist < area:
         raise ScenarioError("d2d_link_distance must be positive and smaller than area_side")
 
@@ -277,7 +276,7 @@ def build_scenario(dims: SystemDimensions, geometry_params: dict,
         if _min_link_distance(geom) > 0.0:
             break
 
-    gains = _gains_from_geometry(geom, pathloss, noise_dbm)
+    gains = _gains_from_geometry(geom, config.pathloss, float(config.noise_dbm))
     pilots = _allocate_d2d_pilots(l_, n_, rng)
     gains.validate()
     pilots.validate(dims)
@@ -374,6 +373,10 @@ class ScenarioConfig:
         if not noise_ok:
             raise ScenarioError(f"noise_dbm must give a positive finite noise power, "
                                 f"got {self.noise_dbm!r}")
+        if self.d2d_link_distance >= self.area_side:
+            raise ScenarioError(f"d2d_link_distance must be smaller than area_side "
+                                f"({self.area_side!r}), got {self.d2d_link_distance!r}")
+        self.dimensions()  # raises for counts no network can have
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -408,11 +411,6 @@ class ScenarioConfig:
                                 self.cus_per_cell, self.num_d2d_pairs,
                                 self.num_d2d_pilots, self.coherence_len)
 
-    def geometry_params(self) -> dict:
-        return {"area_side": self.area_side,
-                "d2d_link_distance": self.d2d_link_distance,
-                "noise_dbm": self.noise_dbm}
-
 
 @dataclass
 class Scenario:
@@ -428,10 +426,8 @@ class Scenario:
     @classmethod
     def build(cls, config: ScenarioConfig, seed=None) -> "Scenario":
         use_seed = config.seed if seed is None else seed
-        dims = config.dimensions()
-        geom, gains, pilots = build_scenario(dims, config.geometry_params(),
-                                             config.pathloss, use_seed)
-        return cls(dims, geom, gains, pilots, config.p_max_mw, use_seed)
+        geom, gains, pilots = build_scenario(config, use_seed)
+        return cls(config.dimensions(), geom, gains, pilots, config.p_max_mw, use_seed)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -445,7 +441,6 @@ class Scenario:
                 "d2d_tx_positions": self.geometry.d2d_tx_positions.tolist(),
                 "d2d_rx_positions": self.geometry.d2d_rx_positions.tolist(),
                 "d2d_link_distance": self.geometry.d2d_link_distance,
-                "wraparound": self.geometry.wraparound,
             },
             "gains": {k: v.tolist() for k, v in self.gains.__dict__.items()},
             "pilots": {
@@ -463,7 +458,7 @@ class Scenario:
                             np.array(g["cu_positions"]),
                             np.array(g["d2d_tx_positions"]).reshape(-1, 2),
                             np.array(g["d2d_rx_positions"]).reshape(-1, 2),
-                            g["d2d_link_distance"], g["wraparound"])
+                            g["d2d_link_distance"])
         b_, k_ = dims.num_cells, dims.cus_per_cell
         l_ = dims.num_d2d_pairs
         gr = raw["gains"]

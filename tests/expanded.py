@@ -11,9 +11,26 @@ forms that replaced them:
 from mimo_d2d import se_from_sinr, sinr_terms
 from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, Monomial, Posynomial, gp_solve,
                          monomial_lower_bound)
-from mimo_d2d.power_control import (Objective, Processing, _pc, _pd, _qc, _qd,
-                                    _half_power_sinrs, _joint_upper_bounds, _power_bounds,
-                                    _stacked_names)
+from mimo_d2d.power_control import (Objective, Processing, _half_power_sinrs,
+                                    _joint_upper_bounds, _power_bounds, _stacked_names)
+
+
+# The GP variable names, spelled here rather than read from the model under
+# test: data powers pc_b_k and pd_l, pilot powers ppc_b_k and ppd_l.
+def _pc(b, k):
+    return f"pc_{b}_{k}"
+
+
+def _pd(l):
+    return f"pd_{l}"
+
+
+def _qc(b, k):
+    return f"ppc_{b}_{k}"
+
+
+def _qd(l):
+    return f"ppd_{l}"
 
 
 def data_sinr_posynomials(scn, processing, fixed_pilots):

@@ -178,14 +178,12 @@ def test_cli_validate_and_run(tmp_path):
 def test_cli_config_error_exit_code(tmp_path):
     from mimo_d2d.cli import main
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"num_cells\": 0}")
-    assert main(["validate", "--config", str(bad)]) == 2
-    assert main(["run", "--config", str(bad), "--drops", "1",
-                 "--out", str(tmp_path / "x")]) == 2
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
-    # malformed values fail when the config is loaded: no hang, no traceback,
-    # and no output directory
-    for i, text in enumerate(['{"d2d_link_distance": 0}', '{"d2d_link_distance": -3}',
+    # malformed values, impossible counts and a link longer than the area
+    # fail when the config is loaded: no hang, no traceback, and no output
+    # directory
+    for i, text in enumerate(['{"num_cells": 0}', '{"d2d_link_distance": 2000}',
+                              '{"d2d_link_distance": 0}', '{"d2d_link_distance": -3}',
                               '{"num_cells": "abc"}', '{"num_cells": 2.5}',
                               '{"area_side": "x"}', '{"noise_dbm": "loud"}',
                               '{"noise_dbm": 1e308}', '{"p_max_mw": -1}',
@@ -251,3 +249,24 @@ def test_solver_failure_marks_rows_and_cli_exit_code(tmp_path, monkeypatch):
                "--out", str(tmp_path / "cli_fail"), "--no-exact-d2d"])
     assert rc == 3
     assert (tmp_path / "cli_fail" / "rows.csv").exists()  # partial output kept
+
+
+def test_plan_settings_reach_every_solve():
+    """ExperimentPlan.settings is what every solve of a drop runs with: a
+    coarse plan's rows are those of direct solves at the same settings, and
+    differ from the rows at the default settings."""
+    from mimo_d2d import ControlSettings, solve_problem
+    coarse = ControlSettings(bisection_eps=0.5, sca_cap=1)
+    specs = [ControlProblemSpec("maxmin", "data", "mr"),
+             ControlProblemSpec("maxmin", "joint", "zf")]
+    common = dict(config=SMALL, num_drops=1, problems=specs, master_seed=2, exact_d2d=False)
+    rows = run_experiment(ExperimentPlan(**common, settings=coarse)).rows
+    default_rows = run_experiment(ExperimentPlan(**common)).rows
+    scn = Scenario.build(SMALL, seed=drop_seed(2, 0))
+    for spec in specs:
+        alloc, _, _ = solve_problem(scn, spec, coarse)
+        got = [r for r in rows if r["problem"] == spec.problem_id]
+        assert [r["p_data"] for r in got] == alloc.stacked_data().tolist()
+        assert [r["p_pilot"] for r in got] == alloc.stacked_pilots().tolist()
+        default = [r for r in default_rows if r["problem"] == spec.problem_id]
+        assert [r["p_data"] for r in got] != [r["p_data"] for r in default]

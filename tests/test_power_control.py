@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import itertools
+import json
 import logging
 import math
 from types import SimpleNamespace
@@ -17,8 +18,7 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       maxprod_joint_mr, zf_joint_successive, solve_problem,
                       cu_sinr_mr, cu_sinr_zf, se_from_sinr, sinr_terms,
                       power_control)
-from mimo_d2d.power_control import (_pc, _pd, _qc, _qd,
-                                    _stacked_upper, _minimal_powers, Processing)
+from mimo_d2d.power_control import _stacked_upper, _minimal_powers, Processing
 from mimo_d2d import gp as gp_module
 from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, GPSolverError,
                          LinearFeasibilityProblem, LPFeasibility, Monomial,
@@ -683,17 +683,10 @@ def test_joint_mr_single_user_all_full_power():
 
 # --- compile consistency ----------------------------------------------------------
 
-def _alloc_to_point(alloc):
-    point = {}
-    b_, k_ = alloc.data_cu.shape
-    for b in range(b_):
-        for k in range(k_):
-            point[_pc(b, k)] = float(alloc.data_cu[b, k])
-            point[_qc(b, k)] = float(alloc.pilot_cu[b, k])
-    for l in range(alloc.data_d2d.size):
-        point[_pd(l)] = float(alloc.data_d2d[l])
-        point[_qd(l)] = float(alloc.pilot_d2d[l])
-    return point
+def _alloc_to_point(scn, alloc):
+    names = power_control._stacked_names(scn) + power_control._stacked_names(scn, pilot=True)
+    return dict(zip(names, np.concatenate([alloc.stacked_data(),
+                                           alloc.stacked_pilots()]).tolist()))
 
 
 def _random_alloc(scn, rng):
@@ -711,7 +704,7 @@ def test_compiled_constraints_match_closed_forms(small_scenario, rng):
     constraint_map, lifts = power_control._joint_sinr_model(scn, Processing.MR)
     for trial in range(5):
         alloc = _random_alloc(scn, rng)
-        point = _alloc_to_point(alloc)
+        point = _alloc_to_point(scn, alloc)
         # the lifted joint-MR model, every auxiliary at its factor's value
         lifted = lifted_point(point, lifts)
         for (kind, b, idx), (num, den) in constraint_map.items():
@@ -789,8 +782,10 @@ def test_zf_tilde_bound_touch_and_tangency(rng):
     expansion.data_d2d *= 0.7
     expansion.pilot_cu *= 0.6
     expansion.pilot_d2d *= 0.8
-    point0 = _alloc_to_point(expansion)
-    pilot_point = {k: v for k, v in point0.items() if k.startswith("pp")}
+    point0 = _alloc_to_point(scn, expansion)
+    data_names = power_control._stacked_names(scn)
+    pilot_names = power_control._stacked_names(scn, pilot=True)
+    pilot_point = {name: point0[name] for name in pilot_names}
 
     constraint_map, lifts = power_control._joint_sinr_model(scn, Processing.ZF,
                                                             pilot_point=pilot_point)
@@ -805,7 +800,7 @@ def test_zf_tilde_bound_touch_and_tangency(rng):
 
         for _ in range(60):  # global lower bound on random positive probes
             cand = _random_alloc(scn, rng)
-            point = _alloc_to_point(cand)
+            point = _alloc_to_point(scn, cand)
             true = cu_sinr_zf(b, 0, scn.gains, cand, scn.pilots, scn.dims).sinr
             assert tilde(point) <= true * (1 + 1e-9)
 
@@ -815,11 +810,9 @@ def test_zf_tilde_bound_touch_and_tangency(rng):
             dn = dict(point0, **{var: point0[var] - h})
 
             def true_at(point):
-                cand = PowerAllocation(
-                    np.array([[point[_pc(0, 0)]], [point[_pc(1, 0)]]]),
-                    np.array([point[_pd(0)]]),
-                    np.array([[point[_qc(0, 0)]], [point[_qc(1, 0)]]]),
-                    np.array([point[_qd(0)]]), scn.p_max)
+                cand = PowerAllocation.from_stacked(
+                    scn.dims, np.array([point[name] for name in data_names]),
+                    np.array([point[name] for name in pilot_names]), scn.p_max)
                 return cu_sinr_zf(b, 0, scn.gains, cand, scn.pilots, scn.dims).sinr
 
             d_tilde = (tilde(up) - tilde(dn)) / (2 * h)
@@ -1081,6 +1074,8 @@ def test_solve_json_roundtrip(small_scenario):
     spec = ControlProblemSpec(objective="maxmin", variables="data", processing="mr")
     alloc, value, diag = solve_problem(scn, spec)
     text = solve_to_json(spec, alloc, value, diag)
+    # a spec carries no solver settings, so the record claims none
+    assert "tolerances" not in json.loads(text)["problem"]
     spec2, alloc2, value2, status = solve_from_json(text)
     assert spec2.problem_id == spec.problem_id
     assert value2 == pytest.approx(value)

@@ -81,7 +81,7 @@ def test_build_scenario_reference_dims():
     assert (dims.num_cells, dims.cus_per_cell, dims.num_d2d_pairs,
             dims.num_d2d_pilots) == (9, 5, 10, 5)
     assert dims.pilot_len == 10 and dims.coherence_len == 200
-    geom, gains, pilots = build_scenario(dims, cfg.geometry_params(), cfg.pathloss, 7)
+    geom, gains, pilots = build_scenario(cfg, 7)
     assert gains.beta_cu_bs.shape == (9, 9, 5)
     assert gains.beta_d2dtx_bs.shape == (9, 10)
     gains.validate()
@@ -93,8 +93,8 @@ def test_build_scenario_reference_dims():
 
 def test_build_scenario_deterministic():
     cfg = ScenarioConfig()
-    _, g1, p1 = build_scenario(cfg.dimensions(), cfg.geometry_params(), cfg.pathloss, 123)
-    _, g2, p2 = build_scenario(cfg.dimensions(), cfg.geometry_params(), cfg.pathloss, 123)
+    _, g1, p1 = build_scenario(cfg, 123)
+    _, g2, p2 = build_scenario(cfg, 123)
     for name in ("beta_cu_bs", "beta_d2dtx_bs", "beta_cu_d2drx", "beta_d2dtx_d2drx"):
         assert np.array_equal(getattr(g1, name), getattr(g2, name))
     assert np.array_equal(p1.pair_to_pilot, p2.pair_to_pilot)
@@ -102,22 +102,26 @@ def test_build_scenario_deterministic():
 
 def test_single_pair_partition():
     cfg = ScenarioConfig(num_d2d_pairs=1, num_d2d_pilots=1)
-    _, _, pilots = build_scenario(cfg.dimensions(), cfg.geometry_params(), cfg.pathloss, 0)
+    _, _, pilots = build_scenario(cfg, 0)
     assert pilots.d2d_pilot_sets == [[0]]
 
 
 def test_cu_positions_inside_cells_and_d2d_distance():
     scn = Scenario.build(ScenarioConfig(), seed=5)
-    scn.geometry.validate((3, 3))
+    scn.geometry.validate()
     d = wrap_distance(scn.geometry.d2d_tx_positions, scn.geometry.d2d_rx_positions,
                       scn.geometry.area_side)
     assert np.allclose(d, 10.0, atol=1e-9)
 
 
 def test_geometry_infeasible_rejected():
-    cfg = ScenarioConfig(d2d_link_distance=2000.0)
-    with pytest.raises(ScenarioError):
-        build_scenario(cfg.dimensions(), cfg.geometry_params(), cfg.pathloss, 0)
+    with pytest.raises(ScenarioError, match="d2d_link_distance"):
+        ScenarioConfig(d2d_link_distance=2000.0)
+    # a config changed after it was checked still cannot hang the redraw loop
+    cfg = ScenarioConfig()
+    cfg.d2d_link_distance = 2000.0
+    with pytest.raises(ScenarioError, match="d2d_link_distance"):
+        build_scenario(cfg, 0)
 
 
 def test_dimension_invariants():
@@ -152,11 +156,16 @@ def test_scenario_replay_roundtrip():
                                         cus_per_cell=2, num_d2d_pairs=2,
                                         num_d2d_pilots=1, coherence_len=100),
                          seed=9)
-    back = Scenario.from_json(scn.to_json())
-    assert np.array_equal(back.gains.beta_cu_bs, scn.gains.beta_cu_bs)
-    assert np.array_equal(back.gains.beta_d2dtx_d2drx, scn.gains.beta_d2dtx_d2drx)
-    assert back.pilots.d2d_pilot_sets == scn.pilots.d2d_pilot_sets
-    assert back.dims == scn.dims
+    # replay files written before the geometry lost its wraparound flag still load
+    old = json.loads(scn.to_json())
+    old["geometry"]["wraparound"] = True
+    for text in (scn.to_json(), json.dumps(old)):
+        back = Scenario.from_json(text)
+        assert np.array_equal(back.gains.beta_cu_bs, scn.gains.beta_cu_bs)
+        assert np.array_equal(back.gains.beta_d2dtx_d2drx, scn.gains.beta_d2dtx_d2drx)
+        assert back.pilots.d2d_pilot_sets == scn.pilots.d2d_pilot_sets
+        assert back.dims == scn.dims
+        assert back.to_json() == scn.to_json()
 
 
 @pytest.mark.parametrize("case", ["negative_gain", "empty_pilot_set", "p_max"])
