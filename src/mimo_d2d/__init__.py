@@ -23,7 +23,6 @@ from .estimation import (
     EstimationQuality,
     compute_gamma_bs,
     compute_gamma_d2drx,
-    sample_estimate_and_error,
     full_power_allocation,
 )
 from .spectral import (

@@ -1,9 +1,13 @@
 """Mean-square channel-estimate quality factors (gamma) at base stations and
 D2D receivers, derived in closed form from the large-scale gains and pilot
-powers, plus correlated (estimate, error) sampling for Monte-Carlo use.
+powers.
 
 Every gamma is the mean square of an MMSE channel estimate, so
-0 <= gamma <= beta with beta - gamma the estimation-error variance.
+0 <= gamma <= beta with beta - gamma the estimation-error variance. There
+are two pilot kinds: cellular pilot k is shared by CU k of every cell, D2D
+pilot n by the pairs of set n. A receiver that sees user u with gain beta_u
+estimates it with quality tau p_u beta_u^2 / (1 + tau sum_j p_j beta_j),
+the sum running over the users on u's pilot.
 """
 
 import json
@@ -75,11 +79,26 @@ class EstimationQuality:
                            for k, v in self.__dict__.items()})
 
 
-def _pilot_set_indicator(pilots: PilotAllocation, num_pilots: int, num_pairs: int):
-    s = np.zeros((num_pilots, num_pairs))
-    if num_pairs:
-        s[pilots.pair_to_pilot, np.arange(num_pairs)] = 1.0
+def _pilot_set_indicator(pilots: PilotAllocation, dims: SystemDimensions):
+    """(N, L): 1 where pair l sends D2D pilot n."""
+    s = np.zeros((dims.num_d2d_pilots, dims.num_d2d_pairs))
+    s[pilots.pair_to_pilot, np.arange(dims.num_d2d_pairs)] = 1.0
     return s
+
+
+def _cellular_pilot_quality(tau, pilot_cu, beta):
+    """Quality, at each of R receivers, of the estimate of CU k of every cell
+    from the shared observation of cellular pilot k; beta (R, B, K)."""
+    obs = 1.0 + tau * np.einsum("bk,rbk->rk", pilot_cu, beta)  # (R, K)
+    return tau * pilot_cu[None, :, :] * beta**2 / obs[:, None, :]
+
+
+def _d2d_pilot_quality(tau, pilot_d2d, beta, s, pair_to_pilot):
+    """Quality, at each of R receivers, of each pair's estimate from its D2D
+    pilot's observation; beta (R, L), s the (N, L) pilot-set indicator. Also
+    returns the observation power 1 + tau * sum p beta per pilot, (R, N)."""
+    obs = 1.0 + tau * (pilot_d2d * beta) @ s.T
+    return tau * pilot_d2d * beta**2 / obs[:, pair_to_pilot], obs
 
 
 def gamma_cu_bs_full(gains: LargeScaleGains, alloc: PowerAllocation,
@@ -87,32 +106,20 @@ def gamma_cu_bs_full(gains: LargeScaleGains, alloc: PowerAllocation,
     """Quality of the estimate, at BS b, of the channel from CU k of any
     cell b' (the same despread observation serves all B estimates of pilot
     k, so contamination couples them). Shape (B, B, K)."""
-    tau = dims.pilot_len
-    beta = gains.beta_cu_bs  # (B, B', K)
-    denom = 1.0 + tau * np.einsum("jk,ijk->ik", alloc.pilot_cu, beta)  # (B, K)
-    return tau * alloc.pilot_cu[None, :, :] * beta**2 / denom[:, None, :]
+    return _cellular_pilot_quality(dims.pilot_len, alloc.pilot_cu, gains.beta_cu_bs)
 
 
 def compute_gamma_bs(gains: LargeScaleGains, alloc: PowerAllocation,
                      pilots: PilotAllocation, dims: SystemDimensions) -> EstimationQuality:
     """BS-side gamma factors (own-cell CU, per-pilot-set, per-D2D-pair)."""
-    tau = dims.pilot_len
-    n, l = dims.num_d2d_pilots, dims.num_d2d_pairs
-    out = EstimationQuality()
-    full = gamma_cu_bs_full(gains, alloc, dims)
-    b_idx = np.arange(dims.num_cells)
-    out.gamma_cu_bs = full[b_idx, b_idx, :]
-
-    s = _pilot_set_indicator(pilots, n, l)
+    tau, b_idx = dims.pilot_len, np.arange(dims.num_cells)
+    s = _pilot_set_indicator(pilots, dims)
     beta_d = gains.beta_d2dtx_bs  # (B, L)
-    den = 1.0 + tau * (alloc.pilot_d2d * beta_d) @ s.T          # (B, N)
-    num = tau * ((np.sqrt(alloc.pilot_d2d) * beta_d) @ s.T) ** 2
-    out.gamma_set_bs = num / den
-    if l:
-        out.gamma_d2d_bs = tau * alloc.pilot_d2d * beta_d**2 / den[:, pilots.pair_to_pilot]
-    else:
-        out.gamma_d2d_bs = np.zeros((dims.num_cells, 0))
-    return out
+    gamma_d2d, obs = _d2d_pilot_quality(tau, alloc.pilot_d2d, beta_d, s, pilots.pair_to_pilot)
+    return EstimationQuality(
+        gamma_cu_bs=gamma_cu_bs_full(gains, alloc, dims)[b_idx, b_idx, :],
+        gamma_set_bs=tau * ((np.sqrt(alloc.pilot_d2d) * beta_d) @ s.T) ** 2 / obs,
+        gamma_d2d_bs=gamma_d2d)
 
 
 def compute_gamma_d2drx(gains: LargeScaleGains, alloc: PowerAllocation,
@@ -123,44 +130,8 @@ def compute_gamma_d2drx(gains: LargeScaleGains, alloc: PowerAllocation,
     p^{p,c} the CUs transmit with; there is no per-receiver pilot power.
     """
     tau = dims.pilot_len
-    n, l = dims.num_d2d_pilots, dims.num_d2d_pairs
-    out = EstimationQuality()
-    beta_c = gains.beta_cu_d2drx  # (L, B, K)
-    den_c = 1.0 + tau * np.einsum("bk,lbk->lk", alloc.pilot_cu, beta_c)  # (L, K)
-    out.gamma_cu_d2drx = tau * alloc.pilot_cu[None, :, :] * beta_c**2 / den_c[:, None, :]
-
-    s = _pilot_set_indicator(pilots, n, l)
-    beta_d = gains.beta_d2dtx_d2drx  # (L, L')
-    den_d = 1.0 + tau * (alloc.pilot_d2d * beta_d) @ s.T  # (L, N)
-    if l:
-        out.gamma_d2d_d2drx = tau * alloc.pilot_d2d * beta_d**2 / den_d[:, pilots.pair_to_pilot]
-    else:
-        out.gamma_d2d_d2drx = np.zeros((0, 0))
-    return out
-
-
-def compute_estimation_quality(gains, alloc, pilots, dims) -> EstimationQuality:
-    """Both sides combined."""
-    bs = compute_gamma_bs(gains, alloc, pilots, dims)
-    rx = compute_gamma_d2drx(gains, alloc, pilots, dims)
-    bs.gamma_cu_d2drx = rx.gamma_cu_d2drx
-    bs.gamma_d2d_d2drx = rx.gamma_d2d_d2drx
-    return bs
-
-
-def sample_estimate_and_error(beta, gamma, rng, size=None):
-    """Draw independent complex-Gaussian (estimate, error) samples with
-    variances gamma and beta - gamma; their sum has variance beta.
-
-    beta/gamma broadcast against `size`; raises if gamma exceeds beta.
-    """
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma > beta * (1 + 1e-12) + 1e-300):
-        raise ValueError("gamma must not exceed beta")
-    shape = np.broadcast_shapes(beta.shape, gamma.shape) if size is None else size
-    est = np.sqrt(np.maximum(gamma, 0.0) / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    err = np.sqrt(np.maximum(beta - gamma, 0.0) / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return est, err
+    s = _pilot_set_indicator(pilots, dims)
+    return EstimationQuality(
+        gamma_cu_d2drx=_cellular_pilot_quality(tau, alloc.pilot_cu, gains.beta_cu_d2drx),
+        gamma_d2d_d2drx=_d2d_pilot_quality(tau, alloc.pilot_d2d, gains.beta_d2dtx_d2drx,
+                                           s, pilots.pair_to_pilot)[0])

@@ -15,9 +15,12 @@ from .scenario import SystemDimensions, LargeScaleGains, PilotAllocation
 from .estimation import PowerAllocation, compute_gamma_bs, gamma_cu_bs_full
 
 DIMENSION_GUARD = 10_000
-# Complex entries per Wishart batch, about the size of the oracles' channel
-# batches; the one-fill draw makes the mean independent of the batching.
-_WISHART_BATCH_ENTRIES = 1_000_000
+# Realizations per oracle channel batch.
+_ORACLE_BATCH = 2000
+# Complex entries per Wishart batch, below one MR-oracle channel batch at the
+# acceptance configs; the one-fill draw makes the mean independent of the
+# batching.
+_WISHART_BATCH_ENTRIES = 250_000
 
 
 @dataclass
@@ -168,8 +171,7 @@ def _finalize(stats, alloc, dims, b, k):
 
 def oracle_uatf_mr(dims: SystemDimensions, gains: LargeScaleGains,
                    pilots: PilotAllocation, alloc: PowerAllocation,
-                   b: int, k: int, num_realizations=100_000, rng=None,
-                   batch=2000) -> EmpiricalSinr:
+                   b: int, k: int, num_realizations=100_000, rng=None) -> EmpiricalSinr:
     """Empirical MR use-and-forget SINR of CU k at BS b from simulated
     pilot + data transmission."""
     _check_guard(dims)
@@ -183,7 +185,7 @@ def oracle_uatf_mr(dims: SystemDimensions, gains: LargeScaleGains,
     stats = {name: _Welford() for name in ("desired", "cu_sq", "d2d_sq", "vnorm")}
     done = 0
     while done < num_realizations:
-        nb = min(batch, num_realizations - done)
+        nb = min(_ORACLE_BATCH, num_realizations - done)
         h_cu, h_d2d = _draw_channels(rng, nb, dims, gains, b)
         # MR combines with pilot k's despread observation alone
         obs = amp @ h_cu[:, :, k, :] + _crandn(rng, nb, dims.antennas_per_bs)
@@ -204,8 +206,7 @@ def _zf_column(hhat, k):
 
 def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
               pilots: PilotAllocation, alloc: PowerAllocation,
-              b: int, k: int, num_realizations=100_000, rng=None,
-              batch=2000) -> EmpiricalSinr:
+              b: int, k: int, num_realizations=100_000, rng=None) -> EmpiricalSinr:
     """Empirical ZF SINR of CU k at BS b. The detector is built per
     realization from the estimated own-cell CU channels and the N combined
     pilot-set channels."""
@@ -231,7 +232,7 @@ def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
     stats = {name: _Welford() for name in ("desired", "cu_sq", "d2d_sq", "vnorm")}
     done = 0
     while done < num_realizations:
-        nb = min(batch, num_realizations - done)
+        nb = min(_ORACLE_BATCH, num_realizations - done)
         h_cu, h_d2d = _draw_channels(rng, nb, dims, gains, b)
         obs_cu = _despread_cu_obs(rng, h_cu, alloc, tau)
         obs_set = _despread_d2d_obs(rng, h_d2d, alloc, pilots, tau, n_sets)

@@ -332,7 +332,7 @@ def _allocate_d2d_pilots(num_pairs: int, num_pilots: int, rng) -> PilotAllocatio
 
 # --- configuration and replayable drops -----------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Ingested experiment configuration; all fields have the defaults of
     the reference simulation setup (9 cells on 1 km^2, 5 CUs per cell,

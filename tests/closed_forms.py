@@ -4,6 +4,8 @@ oracle. cu_sinr_mr, cu_sinr_zf and d2d_sinr_approx each build one user's
 named breakdown; evaluate_breakdowns loops them over the network in the
 order evaluate_network reports; fixed_pilot_model builds the gain vector g
 and coupling matrix a of SINR_i = g_i p_i / (1 + a_i . p) directly.
+estimate_qualities writes every channel-estimate quality one entry at a
+time from the textbook MMSE form.
 """
 
 import numpy as np
@@ -140,3 +142,45 @@ def fixed_pilot_model(scn, processing, fixed_pilots):
     own = np.arange(n_cu, n_cu + l_)
     a[own, own] -= np.diag(gamma_rx)
     return g, a
+
+
+def estimate_qualities(gains, alloc, pilots, dims):
+    """Every EstimationQuality field and gamma_cu_bs_full ("full"), one entry
+    at a time: user u, seen with gain beta_u, is estimated with quality
+    tau p_u beta_u^2 / (1 + tau sum_j p_j beta_j) over the users j on u's
+    pilot (CU k of every cell for cellular pilot k, the pairs of set n for
+    D2D pilot n). A pilot set's combined estimate has the squared amplitude
+    sum (sum_j sqrt(p_j) beta_j)^2 in place of p_u beta_u^2."""
+    tau, cells = dims.pilot_len, dims.num_cells
+    pc, pd = alloc.pilot_cu, alloc.pilot_d2d
+
+    def observed(on_pilot):  # (power, gain) of every user on one pilot
+        return 1.0 + tau * sum(p * g for p, g in on_pilot)
+
+    def cellular(beta):  # (R, B, K): CU k of cell c at receiver r
+        out = np.zeros(beta.shape)
+        for r, c, k in np.ndindex(beta.shape):
+            on_pilot = [(pc[j, k], beta[r, j, k]) for j in range(cells)]
+            out[r, c, k] = tau * pc[c, k] * beta[r, c, k] ** 2 / observed(on_pilot)
+        return out
+
+    def d2d(beta):  # (R, L): pair l at receiver r
+        out = np.zeros(beta.shape)
+        for r, l in np.ndindex(beta.shape):
+            on_pilot = [(pd[j], beta[r, j]) for j in pilots.set_of(l)]
+            out[r, l] = tau * pd[l] * beta[r, l] ** 2 / observed(on_pilot)
+        return out
+
+    beta_d = gains.beta_d2dtx_bs
+    sets = np.zeros((cells, dims.num_d2d_pilots))
+    for b, n in np.ndindex(sets.shape):
+        group = pilots.d2d_pilot_sets[n]
+        amplitude = sum(np.sqrt(pd[j]) * beta_d[b, j] for j in group)
+        sets[b, n] = tau * amplitude ** 2 / observed([(pd[j], beta_d[b, j]) for j in group])
+    full = cellular(gains.beta_cu_bs)
+    return {"full": full,
+            "gamma_cu_bs": np.array([full[b, b] for b in range(cells)]),
+            "gamma_set_bs": sets,
+            "gamma_d2d_bs": d2d(beta_d),
+            "gamma_cu_d2drx": cellular(gains.beta_cu_d2drx),
+            "gamma_d2d_d2drx": d2d(gains.beta_d2dtx_d2drx)}

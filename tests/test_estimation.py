@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mimo_d2d import (ScenarioConfig, Scenario, PowerAllocation,
-                      compute_gamma_bs, compute_gamma_d2drx,
-                      sample_estimate_and_error, full_power_allocation,
+                      compute_gamma_bs, compute_gamma_d2drx, full_power_allocation,
                       empirical_gamma)
-from mimo_d2d.estimation import gamma_cu_bs_full, compute_estimation_quality
+from mimo_d2d.estimation import gamma_cu_bs_full
+
+import closed_forms
 
 
 def _zero_alloc(dims, p_max=200.0):
@@ -109,12 +111,13 @@ def test_scaled_estimate_ratio(small_scenario):
 def test_gamma_bounded_by_beta_and_monotone(small_scenario):
     scn = small_scenario
     alloc = full_power_allocation(scn.dims, scn.p_max)
-    q = compute_estimation_quality(scn.gains, alloc, scn.pilots, scn.dims)
+    bs = compute_gamma_bs(scn.gains, alloc, scn.pilots, scn.dims)
+    rx = compute_gamma_d2drx(scn.gains, alloc, scn.pilots, scn.dims)
     full = gamma_cu_bs_full(scn.gains, alloc, scn.dims)
     assert np.all(full <= scn.gains.beta_cu_bs + 1e-15)
-    assert np.all(q.gamma_d2d_bs <= scn.gains.beta_d2dtx_bs + 1e-15)
-    assert np.all(q.gamma_d2d_d2drx <= scn.gains.beta_d2dtx_d2drx + 1e-15)
-    assert np.all(q.gamma_cu_d2drx <= scn.gains.beta_cu_d2drx + 1e-15)
+    assert np.all(bs.gamma_d2d_bs <= scn.gains.beta_d2dtx_bs + 1e-15)
+    assert np.all(rx.gamma_d2d_d2drx <= scn.gains.beta_d2dtx_d2drx + 1e-15)
+    assert np.all(rx.gamma_cu_d2drx <= scn.gains.beta_cu_d2drx + 1e-15)
 
     # own pilot power up -> own quality up; contaminating power up -> down
     bumped = alloc.copy()
@@ -124,18 +127,40 @@ def test_gamma_bounded_by_beta_and_monotone(small_scenario):
     assert full_b[1, 1, 0] < full[1, 1, 0]  # cell 1's estimate of its own CU 0 suffers
 
 
-def test_sample_estimate_and_error_statistics(rng):
-    est, err = sample_estimate_and_error(1.0, 1.0, rng, size=100_000)
-    assert float(np.var(err)) < 1e-3
-    est0, _ = sample_estimate_and_error(1.0, 0.0, rng, size=100)
-    assert np.all(est0 == 0)
-    est, err = sample_estimate_and_error(1.0, 0.4, rng, size=100_000)
-    assert np.mean(np.abs(est) ** 2) == pytest.approx(0.4, rel=0.02)
-    assert np.mean(np.abs(err) ** 2) == pytest.approx(0.6, rel=0.02)
-    total = np.mean(np.abs(est + err) ** 2)
-    assert total == pytest.approx(1.0, rel=0.02)
-    with pytest.raises(ValueError):
-        sample_estimate_and_error(1.0, 1.1, rng)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cells=st.integers(1, 3), cus=st.integers(1, 3),
+       pairs=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_qualities_match_textbook_form(data, cells, cus, pairs, seed):
+    """Every EstimationQuality field and gamma_cu_bs_full against the
+    per-entry MMSE form of closed_forms.py to 1e-13 relative, with D2D
+    pilots shared whenever there are fewer pilots than pairs and some pilot
+    powers exactly zero."""
+    d2d_pilots = data.draw(st.integers(1, max(pairs, 1)))
+    cfg = ScenarioConfig(num_cells=cells, antennas_per_bs=cus + d2d_pilots + 4,
+                         cus_per_cell=cus, num_d2d_pairs=pairs,
+                         num_d2d_pilots=d2d_pilots, area_side=600.0)
+    scn = Scenario.build(cfg, seed=seed % 2 ** 16)
+    rng = np.random.default_rng(seed)
+
+    def powers(shape):  # log-uniform in [1e-3, 1] * p_max, some exactly zero
+        p = scn.p_max * 10.0 ** rng.uniform(-3.0, 0.0, shape)
+        return np.where(rng.uniform(size=shape) < 0.2, 0.0, p)
+
+    shape = (cells, cus)
+    alloc = PowerAllocation(powers(shape), powers(pairs), powers(shape), powers(pairs),
+                            scn.p_max)
+    dims, gains, pilots = scn.dims, scn.gains, scn.pilots
+    bs = compute_gamma_bs(gains, alloc, pilots, dims)
+    rx = compute_gamma_d2drx(gains, alloc, pilots, dims)
+    got = {"full": gamma_cu_bs_full(gains, alloc, dims),
+           **{name: getattr(bs, name) for name in ("gamma_cu_bs", "gamma_set_bs",
+                                                   "gamma_d2d_bs")},
+           **{name: getattr(rx, name) for name in ("gamma_cu_d2drx", "gamma_d2d_d2drx")}}
+    want = closed_forms.estimate_qualities(gains, alloc, pilots, dims)
+    assert list(got) == list(want)
+    for name, w in want.items():
+        assert got[name].shape == w.shape, name
+        assert np.all(np.abs(got[name] - w) <= 1e-13 * w), name
 
 
 def test_power_allocation_bounds():
@@ -147,8 +172,9 @@ def test_power_allocation_bounds():
 def test_quality_serializes(small_scenario):
     scn = small_scenario
     alloc = full_power_allocation(scn.dims, scn.p_max)
-    q = compute_estimation_quality(scn.gains, alloc, scn.pilots, scn.dims)
     import json
-    parsed = json.loads(q.to_json())
-    assert set(parsed) == {"gamma_cu_bs", "gamma_set_bs", "gamma_d2d_bs",
-                           "gamma_cu_d2drx", "gamma_d2d_d2drx"}
+    for q in (compute_gamma_bs(scn.gains, alloc, scn.pilots, scn.dims),
+              compute_gamma_d2drx(scn.gains, alloc, scn.pilots, scn.dims)):
+        parsed = json.loads(q.to_json())
+        assert set(parsed) == {"gamma_cu_bs", "gamma_set_bs", "gamma_d2d_bs",
+                               "gamma_cu_d2drx", "gamma_d2d_d2drx"}

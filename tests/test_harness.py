@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -210,6 +211,17 @@ def test_negative_master_seed_is_a_config_error(tmp_path):
     out = tmp_path / "out"
     good = _write_config(tmp_path / "good.json")
     assert main(["run", "--config", good, "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
+
+
+def test_config_cannot_change_after_its_checks(tmp_path):
+    """A config is frozen once checked: the change raises at once, before a
+    plan exists, so run_experiment never opens rows.csv."""
+    cfg = ScenarioConfig()
+    out = tmp_path / "out"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.num_cells = 0
+        run_experiment(ExperimentPlan(config=cfg, output_dir=str(out)))
     assert not out.exists()
 
 

@@ -1,9 +1,12 @@
 """The draws and the linear algebra the link-level oracles are built from."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mimo_d2d import linklevel, wishart_inverse_diagonal_mean
+from mimo_d2d import (Scenario, ScenarioConfig, full_power_allocation, linklevel,
+                      wishart_inverse_diagonal_mean)
 
 
 @settings(max_examples=25, deadline=None)
@@ -75,3 +78,29 @@ def test_wishart_mean_independent_of_batching():
     inv = np.linalg.inv(np.einsum("smi,smj->sij", np.conj(z), z))
     want = np.einsum("sii->s", inv).real.mean() / cols
     assert abs(got - want) <= 1e-12 * want
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wishart_batch_below_one_mr_oracle_batch():
+    """The Wishart mean at criterion 1's config allocates less than one
+    MR-oracle channel batch at criterion 2's config, so the Wishart case
+    does not set the link-level peak memory."""
+    cfg = ScenarioConfig(num_cells=2, antennas_per_bs=64, cus_per_cell=2,
+                         num_d2d_pairs=2, num_d2d_pilots=2, coherence_len=200,
+                         area_side=600.0)
+    scn = Scenario.build(cfg, seed=42)
+    alloc = full_power_allocation(scn.dims, scn.p_max)
+    mr = _traced_peak(lambda: linklevel.oracle_uatf_mr(
+        scn.dims, scn.gains, scn.pilots, alloc, 0, 0,
+        num_realizations=linklevel._ORACLE_BATCH, rng=2))
+    wishart = _traced_peak(lambda: wishart_inverse_diagonal_mean(
+        32, 10, num_samples=10_000, rng=np.random.default_rng(0)))
+    assert wishart < mr, (wishart, mr)

@@ -117,9 +117,9 @@ def test_cu_positions_inside_cells_and_d2d_distance():
 def test_geometry_infeasible_rejected():
     with pytest.raises(ScenarioError, match="d2d_link_distance"):
         ScenarioConfig(d2d_link_distance=2000.0)
-    # a config changed after it was checked still cannot hang the redraw loop
+    # a config forced past its frozen fields still cannot hang the redraw loop
     cfg = ScenarioConfig()
-    cfg.d2d_link_distance = 2000.0
+    object.__setattr__(cfg, "d2d_link_distance", 2000.0)
     with pytest.raises(ScenarioError, match="d2d_link_distance"):
         build_scenario(cfg, 0)
 
