@@ -38,7 +38,7 @@ class Baselines:
     cellular_only: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
     config: ScenarioConfig
     num_drops: int = 1

@@ -40,6 +40,7 @@ logger = logging.getLogger(__name__)
 DEGENERATE_GAIN_RATIO = 1e-15
 POWER_FLOOR_RATIO = 1e-12   # GP lower bound as a fraction of p_max
 SNAP_RATIO = 1e-9           # snap-to-zero threshold as a fraction of p_max
+SCA_TOL = 1e-5              # Algorithm 2 stops on a relative objective rise at most this
 
 
 class Objective(str, enum.Enum):
@@ -59,11 +60,10 @@ class Processing(str, enum.Enum):
 
 @dataclass
 class ControlSettings:
-    """Solver tolerances: bisection accuracy in b/s/Hz, the successive
-    approximation stopping threshold as a fraction of p_max, and caps."""
+    """Solver tolerances: bisection accuracy in b/s/Hz and iteration caps.
+    Algorithm 2's stop is the module constant SCA_TOL."""
 
     bisection_eps: float = 1e-3
-    sca_power_tol: float = 0.001
     bisection_cap: int = 64
     sca_cap: int = 100
     gp: SolverSettings = field(default_factory=SolverSettings)
@@ -583,15 +583,16 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     Each iteration rebuilds the approximation at the previous pilot powers
     and solves the resulting GP from the same cold start as the first; the
     previous solution is feasible for it, so the true objective never falls.
-    Two rules stop the loop with status "converged", and diag.notes says
-    which one fired:
-    - no pilot power moved by more than sca_power_tol * p_max;
-    - the GP anchored at the last iterate did not raise the true objective.
-      That iterate is a point its own approximation cannot improve, which
-      is stationary for the true problem (Marks & Wright, Oper. Res. 26(4),
-      1978); it is returned, with its targets, and the GP's point is not.
-    A GP whose status is not "optimal" is noted in diag.notes. Returns
-    (allocation, objective value, diagnostics) where the objective value is
+    One rule stops the loop with status "converged": a GP iterate raised
+    the true objective over the previous GP iterate by at most
+    SCA_TOL * |value| (Chiang et al., IEEE TWC 6(7), 2007). The first GP
+    iterate is always taken; a later one that did not rise at all is not.
+    The previous iterate is then a point its own approximation cannot
+    improve, which is stationary for the true problem (Marks & Wright,
+    Oper. Res. 26(4), 1978), and it is returned with its targets. A stop on
+    a small positive rise certifies no stationarity. diag.notes says which
+    case ended the loop, and notes any GP whose status is not "optimal".
+    Returns (allocation, objective value, diagnostics) where the objective value is
     the max-min SE level or the log SINR product evaluated with the true
     (unapproximated) expressions; objective_trace holds it for the start
     and every accepted iterate.
@@ -604,7 +605,6 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
 
     alloc = full_power_allocation(scn.dims, scn.p_max)  # full-power initialization
     diag.objective_trace.append(_true_objective(scn, alloc, objective))
-    tol = settings.sca_power_tol * scn.p_max
     last_levels = None
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
@@ -622,18 +622,14 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
         new_alloc = _alloc_from_values(scn, solution.values, True, None)
         value = _true_objective(scn, new_alloc, objective)
         diag.iterations = it
-        if last_levels is not None and value <= diag.objective_trace[-1]:
+        rise = value - diag.objective_trace[-1]
+        if it == 1 or rise > 0.0:
+            alloc, last_levels = new_alloc, levels
+            diag.objective_trace.append(value)
+        if it > 1 and rise <= SCA_TOL * abs(value):
             diag.notes.append(f"iteration {it}: objective did not rise; "
-                              f"iteration {it - 1} is a fixed point")
-            status = "converged"
-            break
-
-        move = float(np.max(np.abs(new_alloc.stacked_pilots() - alloc.stacked_pilots())))
-        alloc = new_alloc
-        last_levels = levels
-        diag.objective_trace.append(value)
-        if move < tol:
-            diag.notes.append(f"iteration {it}: pilot move below sca_power_tol")
+                              f"iteration {it - 1} is a fixed point" if rise <= 0.0 else
+                              f"iteration {it}: objective rose by at most SCA_TOL")
             status = "converged"
             break
 

@@ -215,13 +215,18 @@ def test_negative_master_seed_is_a_config_error(tmp_path):
 
 
 def test_config_cannot_change_after_its_checks(tmp_path):
-    """A config is frozen once checked: the change raises at once, before a
-    plan exists, so run_experiment never opens rows.csv."""
+    """A config and a plan are frozen once checked: the change raises at
+    once, so run_experiment never opens rows.csv."""
     cfg = ScenarioConfig()
     out = tmp_path / "out"
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.num_cells = 0
         run_experiment(ExperimentPlan(config=cfg, output_dir=str(out)))
+    assert not out.exists()
+    plan = ExperimentPlan(config=SMALL, output_dir=str(out))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.master_seed = -1
+        run_experiment(plan)
     assert not out.exists()
 
 
