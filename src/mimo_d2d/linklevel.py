@@ -7,6 +7,8 @@ Intended for small instances only; a dimension guard rejects anything
 beyond desk scale.
 """
 
+import os
+from concurrent.futures.thread import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +18,16 @@ from .estimation import PowerAllocation, compute_gamma_bs, gamma_cu_bs_full
 
 DIMENSION_GUARD = 10_000
 # Realizations per oracle channel batch.
-_ORACLE_BATCH = 2000
+_ORACLE_BATCH = 1000
 # Complex entries per Wishart batch, below one MR-oracle channel batch at the
-# acceptance configs; the one-fill draw makes the mean independent of the
-# batching.
-_WISHART_BATCH_ENTRIES = 250_000
+# acceptance configs, so the Wishart case does not set the link-level peak
+# memory.
+_WISHART_BATCH_ENTRIES = 125_000
+# Batches run concurrently, one thread per CPU this process may use. No result
+# depends on it: batch sizes come from the constants above, batch j draws from
+# child j of the caller's generator, and batches are reduced in batch order.
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass
@@ -48,11 +55,20 @@ def _check_guard(dims: SystemDimensions):
 def _crandn(rng, *shape, power=1.0):
     """Circularly-symmetric complex Gaussians of the given shape with
     E|z|^2 = power (broadcast against shape): one real fill read as
-    consecutive (re, im) pairs, scaled in place. A draw split into batches
-    along the first axis therefore reads the same stream as one draw."""
+    consecutive (re, im) pairs, scaled in place."""
     z = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
     z *= np.sqrt(np.multiply(power, 0.5))
     return z
+
+
+def _map_batches(rng, total, size, work):
+    """work(child, n) on consecutive batches of at most `size` of `total`
+    draws, batch j drawing from child j of the generator's spawn, over a pool
+    of _THREADS threads; the results in batch order."""
+    sizes = [min(size, total - start) for start in range(0, total, size)]
+    children = np.random.default_rng(rng).spawn(len(sizes))
+    with ThreadPoolExecutor(_THREADS) as pool:
+        yield from pool.map(work, children, sizes)
 
 
 class _Welford:
@@ -127,19 +143,22 @@ def _despread_d2d_obs(rng, h_d2d, alloc, pilots, tau, n_sets):
     return obs
 
 
-def _accumulate_uatf(stats, v, h_cu, h_d2d, b, k):
-    """Push one batch of combiner/channel inner products into the stats."""
+def _uatf_products(v, h_cu, h_d2d, b, k):
+    """One batch of combiner/channel inner products, by statistic."""
     batch, b_, k_, m = h_cu.shape
     v_conj = np.conj(v)[:, :, None]
     proj_cu = (h_cu.reshape(batch, b_ * k_, m) @ v_conj).reshape(batch, b_, k_)
     proj_d2d = (h_d2d @ v_conj)[:, :, 0]
-    stats["desired"].add(proj_cu[:, b, k][:, None])
-    stats["cu_sq"].add(np.abs(proj_cu) ** 2)
-    stats["d2d_sq"].add(np.abs(proj_d2d) ** 2)
-    stats["vnorm"].add(np.sum(np.abs(v) ** 2, axis=1)[:, None])
+    return {"desired": proj_cu[:, b, k][:, None], "cu_sq": np.abs(proj_cu) ** 2,
+            "d2d_sq": np.abs(proj_d2d) ** 2, "vnorm": np.sum(np.abs(v) ** 2, axis=1)[:, None]}
 
 
-def _finalize(stats, alloc, dims, b, k):
+def _finalize(batches, alloc, dims, b, k):
+    """Fold the batches' inner products in batch order, then decompose."""
+    stats = {name: _Welford() for name in ("desired", "cu_sq", "d2d_sq", "vnorm")}
+    for products in batches:
+        for name, x in products.items():
+            stats[name].add(x)
     mean_desired = complex(stats["desired"].mean[0])
     cu_sq = stats["cu_sq"].mean          # (B, K) E|v^H h|^2
     d2d_sq = stats["d2d_sq"].mean        # (L,)
@@ -175,23 +194,23 @@ def oracle_uatf_mr(dims: SystemDimensions, gains: LargeScaleGains,
     """Empirical MR use-and-forget SINR of CU k at BS b from simulated
     pilot + data transmission."""
     _check_guard(dims)
-    rng = np.random.default_rng(rng)
     tau = dims.pilot_len
     denom = 1.0 + tau * float(alloc.pilot_cu[:, k] @ gains.beta_cu_bs[b, :, k])
     coeff = np.sqrt(tau * alloc.pilot_cu[b, k]) * gains.beta_cu_bs[b, b, k] / denom
 
     amp = np.sqrt(tau * alloc.pilot_cu[:, k])  # pilot k's amplitude from each cell
 
-    stats = {name: _Welford() for name in ("desired", "cu_sq", "d2d_sq", "vnorm")}
-    done = 0
-    while done < num_realizations:
-        nb = min(_ORACLE_BATCH, num_realizations - done)
-        h_cu, h_d2d = _draw_channels(rng, nb, dims, gains, b)
-        # MR combines with pilot k's despread observation alone
-        obs = amp @ h_cu[:, :, k, :] + _crandn(rng, nb, dims.antennas_per_bs)
-        _accumulate_uatf(stats, coeff * obs, h_cu, h_d2d, b, k)
-        done += nb
-    return _finalize(stats, alloc, dims, b, k)
+    def batch_products(child, nb):
+        h_cu, h_d2d = _draw_channels(child, nb, dims, gains, b)
+        # MR combines with pilot k's despread observation alone, built in
+        # place to keep the batches in flight small
+        v = _crandn(child, nb, dims.antennas_per_bs)
+        v += amp @ h_cu[:, :, k, :]
+        v *= coeff
+        return _uatf_products(v, h_cu, h_d2d, b, k)
+
+    batches = _map_batches(rng, num_realizations, _ORACLE_BATCH, batch_products)
+    return _finalize(batches, alloc, dims, b, k)
 
 
 def _zf_column(hhat, k):
@@ -212,7 +231,6 @@ def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
     pilot-set channels."""
     _check_guard(dims)
     dims.require_zf()
-    rng = np.random.default_rng(rng)
     tau = dims.pilot_len
     n_sets = dims.num_d2d_pilots
     k_ = dims.cus_per_cell
@@ -229,34 +247,27 @@ def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
         coeff_set[i] = sum(np.sqrt(tau * alloc.pilot_d2d[j]) * gains.beta_d2dtx_bs[b, j]
                            for j in grp) / (1.0 + t)
 
-    stats = {name: _Welford() for name in ("desired", "cu_sq", "d2d_sq", "vnorm")}
-    done = 0
-    while done < num_realizations:
-        nb = min(_ORACLE_BATCH, num_realizations - done)
-        h_cu, h_d2d = _draw_channels(rng, nb, dims, gains, b)
-        obs_cu = _despread_cu_obs(rng, h_cu, alloc, tau)
-        obs_set = _despread_d2d_obs(rng, h_d2d, alloc, pilots, tau, n_sets)
+    def batch_products(child, nb):
+        h_cu, h_d2d = _draw_channels(child, nb, dims, gains, b)
+        obs_cu = _despread_cu_obs(child, h_cu, alloc, tau)
+        obs_set = _despread_d2d_obs(child, h_d2d, alloc, pilots, tau, n_sets)
         est = np.concatenate([coeff_cu[None, :, None] * obs_cu,
                               coeff_set[None, :, None] * obs_set], axis=1)  # (s, K+N, M)
         v = _zf_column(est.transpose(0, 2, 1), k) * np.sqrt(gamma_diag[k])
-        _accumulate_uatf(stats, v, h_cu, h_d2d, b, k)
-        done += nb
-    return _finalize(stats, alloc, dims, b, k)
+        return _uatf_products(v, h_cu, h_d2d, b, k)
+
+    batches = _map_batches(rng, num_realizations, _ORACLE_BATCH, batch_products)
+    return _finalize(batches, alloc, dims, b, k)
 
 
 def wishart_inverse_diagonal_mean(m: int, cols: int, num_samples=10_000, rng=None):
     """Empirical mean of [(Z^H Z)^{-1}]_{kk} over i.i.d. complex standard
     Gaussian M x cols matrices, averaged over k; the analytic value is
     1 / (m - cols)."""
-    rng = np.random.default_rng(rng)
-    total = 0.0
-    batch = max(1, min(num_samples, _WISHART_BATCH_ENTRIES // (m * cols)))
-    done = 0
-    while done < num_samples:
-        nb = min(batch, num_samples - done)
-        z = _crandn(rng, nb, m, cols)
-        gram = np.conj(z).transpose(0, 2, 1) @ z
-        inv = np.linalg.inv(gram)
-        total += np.einsum("sii->s", inv).real.sum() / cols
-        done += nb
-    return total / num_samples
+    def trace_sum(child, nb):
+        z = _crandn(child, nb, m, cols)
+        inv = np.linalg.inv(np.conj(z).transpose(0, 2, 1) @ z)
+        return np.einsum("sii->s", inv).real.sum() / cols
+
+    batch = max(1, _WISHART_BATCH_ENTRIES // (m * cols))
+    return sum(_map_batches(rng, num_samples, batch, trace_sum)) / num_samples

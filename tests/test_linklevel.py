@@ -65,19 +65,47 @@ def test_zf_column_matches_full_inverse(data, seed):
     assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
-def test_wishart_mean_independent_of_batching():
-    """A num_samples spanning three batches reads the same draws as one
-    batch of the same size, so the mean agrees up to summation order."""
+def test_wishart_mean_reads_one_child_stream_per_batch():
+    """Batch j reads child j of the caller's generator: a num_samples
+    spanning three batches, the last one partial, gives the mean of exactly
+    those draws up to summation order."""
     m, cols = 32, 10
-    n = 2 * (linklevel._WISHART_BATCH_ENTRIES // (m * cols)) + 750
+    batch = linklevel._WISHART_BATCH_ENTRIES // (m * cols)
+    n = 2 * batch + 250
     got = wishart_inverse_diagonal_mean(m, cols, num_samples=n,
                                         rng=np.random.default_rng(5))
 
-    z = np.random.default_rng(5).standard_normal((n, m, cols, 2)).view(np.complex128)[..., 0]
-    z /= np.sqrt(2.0)
-    inv = np.linalg.inv(np.einsum("smi,smj->sij", np.conj(z), z))
-    want = np.einsum("sii->s", inv).real.mean() / cols
+    traces = []
+    for child, nb in zip(np.random.default_rng(5).spawn(3), (batch, batch, 250)):
+        z = child.standard_normal((nb, m, cols, 2)).view(np.complex128)[..., 0]
+        z /= np.sqrt(2.0)
+        inv = np.linalg.inv(np.einsum("smi,smj->sij", np.conj(z), z))
+        traces.append(np.einsum("sii->s", inv).real)
+    want = np.concatenate(traces).mean() / cols
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_thread_count_changes_no_bit(small_scenario, monkeypatch):
+    """With 1, 2 and 3 threads the oracles and the Wishart mean return
+    identical values, stderrs included, over three batches and a partial
+    one."""
+    scn = small_scenario
+    alloc = full_power_allocation(scn.dims, scn.p_max)
+    alloc.data_cu *= np.array([[0.8, 0.5], [0.9, 0.3]])
+    n = 3 * linklevel._ORACLE_BATCH + 250
+    wishart_n = 3 * (linklevel._WISHART_BATCH_ENTRIES // (8 * 4)) + 250
+    results = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(linklevel, "_THREADS", threads)
+        results.append((
+            linklevel.oracle_uatf_mr(scn.dims, scn.gains, scn.pilots, alloc, 1, 0,
+                                     num_realizations=n, rng=np.random.default_rng(11)),
+            linklevel.oracle_zf(scn.dims, scn.gains, scn.pilots, alloc, 1, 0,
+                                num_realizations=n, rng=np.random.default_rng(12)),
+            wishart_inverse_diagonal_mean(8, 4, num_samples=wishart_n,
+                                          rng=np.random.default_rng(13))))
+    assert results[0][0].num_realizations == n
+    assert results[0] == results[1] == results[2]
 
 
 def _traced_peak(fn):
@@ -89,14 +117,20 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_wishart_batch_below_one_mr_oracle_batch():
-    """The Wishart mean at criterion 1's config allocates less than one
-    MR-oracle channel batch at criterion 2's config, so the Wishart case
-    does not set the link-level peak memory."""
-    cfg = ScenarioConfig(num_cells=2, antennas_per_bs=64, cus_per_cell=2,
-                         num_d2d_pairs=2, num_d2d_pilots=2, coherence_len=200,
-                         area_side=600.0)
-    scn = Scenario.build(cfg, seed=42)
+# Criterion 2's config, where the MR oracle's channel batches are largest.
+CRITERION_2_CFG = ScenarioConfig(num_cells=2, antennas_per_bs=64, cus_per_cell=2,
+                                 num_d2d_pairs=2, num_d2d_pilots=2, coherence_len=200,
+                                 area_side=600.0)
+
+
+def test_wishart_batch_below_one_mr_oracle_batch(monkeypatch):
+    """On one thread, the Wishart mean at criterion 1's config allocates less
+    than one MR-oracle channel batch at criterion 2's config. At criteria 1
+    and 2's sample counts both run at least 26 batches, so on up to 26
+    threads as many Wishart batches as MR batches are in flight, and the
+    Wishart case does not set the link-level peak memory."""
+    monkeypatch.setattr(linklevel, "_THREADS", 1)
+    scn = Scenario.build(CRITERION_2_CFG, seed=42)
     alloc = full_power_allocation(scn.dims, scn.p_max)
     mr = _traced_peak(lambda: linklevel.oracle_uatf_mr(
         scn.dims, scn.gains, scn.pilots, alloc, 0, 0,
@@ -104,3 +138,20 @@ def test_wishart_batch_below_one_mr_oracle_batch():
     wishart = _traced_peak(lambda: wishart_inverse_diagonal_mean(
         32, 10, num_samples=10_000, rng=np.random.default_rng(0)))
     assert wishart < mr, (wishart, mr)
+
+
+# Bytes: the tracemalloc peak of one 2000-realization MR batch at criterion
+# 2's config computed on one thread (numpy 2.4).
+ONE_2000_BATCH_PEAK = 19_672_325
+
+
+def test_two_threads_hold_no_more_than_one_2000_batch(monkeypatch):
+    """Two threads over four MR-oracle batches at criterion 2's config
+    allocate no more than one 2000-realization batch on one thread."""
+    monkeypatch.setattr(linklevel, "_THREADS", 2)
+    scn = Scenario.build(CRITERION_2_CFG, seed=42)
+    alloc = full_power_allocation(scn.dims, scn.p_max)
+    peak = _traced_peak(lambda: linklevel.oracle_uatf_mr(
+        scn.dims, scn.gains, scn.pilots, alloc, 0, 0,
+        num_realizations=4 * linklevel._ORACLE_BATCH, rng=2))
+    assert peak <= ONE_2000_BATCH_PEAK, peak
