@@ -2,12 +2,12 @@
 geometric programs in standard form, and a linear-feasibility solver.
 
 A geometric program here minimizes a product of posynomial factors subject
-to posynomial constraints <= 1 inside a variable box. Its objective is held
-in one array form, Factors, which a caller builds from arrays or converts
-from posynomials; every stack is compiled from that form. After the
-substitution x = exp(y) the log of the objective is a sum of log-sum-exp
-functions, one per factor, and every constraint is a log-sum-exp <= 0; the
-resulting smooth convex program is minimized with a primal-dual
+to posynomial constraints <= 1 inside a variable box. Its objective and its
+constraints are held in one array form, Factors, which a caller builds from
+arrays or converts from posynomials; every stack is compiled from that form.
+After the substitution x = exp(y) the log of the objective is a sum of
+log-sum-exp functions, one per factor, and every constraint is a log-sum-exp
+<= 0; the resulting smooth convex program is minimized with a primal-dual
 interior-point method from a strictly feasible start the caller supplies,
 stopped by a certificate: the surrogate duality gap and the dual residual.
 The linear-feasibility check minimizes its largest slack along a log-barrier
@@ -245,14 +245,16 @@ class Factors:
 
 @dataclass
 class GeometricProgram:
-    """minimize the product of the objective's factors s.t.
-    posy_constraints <= 1 and per-variable bounds lo <= x <= hi with
+    """minimize the product of the objective's factors s.t. every
+    constraint <= 1 and per-variable bounds lo <= x <= hi with
     0 < lo <= hi < inf.
 
-    The objective is held as Factors. It may be given as Factors built from
-    arrays, or as posynomial factors (a lone posynomial is one factor),
-    which are converted term for term. Either way gp_solve compiles it along
-    the one path from Factors to its log-sum-exp stack.
+    The objective and the constraints are held as Factors, one factor per
+    constraint. Either may be given as Factors built from arrays, or as
+    posynomials, which are converted term for term: objective as posynomial
+    factors (a lone posynomial is one factor), constraints as the list
+    posy_constraints. Either way gp_solve compiles both along the one path
+    from Factors to a log-sum-exp stack.
 
     Every variable must have finite bounds; the compact box rules out
     unbounded programs by construction.
@@ -261,6 +263,7 @@ class GeometricProgram:
     objective: Factors
     posy_constraints: list = field(default_factory=list)
     bounds: dict = field(default_factory=dict)
+    constraints: Factors = None
 
     def __post_init__(self):
         if not isinstance(self.objective, Factors):
@@ -269,15 +272,17 @@ class GeometricProgram:
         if self.objective.ptr.size < 2:
             raise ValueError("objective needs at least one factor")
         self.posy_constraints = [as_posynomial(c) for c in self.posy_constraints]
+        if self.constraints is None:
+            self.constraints = Factors.from_posynomials(self.posy_constraints)
+        elif self.posy_constraints:
+            raise ValueError("give the constraints as Factors or as posynomials, not both")
         for var, (lo, hi) in self.bounds.items():
             if not (0.0 < lo <= hi < math.inf):
                 raise ValueError(f"bounds for {var} must satisfy 0 < lo <= hi < inf")
 
     def variables(self):
-        out = set(self.bounds) | set(self.objective.names)
-        for c in self.posy_constraints:
-            out |= c.variables()
-        return sorted(out)
+        return sorted(set(self.bounds) | set(self.objective.names)
+                      | set(self.constraints.names))
 
 
 @dataclass
@@ -326,6 +331,9 @@ class GPSolution:
     newton_iterations: int
     duality_gap: float    # surrogate gap -f^T lambda at the returned point
     dual_residual: float  # 2-norm of the Lagrangian's gradient there
+    num_variables: int    # compiled size: columns,
+    num_constraints: int  # constraint segments,
+    num_terms: int        # and objective plus constraint terms
 
 
 @dataclass
@@ -415,11 +423,6 @@ def _stack_from_factors(factors, var_index):
     cols = np.array([var_index[name] for name in factors.names], dtype=np.intp)
     return _Stack(factors.term, cols[factors.var], factors.exp, factors.log_coeff,
                   factors.ptr, len(var_index))
-
-
-def _stack_from_posynomials(posys, var_index):
-    """Compile posynomials into one stack, one segment per posynomial."""
-    return _stack_from_factors(Factors.from_posynomials(posys), var_index)
 
 
 # --- interior-point kernels --------------------------------------------------
@@ -620,10 +623,12 @@ def _primal_dual(obj_stack, con_stack, box, y0, settings):
         r[:nb] += lam[mc:mc + nb] - lam[mc + nb:]
         return r
 
-    def residual_norm(at, lam, t):
-        """2-norm of the whole residual: dual and centrality at t."""
-        r_cent = -lam * at[0] - 1.0 / t
-        return math.hypot(np.linalg.norm(dual_residual(at, lam)), np.linalg.norm(r_cent))
+    def residual_norm(at, lam, t, dual_norm=None):
+        """2-norm of the whole residual: dual (its norm, when known) and
+        centrality at t."""
+        if dual_norm is None:
+            dual_norm = np.linalg.norm(dual_residual(at, lam))
+        return math.hypot(dual_norm, np.linalg.norm(-lam * at[0] - 1.0 / t))
 
     y = np.array(y0, dtype=float)
     at = evaluate(y)
@@ -652,7 +657,7 @@ def _primal_dual(obj_stack, con_stack, box, y0, settings):
         shrinking = dlam < 0.0
         s = BOUNDARY * float(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0))
         s, con_values = _boundary_step(con_stack, y, step, f_all, df, s)
-        r_now = residual_norm(at, lam, t)
+        r_now = residual_norm(at, lam, t, residual)
         while True:
             at_cand = evaluate(y + s * step, con_values)
             if (at_cand is not None and residual_norm(at_cand, lam + s * dlam, t)
@@ -695,7 +700,7 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None, *,
     """
     settings = settings or SolverSettings()
     variables, var_index, box = _compile_gp(gp)
-    cons = _stack_from_posynomials(gp.posy_constraints, var_index)
+    cons = _stack_from_factors(gp.constraints, var_index)
     obj = _stack_from_factors(gp.objective, var_index)
 
     y0 = np.array([math.log(initial[v]) for v in variables])
@@ -711,7 +716,9 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None, *,
                       log_factors=log_factors,
                       status="optimal" if certified else "inaccurate",
                       newton_iterations=used,
-                      duality_gap=gap, dual_residual=residual)
+                      duality_gap=gap, dual_residual=residual,
+                      num_variables=len(variables), num_constraints=cons.m,
+                      num_terms=obj.d.size + cons.d.size)
 
 
 # --- linear feasibility entry point -------------------------------------------

@@ -11,10 +11,13 @@ reads the same arrays. The max-product GP over data powers builds its
 objective factors (1 + a_i . p) / (g_i p_i) as gp.Factors straight from
 (g, a), with no posynomial object (_maxprod_data_factors). The joint
 problems compile the closed-form SINR expressions with pilot powers as
-variables, in lifted form: each posynomial factor of a denominator product
-is one auxiliary GP variable (_joint_sinr_model). Because every user shares
-the prelog factor, a common SE target is equivalent to a common SINR
-target, which is how the max-min problems are expressed in GP form.
+variables, in lifted form, as arrays built straight from the gain tensors
+(_joint_sinr_model): each received power and each ZF residual sum is one
+auxiliary GP variable, and the pilot sums are multiplied out. Their
+objectives and constraints reach gp_solve as Factors, with no posynomial
+object either. Because every user shares the prelog factor, a common SE
+target is equivalent to a common SINR target, which is how the max-min
+problems are expressed in GP form.
 """
 
 import enum
@@ -23,6 +26,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +35,11 @@ from .estimation import PowerAllocation, full_power_allocation
 # perfbench/spans.py wraps the gamma functions at this import site
 from .estimation import compute_gamma_bs, compute_gamma_d2drx, gamma_cu_bs_full  # noqa: F401
 from .spectral import evaluate_network, se_from_sinr, sinr_terms
-from .gp import (Factors, Monomial, Posynomial, GeometricProgram, LinearFeasibilityProblem,
-                 SolverSettings, gp_solve, lp_feasible, monomial_lower_bound,
-                 GPInfeasibleError, GPSolverError)
+from .gp import (Factors, GeometricProgram, LinearFeasibilityProblem, SolverSettings,
+                 gp_solve, lp_feasible, GPInfeasibleError, GPSolverError)
+# perfbench/spans.py wraps monomial_lower_bound at this import site; the
+# joint model condenses its anchors with array operations instead
+from .gp import monomial_lower_bound  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -253,132 +259,236 @@ def _snap_small_powers(scn, alloc, processing, still_ok):
     return candidate if still_ok(report) else alloc
 
 
-# --- joint SINR model in lifted form --------------------------------------------
+# --- joint SINR model in lifted form, as arrays -------------------------------------
 #
 # A joint SINR denominator is a product of posynomials. Multiplied out, the
 # joint-MR GP holds about 27k terms and an Algorithm 2 GP about 197k at the
-# reference scale. Instead each shared factor gets one auxiliary GP variable
-# with the constraint factor / aux <= 1, and the denominators use aux in its
-# place (Boyd, Kim, Vandenberghe & Hassibi, "A tutorial on geometric
-# programming", 2007, sec. 3.3; Chiang et al., IEEE TWC 2007). Every
-# coupling constraint and every max-product factor increases in each
-# auxiliary, so each auxiliary equals its factor at the optimum and the
-# lifted GP has the optimum of the multiplied-out one.
+# reference scale. Instead each received power or residual sum, which the
+# users of a cell or the pair of a receiver share, gets one auxiliary GP
+# variable with the constraint factor / aux <= 1, and the denominators use
+# aux in its place (Boyd, Kim, Vandenberghe & Hassibi, "A tutorial on
+# geometric programming", 2007, sec. 3.3; Chiang et al., IEEE TWC 2007). A
+# pilot sum is one user's own and saves too few terms to be worth a
+# variable, so it is multiplied out. Every coupling constraint and every
+# max-product factor increases in each auxiliary, so each auxiliary equals
+# its factor at the optimum and the lifted GP has the optimum of the
+# multiplied-out one.
 
 # An auxiliary starts this fraction above its factor's value. At 1e-4 the
 # reference joint-MR max-product GP (drop_seed(0, 0)) took 92 Newton steps
 # instead of 40, to move the auxiliaries off their constraints; at 0.5 the
-# max-min GP took 71 instead of 51. A CU denominator holds two auxiliaries,
-# so at the start it is up to (1 + LIFT_MARGIN)^2 above the multiplied-out
-# one; the max-min target at half the weakest half-power SINR stays
-# interior, for every Algorithm 2 GP too.
+# max-min GP took 71 instead of 51. A denominator holds one auxiliary, so at
+# the start it is up to 1 + LIFT_MARGIN times the multiplied-out one; the
+# max-min target at half the weakest half-power SINR stays interior, for
+# every Algorithm 2 GP too.
 LIFT_MARGIN = 0.1
 
 
-def _lifted_factor(coeffs, names, skip=None):
-    """1 + the sum over j != skip of coeffs[j] names[j]: one posynomial factor
-    of a joint SINR denominator, a pilot sum 1 + sum tau beta q or a received
-    power 1 + sum beta p. coeffs is one row of gains and names the power
-    names that row reads, position for position in stacked order."""
-    return Posynomial([Monomial(1.0)] + [Monomial(c, {x: 1.0})
-                                         for j, (c, x) in enumerate(zip(coeffs, names))
-                                         if j != skip])
+class _Posynomials(NamedTuple):
+    """Posynomials over the model's columns, as arrays. Posynomial i sums
+    the terms ptr[i] to ptr[i + 1] - 1. Term t is exp(log_coeff[t]) times
+    the product of x[col[k]] ** exp[k] over the nonzeros k with term[k] ==
+    t; exponents on one column of a term add up."""
+
+    ptr: np.ndarray
+    log_coeff: np.ndarray
+    term: np.ndarray
+    col: np.ndarray
+    exp: np.ndarray
+
+    def segments(self):
+        return np.repeat(np.arange(self.ptr.size - 1), np.diff(self.ptr))
+
+    def _log_terms(self, y_at):
+        """Each term's log with nonzero k's variable at exp(y_at[k])."""
+        return self.log_coeff + np.bincount(self.term, self.exp * y_at,
+                                            minlength=self.log_coeff.size)
+
+    def _sums(self, log_terms):
+        return np.bincount(self.segments(), np.exp(log_terms), minlength=self.ptr.size - 1)
+
+    def values(self, y):
+        """Each posynomial's value at x = exp(y)."""
+        return self._sums(self._log_terms(y[self.col]))
+
+    def box_range(self, y_lo, y_hi):
+        """(lower, upper) bounds of each posynomial over the box exp(y_lo) <=
+        x <= exp(y_hi), each the sum of its terms' extremes; exact when
+        every exponent is positive and no column repeats within a term."""
+        up, lo, hi = self.exp > 0.0, y_lo[self.col], y_hi[self.col]
+        return (self._sums(self._log_terms(np.where(up, lo, hi))),
+                self._sums(self._log_terms(np.where(up, hi, lo))))
+
+    def times(self, mono):
+        """Posynomial i times term i of mono, which holds one term per
+        posynomial: every term of posynomial i gains its log coefficient and
+        its nonzeros."""
+        seg = self.segments()
+        # mono's nonzeros sorted by term: monomial i has count[i] of them
+        # from first[i] on, and term t gains those of monomial seg[t]
+        order = np.argsort(mono.term, kind="stable")
+        count = np.bincount(mono.term, minlength=self.ptr.size - 1)
+        first = np.cumsum(count) - count
+        gained = count[seg]
+        term = np.repeat(np.arange(seg.size), gained)
+        within = np.arange(term.size) - np.repeat(np.cumsum(gained) - gained, gained)
+        k = order[first[seg][term] + within]
+        return _Posynomials(self.ptr, self.log_coeff + mono.log_coeff[seg],
+                            np.concatenate([self.term, term]),
+                            np.concatenate([self.col, mono.col[k]]),
+                            np.concatenate([self.exp, mono.exp[k]]))
+
+    def reciprocal(self):
+        """1 / monomial i, for one term per posynomial."""
+        return self._replace(log_coeff=-self.log_coeff, exp=-self.exp)
+
+    def condensed(self, y):
+        """Each posynomial's best local monomial lower bound at x = exp(y),
+        one term per posynomial: the weights are each term's share of its
+        posynomial there and the exponents are weights^T E, so the bound
+        touches at y with matching gradient (Boyd et al. 2007,
+        condensation)."""
+        m = self.ptr.size - 1
+        z = self._log_terms(y[self.col])
+        seg = self.segments()
+        top = np.maximum.reduceat(z, self.ptr[:-1])
+        share = np.exp(z - top[seg])
+        total = np.bincount(seg, share, minlength=m)
+        term, exp = seg[self.term], (share / total[seg])[self.term] * self.exp
+        log_coeff = np.log(total) + top - np.bincount(term, exp * y[self.col], minlength=m)
+        return _Posynomials(np.arange(m + 1), log_coeff, term, self.col, exp)
+
+    def merged(self):
+        """The same posynomials with the exponents on one column of a term
+        added up and zero exponents dropped."""
+        width = self.col.max(initial=0) + 1
+        key, inverse = np.unique(self.term * width + self.col, return_inverse=True)
+        exp = np.bincount(inverse, self.exp)
+        kept = exp != 0.0
+        return self._replace(term=key[kept] // width, col=key[kept] % width, exp=exp[kept])
+
+    def factors(self, names):
+        """As gp.Factors over the columns names."""
+        merged = self.merged()
+        return Factors(self.ptr, self.log_coeff, merged.term, merged.col, merged.exp,
+                       tuple(names))
+
+
+def _rows(coeffs, keep, cols, constant=True):
+    """One posynomial per row r of coeffs: 1 (when constant) plus the sum
+    over the j with keep[r, j] of coeffs[r, j] times the product of x[c[j]]
+    over the column arrays c in cols. A pilot sum or a received power is
+    one row of a gain matrix."""
+    row, j = np.nonzero(keep)
+    lead = int(constant)
+    ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1) + lead)])
+    term = np.arange(row.size) + lead * (row + 1)
+    log_coeff = np.zeros(ptr[-1])
+    log_coeff[term] = np.log(coeffs[row, j])
+    return _Posynomials(ptr, log_coeff, np.tile(term, len(cols)),
+                        np.concatenate([c[j] for c in cols]), np.ones(len(cols) * term.size))
+
+
+def _monomials(log_coeff, *cols):
+    """Monomial i is exp(log_coeff[i]) times the product of x[c[i]] over the
+    column arrays c in cols."""
+    m = len(log_coeff)
+    return _Posynomials(np.arange(m + 1), np.asarray(log_coeff, dtype=float),
+                        np.tile(np.arange(m), len(cols)),
+                        np.concatenate([np.zeros(0, dtype=np.intp), *cols]),
+                        np.ones(m * len(cols)))
+
+
+def _concat(*parts):
+    """The posynomials of every part, part after part."""
+    offsets = np.cumsum([0] + [part.log_coeff.size for part in parts[:-1]])
+    sizes = np.concatenate([np.diff(part.ptr) for part in parts])
+    return _Posynomials(np.concatenate([[0], np.cumsum(sizes)]),
+                        np.concatenate([part.log_coeff for part in parts]),
+                        np.concatenate([part.term + o for part, o in zip(parts, offsets)]),
+                        np.concatenate([part.col for part in parts]),
+                        np.concatenate([part.exp for part in parts]))
+
+
+def _join(*parts):
+    """Posynomial i of the result sums posynomial i of every part."""
+    joined = _concat(*parts)
+    order = np.argsort(np.concatenate([part.segments() for part in parts]), kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return joined._replace(ptr=sum(part.ptr for part in parts),
+                           log_coeff=joined.log_coeff[order], term=position[joined.term])
+
+
+class _JointModel(NamedTuple):
+    """Every user's SINR num / den with pilot and data powers as variables,
+    in lifted form, over the columns names: the stacked data powers, the
+    stacked pilot powers, then one auxiliary per lift. num holds one
+    monomial and den one posynomial per user, in dims.users() order; lifts
+    holds the factor that auxiliary i stands for, in column order."""
+
+    names: tuple
+    num: _Posynomials
+    den: _Posynomials
+    lifts: _Posynomials
 
 
 def _joint_sinr_model(scn: Scenario, processing: Processing, pilot_point=None):
-    """Every user's SINR with pilot and data powers as variables, in lifted
-    form. Returns (constraint_map, lifts): constraint_map maps each user to
-    (numerator monomial, denominator posynomial over powers and
-    auxiliaries); lifts maps each auxiliary's name to the posynomial factor
-    it stands for.
+    """The joint SINR model (_JointModel), built straight from the gain
+    tensors.
 
-    A CU's denominator is s_{b,k} r_b plus its coherent pilot-contamination
-    terms, with s_{b,k} the pilot sum at BS b and r_b the received power
-    (MR) or the residual sum at the anchor pilot_point (ZF, Algorithm 2). A
-    D2D pair's denominator uses the received power at its receiver. Every
-    factor is _lifted_factor over a gain row and the stacked names p and q:
-    user b K + k is CU k of cell b, user n_cu + l is pair l, and q[k:n_cu:K]
-    are the CUs on pilot k, cell by cell."""
+    A CU's denominator is its pilot sum 1 + sum_j tau beta_j q_j over the
+    CUs on its pilot, times r_b, plus its coherent pilot-contamination
+    terms; r_b is the received power at BS b (MR) or the residual sum at
+    the anchor pilot_point (ZF, Algorithm 2), the stacked pilot powers. A
+    D2D pair's denominator is its pilot sum times rd_l, the received power
+    at its receiver, plus its own-link terms. Every pilot sum and received
+    power is one row of a gain matrix (_rows): user i hears user j with
+    at_bs[b, j] at BS b and with at_rx[l, j] at receiver l."""
     dims, gains = scn.dims, scn.gains
-    tau, cus = dims.pilot_len, dims.cus_per_cell
-    cells = range(dims.num_cells)
-    n_cu = dims.num_cells * cus
+    tau, cus, cells = dims.pilot_len, dims.cus_per_cell, dims.num_cells
+    n_cu = cells * cus
+    n = n_cu + dims.num_d2d_pairs
     factor = dims.zf_dof if processing is Processing.ZF else dims.antennas_per_bs
-    p, q = _stacked_names(scn), _stacked_names(scn, pilot=True)
-    pd, qd = p[n_cu:], q[n_cu:]
-    # every user's gain to BS b (row b) and to D2D receiver l (row l)
-    at_bs = np.hstack([gains.beta_cu_bs.reshape(dims.num_cells, n_cu), gains.beta_d2dtx_bs])
-    at_rx = np.hstack([gains.beta_cu_d2drx.reshape(dims.num_d2d_pairs, n_cu),
-                       gains.beta_d2dtx_d2drx])
-    pilot_gain = tau * gains.beta_cu_bs  # [b, b2, k]: CU pilot k's row at BS b is [b, :, k]
-    # per D2D pilot: its pairs' pilot gains to every BS (row b), and their names
-    sets = scn.pilots.d2d_pilot_sets
-    d2d_pilot_gain = [tau * gains.beta_d2dtx_bs[:, group] for group in sets]
-    d2d_pilot_names = [[qd[j] for j in group] for group in sets]
+    names = (_stacked_names(scn) + _stacked_names(scn, pilot=True)
+             + [f"r_{b}" for b in range(cells)] + [f"rd_{l}" for l in range(n - n_cu)])
+    p, q = np.arange(n), n + np.arange(n)
+    at_bs = np.hstack([gains.beta_cu_bs.reshape(cells, n_cu), gains.beta_d2dtx_bs])
+    at_rx = np.hstack([gains.beta_cu_d2drx.reshape(n - n_cu, n_cu), gains.beta_d2dtx_d2drx])
+    # user i's gain from every user: at its BS for a CU, at its receiver for a pair
+    heard = np.vstack([np.repeat(at_bs, cus, axis=0), at_rx])
+    own = np.diag(heard)
+    pilot = np.concatenate([np.arange(n_cu) % cus,
+                            cus + np.asarray(scn.pilots.pair_to_pilot, dtype=int)])
+    shared = pilot[:, None] == pilot  # users i and j send the same pilot
+    others = shared & ~np.eye(n, dtype=bool)
+    lift = 2 * n + np.concatenate([np.arange(cells).repeat(cus), cells + np.arange(n - n_cu)])
 
-    def residual_sum(b):
-        """1 + R_b, the post-nulling residual interference at ZF BS b with
-        each residual ratio's denominator replaced by its local monomial
-        lower bound at pilot_point: an upper bound that touches at
-        pilot_point. It depends on the cell, not on the CU, so the CUs of a
-        cell share it."""
-        terms = [Monomial(1.0)]
-        for k2 in range(cus):
-            row, names = pilot_gain[b, :, k2], q[k2:n_cu:cus]
-            anchor = monomial_lower_bound(_lifted_factor(row, names), pilot_point)
-            for b2 in cells:
-                j = b2 * cus + k2
-                power = Monomial(at_bs[b, j], {p[j]: 1.0}) / anchor
-                terms += (_lifted_factor(row, names, skip=b2) * power).terms
-        for group, rows, names in zip(sets, d2d_pilot_gain, d2d_pilot_names):
-            row = rows[b]
-            anchor = monomial_lower_bound(_lifted_factor(row, names), pilot_point)
-            for i, l in enumerate(group):
-                power = Monomial(at_bs[b, n_cu + l], {pd[l]: 1.0}) / anchor
-                terms += (_lifted_factor(row, names, skip=i) * power).terms
-        return Posynomial(terms)
+    if processing is Processing.ZF:
+        # 1 + R_b, the post-nulling residual interference at BS b: the sum
+        # over users j of j's leave-one-out pilot sum times at_bs[b, j] p_j
+        # over the condensed full pilot sum at pilot_point, an upper bound
+        # that touches there. Rows run over (b, j), b-major.
+        y = np.zeros(2 * n)
+        y[q] = np.log(pilot_point)
+        pilot_gain = np.repeat(tau * at_bs, n, axis=0)
+        anchor = _rows(pilot_gain, np.tile(shared, (cells, 1)), [q]).condensed(y)
+        power = _monomials(np.log(at_bs).ravel(), np.tile(p, cells)).times(anchor.reciprocal())
+        # a leave-one-out term and the anchor share pilot columns
+        ratios = _rows(pilot_gain, np.tile(others, (cells, 1)), [q]).times(power).merged()
+        # BS b sums its n rows
+        received = _join(_monomials(np.zeros(cells)), ratios._replace(ptr=ratios.ptr[::n]))
+    else:
+        received = _rows(at_bs, np.ones(at_bs.shape, dtype=bool), [p])
+    lifts = _concat(received, _rows(at_rx, ~np.eye(n, dtype=bool)[n_cu:], [p]))
 
-    lifts, out = {}, {}
-    for b in cells:
-        beta = gains.beta_cu_bs[b]
-        r = f"r_{b}"
-        lifts[r] = (residual_sum(b) if processing is Processing.ZF
-                    else _lifted_factor(at_bs[b], p))
-        for k in range(cus):
-            s = f"s_{b}_{k}"
-            pk, qk = p[k:n_cu:cus], q[k:n_cu:cus]  # CU k of each cell
-            lifts[s] = _lifted_factor(pilot_gain[b, :, k], qk)
-            coherent = [factor * tau * beta[b2, k] ** 2 for b2 in cells]
-            out[("cu", b, k)] = (
-                Monomial(coherent[b], {pk[b]: 1.0, qk[b]: 1.0}),
-                Posynomial([Monomial(1.0, {s: 1.0, r: 1.0})] + [
-                    Monomial(c, {pk[b2]: 1.0, qk[b2]: 1.0})
-                    for b2, c in enumerate(coherent) if b2 != b]))
-    for l in range(dims.num_d2d_pairs):
-        rd = f"rd_{l}"
-        lifts[rd] = _lifted_factor(at_rx[l], p, skip=n_cu + l)
-        beta_row = gains.beta_d2dtx_d2drx[l]
-        group = scn.pilots.set_of(l)
-        own_pilot = _lifted_factor(tau * beta_row[group],
-                                   d2d_pilot_names[scn.pilots.pair_to_pilot[l]])
-        den = own_pilot * Monomial(1.0, {rd: 1.0}) + Monomial(beta_row[l], {pd[l]: 1.0})
-        for j in group:
-            if j != l:
-                den = den + Monomial(tau * beta_row[l] * beta_row[j],
-                                     {pd[l]: 1.0, qd[j]: 1.0})
-        out[("d2d", -1, l)] = (Monomial(tau * beta_row[l] ** 2, {pd[l]: 1.0, qd[l]: 1.0}),
-                               den)
-    return out, lifts
-
-
-def _posynomial_range(posy: Posynomial, bounds):
-    """(lower, upper) bounds of a posynomial over the variable box, each the
-    sum of its terms' extremes; exact when every exponent is positive."""
-    lower = upper = 0.0
-    for t in posy.terms:
-        lower += t.value({v: bounds[v][e < 0] for v, e in t.exponents.items()})
-        upper += t.value({v: bounds[v][e > 0] for v, e in t.exponents.items()})
-    return lower, upper
+    coherent = _rows(factor * tau * heard[:n_cu] ** 2, others[:n_cu], [p, q], constant=False)
+    own_link = _rows(tau * heard[n_cu:], others[n_cu:], [q]).times(
+        _monomials(np.log(own[n_cu:]), p[n_cu:]))
+    den = _join(_rows(tau * heard, shared, [q]).times(_monomials(np.zeros(n), lift)),
+                _concat(coherent, own_link))
+    gain = np.concatenate([np.full(n_cu, factor * tau), np.full(n - n_cu, tau)])
+    return _JointModel(tuple(names), _monomials(np.log(gain * own ** 2), p, q), den, lifts)
 
 
 # --- GP assembly ----------------------------------------------------------------
@@ -452,47 +562,56 @@ def _maxprod_data_factors(scn: Scenario, processing: Processing, fixed_pilots):
                    names=tuple(_stacked_names(scn)))
 
 
-def _solve_gp_problem(scn, objective, constraint_map, lifts, processing, settings):
+def _solve_gp_problem(scn, objective, model, processing, settings):
     """Assemble and solve one joint GP over pilot and data powers from the
     lifted model of _joint_sinr_model; returns (solution, SINR level per
-    user). The max-product GP over data powers is not assembled here: its
-    objective is Factors built from (g, a) by _maxprod_data_factors, and it
-    has no constraint. Both reach gp_solve's one compile path, from Factors
-    to a log-sum-exp stack.
+    user). Objective and constraints are Factors built from the model's
+    arrays, as is the max-product objective over data powers
+    (_maxprod_data_factors); all reach gp_solve's one compile path, from
+    Factors to a log-sum-exp stack.
 
     Max-product minimizes the product of den/num over the users, and a
     user's level is its GP-model SINR at the solution. Max-min maximizes a
     common target subject to target * den / num <= 1, which is every
-    user's level. Each auxiliary of lifts adds factor / aux <= 1 and the box
+    user's level. Each auxiliary adds factor / aux <= 1 and the box
     [factor's lower bound, twice its upper bound]. The start puts every
     power at half budget and every auxiliary LIFT_MARGIN above its factor's
     value there, so it is strictly interior.
     """
+    names, num, den, lifts = model
     bounds = _power_bounds(scn, True)
     start = dict.fromkeys(bounds, scn.p_max / 2.0)
-    lift_constraints = []
-    for name, factor in lifts.items():
-        lower, upper = _posynomial_range(factor, bounds)
-        bounds[name] = (lower, 2.0 * upper)
-        start[name] = factor.value(start) * (1.0 + LIFT_MARGIN)
-        lift_constraints.append(factor * Monomial(1.0, {name: -1.0}))
+    powers = len(bounds)
+    aux = names[powers:]
+
+    def every_power_at(value):  # the lifts read no auxiliary
+        return np.full(len(names), math.log(value))
+
+    lower, upper = lifts.box_range(*map(every_power_at, bounds[names[0]]))
+    bounds.update(zip(aux, zip(lower, 2.0 * upper)))
+    start.update(zip(aux, lifts.values(every_power_at(scn.p_max / 2.0)) * (1.0 + LIFT_MARGIN)))
+    lift_constraints = lifts.times(
+        _monomials(np.zeros(len(aux)), powers + np.arange(len(aux))).reciprocal())
+    ratios = den.times(num.reciprocal())  # den / num, user by user
+    users = scn.dims.users()
     if objective is Objective.MAXPROD:
-        gp = GeometricProgram(objective=[den / num for num, den in constraint_map.values()],
-                              posy_constraints=lift_constraints, bounds=bounds)
+        gp = GeometricProgram(objective=ratios.factors(names),
+                              constraints=lift_constraints.factors(names), bounds=bounds)
         solution = gp_solve(gp, settings.gp, initial=start)
-        return solution, dict(zip(constraint_map, np.exp(-solution.log_factors)))
+        return solution, dict(zip(users, np.exp(-solution.log_factors)))
 
     # the start sits at half the weakest half-power SINR, strictly above the
     # lower bound
     weakest = _half_power_sinrs(scn, processing).min()
     bounds["target"] = (max(weakest * 0.25, 1e-280), _joint_upper_bounds(scn, processing).min())
     start["target"] = weakest * 0.5
-    constraints = [den * Monomial(1.0, {"target": 1.0}) / num
-                   for num, den in constraint_map.values()]
-    gp = GeometricProgram(objective=Monomial(1.0, {"target": -1.0}),
-                          posy_constraints=constraints + lift_constraints, bounds=bounds)
+    target = _monomials(np.zeros(len(users)), np.full(len(users), len(names)))
+    gp = GeometricProgram(
+        objective=Factors([0, 1], [0.0], [0], [0], [-1.0], ("target",)),
+        constraints=_concat(ratios.times(target), lift_constraints).factors(names + ("target",)),
+        bounds=bounds)
     solution = gp_solve(gp, settings.gp, initial=start)
-    return solution, dict.fromkeys(constraint_map, solution.values["target"])
+    return solution, dict.fromkeys(users, solution.values["target"])
 
 
 def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing,
@@ -510,8 +629,7 @@ def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing
     diag = SolveDiagnostics()
 
     if joint:
-        constraint_map, lifts = _joint_sinr_model(scn, processing)
-        solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts,
+        solution, levels = _solve_gp_problem(scn, objective, _joint_sinr_model(scn, processing),
                                              processing, settings)
     else:
         bounds = _power_bounds(scn, False)
@@ -608,11 +726,9 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     last_levels = None
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
-        pilot_point = dict(zip(_stacked_names(scn, pilot=True), alloc.stacked_pilots()))
-        constraint_map, lifts = _joint_sinr_model(scn, Processing.ZF, pilot_point)
+        model = _joint_sinr_model(scn, Processing.ZF, alloc.stacked_pilots())
         try:
-            solution, levels = _solve_gp_problem(scn, objective, constraint_map, lifts,
-                                                 Processing.ZF, settings)
+            solution, levels = _solve_gp_problem(scn, objective, model, Processing.ZF, settings)
         except (GPInfeasibleError, GPSolverError) as exc:
             diag.notes.append(f"iteration {it}: solver failure: {exc}")
             status = "solver_failure"

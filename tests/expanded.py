@@ -1,12 +1,14 @@
 """The SINR expressions as posynomial objects, kept as oracles of the
 forms that replaced them:
-- the joint SINRs multiplied out term by term, for the lifted model of
-  power_control._joint_sinr_model: each denominator here is a product of
-  posynomials expanded in full, with no auxiliary variable;
+- the joint SINRs multiplied out term by term, for the lifted array model
+  of power_control._joint_sinr_model: each denominator here is a product
+  of posynomials expanded in full, with no auxiliary variable;
 - the data-power SINRs g_i p_i / (1 + a_i . p) as one monomial over one
   posynomial per user, for the max-product factors that
   power_control._maxprod_data_factors builds from the (g, a) arrays.
 """
+
+import numpy as np
 
 from mimo_d2d import se_from_sinr, sinr_terms
 from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, Monomial, Posynomial, gp_solve,
@@ -185,9 +187,12 @@ def solve_expanded_joint_mr(scn, objective):
     return solution, float(se_from_sinr(solution.values["target"], scn.dims))
 
 
-def lifted_point(point, lifts, scale=None):
-    """point with every auxiliary of lifts at its factor's value there, times
-    scale[name] where scale gives one."""
-    scale = scale or {}
-    return dict(point, **{name: factor.value(point) * scale.get(name, 1.0)
-                          for name, factor in lifts.items()})
+def model_values(model, point, scale=None):
+    """(numerators, denominators) of the lifted array model, user by user,
+    at the powers of point (a value per power name), with every auxiliary
+    at its factor's value there, times scale[i] for auxiliary i where an
+    array scale is given."""
+    y = np.array([np.log(point[name]) if name in point else 0.0 for name in model.names])
+    aux = [i for i, name in enumerate(model.names) if name not in point]
+    y[aux] = np.log(model.lifts.values(y) * (1.0 if scale is None else scale))
+    return model.num.values(y), model.den.values(y)

@@ -166,7 +166,7 @@ def start(gp, settings=None):
     """A strictly feasible start of the geometric program gp, per variable,
     as gp_solve takes it."""
     variables, var_index, box = gp_module._compile_gp(gp)
-    cons = gp_module._stack_from_posynomials(gp.posy_constraints, var_index)
+    cons = gp_module._stack_from_factors(gp.constraints, var_index)
     y, _ = feasible_start(cons, box, settings or SolverSettings())
     return {v: math.exp(y[i]) for v, i in var_index.items()}
 

@@ -120,6 +120,28 @@ def test_gp_analytic_separable():
     assert sol.objective == pytest.approx(1.0 / 6.0, rel=1e-6)
 
 
+def test_gp_solution_reports_compiled_size():
+    """GPSolution counts the compiled columns, constraint segments and
+    terms: by hand, 2 variables, 2 constraints and 1 + 3 terms here, with
+    the constraints given as posynomials or as the same Factors."""
+    x, y = variable("x"), variable("y")
+    bounds = {"x": (1e-3, 1e3), "y": (1e-3, 1e3)}
+    constraints = [as_posynomial(x / 2.0), as_posynomial(y / 3.0 + x / 4.0)]
+    by_posynomials = GeometricProgram(objective=as_posynomial(x**-1.0 * y**-1.0),
+                                      posy_constraints=constraints, bounds=bounds)
+    by_factors = GeometricProgram(objective=as_posynomial(x**-1.0 * y**-1.0),
+                                  constraints=Factors.from_posynomials(constraints),
+                                  bounds=bounds)
+    start = {"x": 1.0, "y": 1.0}
+    got = [gp_solve(gp, initial=start) for gp in (by_posynomials, by_factors)]
+    for sol in got:
+        assert (sol.num_variables, sol.num_constraints, sol.num_terms) == (2, 2, 4)
+    assert got[0].log_objective == got[1].log_objective
+    with pytest.raises(ValueError, match="not both"):
+        GeometricProgram(objective=as_posynomial(x), posy_constraints=constraints,
+                         constraints=Factors.from_posynomials(constraints), bounds=bounds)
+
+
 def _box_corner_gp():
     """No posynomial constraints: min x/y sits on x's lower and y's upper bound."""
     x, y = variable("x"), variable("y")
@@ -314,7 +336,7 @@ def test_primal_dual_matches_barrier_path_oracle(seed):
     assert sol.dual_residual <= solver_settings.feas_tol
 
     variables, var_index, box = gp_module._compile_gp(gp)
-    cons = gp_module._stack_from_posynomials(gp.posy_constraints, var_index)
+    cons = gp_module._stack_from_factors(gp.constraints, var_index)
     obj = gp_module._stack_from_factors(gp.objective, var_index)
     y0 = np.array([math.log(start[v]) for v in variables])
     y, _ = phase_one.barrier_path(obj, cons, box, y0, solver_settings,
@@ -483,7 +505,7 @@ def test_phase_one_epigraph_appends_dense_slack_column(seed):
     gp = GeometricProgram(objective=variable("a"), posy_constraints=cons,
                           bounds={v: (0.1, 10.0) for v in names})
     _, var_index, box = gp_module._compile_gp(gp)
-    con_stack = gp_module._stack_from_posynomials(gp.posy_constraints, var_index)
+    con_stack = gp_module._stack_from_factors(gp.constraints, var_index)
 
     seen = []
     barrier_path = phase_one.barrier_path

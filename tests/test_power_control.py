@@ -20,11 +20,11 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       power_control)
 from mimo_d2d.power_control import _stacked_upper, _minimal_powers, Processing
 from mimo_d2d import gp as gp_module
-from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, GPSolverError,
-                         LinearFeasibilityProblem, LPFeasibility, Monomial,
-                         SolverSettings, gp_solve, lp_feasible)
+from mimo_d2d.gp import (Factors, GeometricProgram, GPInfeasibleError, GPSolverError,
+                         LinearFeasibilityProblem, LPFeasibility, Monomial, Posynomial,
+                         SolverSettings, gp_solve, lp_feasible, monomial_lower_bound)
 from mimo_d2d.harness import cellular_only_view, drop_seed
-from expanded import (data_sinr_posynomials, expanded_sinr_constraints, lifted_point,
+from expanded import (data_sinr_posynomials, expanded_sinr_constraints, model_values,
                       solve_expanded_joint_mr)
 from gridsearch import refine_maximize
 import closed_forms
@@ -462,8 +462,8 @@ def test_maxprod_data_factors_compile_as_posynomials(small_scenario, reference_d
         bounds=power_control._power_bounds(scn, False))
     _, var_index, _ = gp_module._compile_gp(gp)
     got = gp_module._stack_from_factors(gp.objective, var_index)
-    want = gp_module._stack_from_posynomials(
-        [den / num for num, den in data_sinr_posynomials(scn, processing, pilots).values()],
+    want = gp_module._stack_from_factors(Factors.from_posynomials(
+        [den / num for num, den in data_sinr_posynomials(scn, processing, pilots).values()]),
         var_index)
     for name in ("row", "col", "val", "d", "ptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -482,6 +482,28 @@ def test_data_power_solves_build_no_monomial(reference_drops, monkeypatch, solve
 
     monkeypatch.setattr(gp_module.Monomial, "__post_init__", counting)
     solve(reference_drops[0], processing)
+    assert len(built) == 0
+    gp_module.variable("x")  # the spy sees a Monomial built anywhere
+    assert len(built) == 1
+
+
+def test_joint_solves_build_no_monomial(small_scenario, monkeypatch):
+    """The four joint problems build their GPs as arrays straight from the
+    gain tensors, and Algorithm 2 condenses its anchors as arrays: no
+    Monomial is built."""
+    built = []
+    post_init = gp_module.Monomial.__post_init__
+
+    def counting(self):
+        built.append(self.coeff)
+        post_init(self)
+
+    monkeypatch.setattr(gp_module.Monomial, "__post_init__", counting)
+    for objective in ("maxmin", "maxprod"):
+        for processing in ("mr", "zf"):
+            _, _, diag = solve_problem(small_scenario,
+                                       ControlProblemSpec(objective, "joint", processing))
+            assert diag.status in ("optimal", "converged")
     assert len(built) == 0
     gp_module.variable("x")  # the spy sees a Monomial built anywhere
     assert len(built) == 1
@@ -520,8 +542,10 @@ def _assert_strictly_interior(gp, initial):
     for var, (lo, hi) in gp.bounds.items():
         y = math.log(initial[var])
         assert math.log(lo) + 1e-12 < y < math.log(hi) - 1e-12, var
-    assert max((math.log(c.value(initial)) for c in gp.posy_constraints),
-               default=-math.inf) < -1e-12
+    variables, var_index, _ = gp_module._compile_gp(gp)
+    constraints = gp_module._stack_from_factors(gp.constraints, var_index)
+    log_values, _ = constraints.values(np.log([initial[v] for v in variables]))
+    assert log_values.max(initial=-math.inf) < -1e-12
 
 
 # every GP family power_control builds; for Algorithm 2, its first GP
@@ -550,13 +574,14 @@ def test_joint_mr_maxmin_warm_start_is_interior(small_scenario, monkeypatch, fam
         return
 
     dims = small_scenario.dims
-    anchor = dict(zip(power_control._stacked_names(small_scenario, pilot=True),
-                      full_power_allocation(dims, small_scenario.p_max).stacked_pilots()))
-    _, lifts = power_control._joint_sinr_model(small_scenario, processing, pilot_point=anchor)
-    assert len(lifts) == dims.num_cells * (dims.cus_per_cell + 1) + dims.num_d2d_pairs
-    assert set(lifts) <= set(gp.bounds)
-    for name, factor in lifts.items():
-        ratio = initial[name] / factor.value(initial)
+    anchor = full_power_allocation(dims, small_scenario.p_max).stacked_pilots()
+    model = power_control._joint_sinr_model(small_scenario, processing, pilot_point=anchor)
+    aux = model.names[2 * len(dims.users()):]
+    assert len(aux) == dims.num_cells + dims.num_d2d_pairs
+    assert set(aux) <= set(gp.bounds)
+    factors = model.lifts.values(np.log([initial[name] for name in model.names]))
+    for name, factor in zip(aux, factors):
+        ratio = initial[name] / factor
         assert 1.0 < ratio <= 1.0 + power_control.LIFT_MARGIN * (1 + 1e-9), name
 
 
@@ -584,6 +609,30 @@ def _spy_gp_solutions(monkeypatch):
 
     monkeypatch.setattr(power_control, "gp_solve", spy)
     return solutions
+
+
+@pytest.mark.parametrize("objective, size", [("maxmin", (130, 74)), ("maxprod", (129, 19))])
+def test_joint_mr_gp_reports_its_compiled_size(reference_drops, monkeypatch, objective, size):
+    """A reference joint-MR GP has 2 (B K + L) = 110 powers, one auxiliary
+    per BS and per D2D receiver (B + L = 19) and, for max-min, the target;
+    its constraints are one per user for max-min and one per auxiliary. The
+    counts GPSolution reports are those of the stacks its GP compiles to."""
+    seen = []
+    solve = power_control.gp_solve
+
+    def spy(gp, settings=None, *, initial):
+        seen.append((gp, solve(gp, settings, initial=initial)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(power_control, "gp_solve", spy)
+    (maxmin_joint_mr if objective == "maxmin" else maxprod_joint_mr)(reference_drops[0])
+    ((gp, solution),) = seen
+    variables, var_index, _ = gp_module._compile_gp(gp)
+    obj = gp_module._stack_from_factors(gp.objective, var_index)
+    cons = gp_module._stack_from_factors(gp.constraints, var_index)
+    assert (solution.num_variables, solution.num_constraints) == size
+    assert (solution.num_variables, solution.num_constraints, solution.num_terms) == (
+        len(variables), cons.m, obj.d.size + cons.d.size)
 
 
 def test_certificate_holds_at_large_centering_factor(reference_drops, monkeypatch):
@@ -701,17 +750,16 @@ def _random_alloc(scn, rng):
 
 def test_compiled_constraints_match_closed_forms(small_scenario, rng):
     scn = small_scenario
-    constraint_map, lifts = power_control._joint_sinr_model(scn, Processing.MR)
+    model = power_control._joint_sinr_model(scn, Processing.MR)
     for trial in range(5):
         alloc = _random_alloc(scn, rng)
         point = _alloc_to_point(scn, alloc)
         # the lifted joint-MR model, every auxiliary at its factor's value
-        lifted = lifted_point(point, lifts)
-        for (kind, b, idx), (num, den) in constraint_map.items():
+        nums, dens = model_values(model, point)
+        for (kind, b, idx), num, den in zip(scn.dims.users(), nums, dens):
             closed = (cu_sinr_mr(b, idx, scn.gains, alloc, scn.dims) if kind == "cu"
                       else _d2d_sinr(idx, scn, alloc))
-            assert num.value(point) / den.value(lifted) == pytest.approx(closed.sinr,
-                                                                         rel=1e-9)
+            assert num / den == pytest.approx(closed.sinr, rel=1e-9)
         # the data-scope posynomials, at the trial's pilot powers
         for processing in (Processing.MR, Processing.ZF):
             for (kind, b, idx), (num, den) in data_sinr_posynomials(
@@ -727,29 +775,64 @@ def test_compiled_constraints_match_closed_forms(small_scenario, rng):
 
 
 @hyp_settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), bump=st.floats(1e-9, 10.0))
-def test_lifted_denominators_match_expanded_oracle(small_scenario, seed, bump):
-    """At random positive powers and a random ZF anchor, every lifted
-    denominator equals its multiplied-out oracle with each auxiliary at its
-    factor's value, and is no smaller with auxiliaries above their values."""
-    scn = small_scenario
+@given(cells=st.integers(1, 3), cus=st.integers(1, 2), pairs=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1), bump=st.floats(1e-9, 10.0))
+def test_lifted_denominators_match_expanded_oracle(cells, cus, pairs, seed, bump):
+    """On random networks whose D2D pairs may share pilots, at random
+    positive powers and a random ZF anchor, every denominator of the array
+    model equals its multiplied-out oracle with each auxiliary at its
+    factor's value, and is no smaller with auxiliaries above their values;
+    every numerator equals the oracle's."""
     rng = np.random.default_rng(seed)
+    pilots = int(rng.integers(1, pairs + 1)) if pairs else 1
+    dims = SystemDimensions(cells, 32, cus, pairs, pilots, 200)
+    scn = _scenario_from_gains(dims, 10.0 ** rng.uniform(-4.0, -1.0, (cells, cells, cus)),
+                               10.0 ** rng.uniform(-6.0, -3.0, (cells, pairs)),
+                               10.0 ** rng.uniform(-6.0, -3.0, (pairs, cells, cus)),
+                               10.0 ** rng.uniform(-5.0, 1.0, (pairs, pairs)),
+                               pair_to_pilot=rng.integers(0, pilots, pairs))
     point = {name: scn.p_max * 10.0 ** rng.uniform(-6.0, 0.0)
              for name in power_control._power_bounds(scn, True)}
-    anchor = {name: scn.p_max * 10.0 ** rng.uniform(-6.0, 0.0)
-              for name in point if name.startswith("pp")}
+    anchor = scn.p_max * 10.0 ** rng.uniform(-6.0, 0.0, len(dims.users()))
+    anchor_point = dict(zip(power_control._stacked_names(scn, pilot=True), anchor))
     for processing in (Processing.MR, Processing.ZF):
-        constraint_map, lifts = power_control._joint_sinr_model(scn, processing,
-                                                                pilot_point=anchor)
-        expanded = expanded_sinr_constraints(scn, processing, anchor)
-        at = lifted_point(point, lifts)
-        raised = lifted_point(point, lifts, {name: 1.0 + bump * rng.uniform()
-                                             for name in lifts if rng.uniform() < 0.5})
-        for user, (num, den) in constraint_map.items():
+        model = power_control._joint_sinr_model(scn, processing, pilot_point=anchor)
+        expanded = expanded_sinr_constraints(scn, processing, anchor_point)
+        nums, dens = model_values(model, point)
+        lifts = model.lifts.ptr.size - 1
+        scale = np.where(rng.uniform(size=lifts) < 0.5, 1.0 + bump * rng.uniform(size=lifts), 1.0)
+        _, raised = model_values(model, point, scale)
+        for user, num, den, den_raised in zip(dims.users(), nums, dens, raised):
             num_want, den_want = (p.value(point) for p in expanded[user])
-            assert num.value(point) == pytest.approx(num_want, rel=1e-12)
-            assert den.value(at) == pytest.approx(den_want, rel=1e-12), user
-            assert den.value(raised) >= den_want * (1 - 1e-12), user
+            assert num == pytest.approx(num_want, rel=1e-12)
+            assert den == pytest.approx(den_want, rel=1e-12), user
+            assert den_raised >= den_want * (1 - 1e-12), user
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4), cols=st.integers(1, 5))
+def test_condensed_rows_match_monomial_lower_bound(seed, rows, cols):
+    """The condensation of pilot-sum rows built as arrays, 1 + sum_j c_j x_j
+    over a random subset of columns, equals monomial_lower_bound of the same
+    posynomial at a random positive point: coefficient and exponents."""
+    rng = np.random.default_rng(seed)
+    width = cols + 2
+    names = [f"x{j}" for j in range(width)]
+    coeffs = 10.0 ** rng.uniform(-3.0, 3.0, (rows, cols))
+    keep = rng.uniform(size=(rows, cols)) < 0.7
+    at = 1 + rng.permutation(width - 1)[:cols]  # column 0 is never read
+    x0 = 10.0 ** rng.uniform(-3.0, 3.0, width)
+    bound = power_control._rows(coeffs, keep, [at]).condensed(np.log(x0))
+    log_coeff, exps = bound.log_coeff, np.zeros((rows, width))
+    np.add.at(exps, (bound.term, bound.col), bound.exp)
+    for r in range(rows):
+        posy = Posynomial([Monomial(1.0)] + [Monomial(coeffs[r, j], {names[at[j]]: 1.0})
+                                             for j in range(cols) if keep[r, j]])
+        want = monomial_lower_bound(posy, dict(zip(names, x0)))
+        assert math.exp(log_coeff[r]) == pytest.approx(want.coeff, rel=1e-12)
+        assert {names[j] for j in np.flatnonzero(exps[r])} == set(want.exponents)
+        for name, e in want.exponents.items():
+            assert exps[r, names.index(name)] == pytest.approx(e, rel=1e-12), name
 
 
 def test_affine_rows_match_closed_forms(small_scenario, rng):
@@ -787,13 +870,14 @@ def test_zf_tilde_bound_touch_and_tangency(rng):
     pilot_names = power_control._stacked_names(scn, pilot=True)
     pilot_point = {name: point0[name] for name in pilot_names}
 
-    constraint_map, lifts = power_control._joint_sinr_model(scn, Processing.ZF,
-                                                            pilot_point=pilot_point)
+    model = power_control._joint_sinr_model(scn, Processing.ZF,
+                                            pilot_point=[pilot_point[n] for n in pilot_names])
     for b in range(2):
-        num, den = constraint_map[("cu", b, 0)]
+        user = scn.dims.users().index(("cu", b, 0))
 
         def tilde(point):  # the lifted model, every auxiliary at its factor's value
-            return num.value(point) / den.value(lifted_point(point, lifts))
+            nums, dens = model_values(model, point)
+            return nums[user] / dens[user]
 
         true0 = cu_sinr_zf(b, 0, scn.gains, expansion, scn.pilots, scn.dims).sinr
         assert tilde(point0) == pytest.approx(true0, rel=1e-9)  # touching
@@ -1018,7 +1102,7 @@ def test_joint_mr_takes_fewer_newton_steps(reference_drops, monkeypatch, objecti
 # the benchmark's, which holds Algorithm 2 to 1e-3.
 JOINT_REFERENCE = {
     0: {"mr-maxmin-joint": 2.7974458357739147, "mr-maxprod-joint": 146.9041626957679,
-        "zf-maxmin-joint": 2.8858952197618817, "zf-maxprod-joint": 34.88223736875815},
+        "zf-maxmin-joint": 2.885895209191609, "zf-maxprod-joint": 34.88223736875815},
     1: {"mr-maxmin-joint": 2.4514378727377024, "mr-maxprod-joint": 142.6792860985511,
         "zf-maxmin-joint": 3.9062269813530026, "zf-maxprod-joint": 36.31883773414729},
 }
