@@ -10,13 +10,16 @@ log-sum-exp functions, one per factor, and every constraint is a log-sum-exp
 <= 0; the resulting smooth convex program is minimized with a primal-dual
 interior-point method from a strictly feasible start the caller supplies,
 stopped by a certificate: the surrogate duality gap and the dual residual.
-The linear-feasibility check minimizes its largest slack along a log-barrier
+The objective and the constraints compile into one log-sum-exp stack,
+objective segments first, so each Newton step evaluates one stack. The
+linear-feasibility check minimizes its largest slack along a log-barrier
 central path, with an early exit at its first strictly feasible point.
 Both methods share the stacked log-sum-exp evaluation and the Newton solve.
 """
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,9 +314,10 @@ class SolverSettings:
     surrogate duality gap -f^T lambda is <= tol and the dual residual (the
     gradient of the Lagrangian, 2-norm) is <= feas_tol, f counting the
     constraints and both sides of the box. max_iter caps the Newton steps of
-    one solve. barrier_mu is the centering factor mu: the primal-dual method
-    aims at t = mu m/gap. lp_feasible reads none of these; its barrier path
-    has its own LP_* constants."""
+    one solve. barrier_mu is the centering factor mu after a full step: the
+    primal-dual method aims at t = mu m/gap, and after a step of length s
+    takes mu = 1 + (barrier_mu - 1) s^4. lp_feasible reads none of these;
+    its barrier path has its own LP_* constants."""
 
     tol: float = 1e-8
     feas_tol: float = 1e-9
@@ -334,6 +338,8 @@ class GPSolution:
     num_variables: int    # compiled size: columns,
     num_constraints: int  # constraint segments,
     num_terms: int        # and objective plus constraint terms
+    compile_s: float      # wall time from the Factors to the stack,
+    newton_s: float       # and in the primal-dual iterations
 
 
 @dataclass
@@ -404,25 +410,17 @@ class _Stack:
         return h1.reshape(self.n, self.n)
 
 
-def _newton_matrix(obj_stack, con_stack, w0, grads0, w, grads, lam, u):
-    """Hess f0 + sum_i lam_i Hess f_i + sum_i u_i grad f_i grad f_i^T over
-    the constraint stack, as both stacks' pair maps plus one dense product
-    G^T diag(c) G: G stacks the objective's and the constraints' segment
-    gradients, and c is -1 on a curved objective segment, u_i - lam_i on a
-    curved constraint and u_i on an affine one."""
-    c = np.concatenate([np.zeros(obj_stack.m), u])
-    c[obj_stack.curved] = -1.0
-    c[obj_stack.m + con_stack.curved] -= lam[con_stack.curved]
-    g = np.vstack([grads0, grads])
-    return (obj_stack.pair_hessian(w0, np.ones(obj_stack.m))
-            + con_stack.pair_hessian(w, lam) + g.T @ (c[:, None] * g))
-
-
-def _stack_from_factors(factors, var_index):
-    """Compile Factors into one stack, one segment per factor."""
-    cols = np.array([var_index[name] for name in factors.names], dtype=np.intp)
-    return _Stack(factors.term, cols[factors.var], factors.exp, factors.log_coeff,
-                  factors.ptr, len(var_index))
+def _stack_from_factors(var_index, *factors):
+    """Compile Factors into one stack, one segment per factor, each
+    argument's factors after those of the one before it."""
+    terms = np.cumsum([0] + [f.log_coeff.size for f in factors])
+    cols = [np.array([var_index[name] for name in f.names], dtype=np.intp)[f.var]
+            for f in factors]
+    return _Stack(np.concatenate([f.term + first for f, first in zip(factors, terms)]),
+                  np.concatenate(cols), np.concatenate([f.exp for f in factors]),
+                  np.concatenate([f.log_coeff for f in factors]),
+                  np.concatenate([[0]] + [f.ptr[1:] + first for f, first in zip(factors, terms)]),
+                  len(var_index))
 
 
 # --- interior-point kernels --------------------------------------------------
@@ -442,11 +440,11 @@ class _BarrierBudget:
             raise GPSolverError(f"iteration limit ({self.limit} Newton steps) exceeded")
 
 
-def _strictly_inside(con_stack, box, y, margin):
-    """Every constraint and both sides of the box hold with slack > margin."""
+def _strictly_inside(f, box, y, margin):
+    """The constraint values f and both sides of the box at y hold with
+    slack > margin."""
     lo, hi = box
     x = y[:lo.size]
-    f, _ = con_stack.values(y)
     return bool(np.all(f < -margin) and np.all(x - hi < -margin)
                 and np.all(lo - x < -margin))
 
@@ -509,10 +507,10 @@ def _newton_centering(rows, grads, box, y, t, budget, f_y, early_exit):
 
 
 def _newton_step(hess, grad):
-    """Solve hess @ step = -grad, adding a growing ridge if hess is singular."""
+    """Solve hess @ step = -grad, adding a growing ridge if hess is singular;
+    the ridge's scale, the mean diagonal, is taken once a plain solve fails."""
     n = hess.shape[0]
     ridge = 0.0
-    base = np.trace(hess) / n if n else 1.0
     while True:
         h = hess if ridge == 0.0 else hess + ridge * np.eye(n)
         try:
@@ -521,7 +519,9 @@ def _newton_step(hess, grad):
                 return step
         except np.linalg.LinAlgError:
             pass
-        ridge = max(base * 1e-12, ridge * 10.0) if ridge else base * 1e-12
+        if not ridge:
+            base = np.trace(hess) / n if n else 1.0
+        ridge = ridge * 10.0 if ridge else base * 1e-12
         if ridge > base:
             raise GPSolverError("Newton system is numerically singular")
 
@@ -548,27 +548,29 @@ def _barrier_path(rows, box, y, early_exit):
         t *= LP_MU
 
 
-def _boundary_step(con_stack, y, step, f_all, df, s):
+def _boundary_step(stack, m0, y, step, f_all, df, s):
     """A step length at most s that keeps y + s step strictly inside every
-    constraint and both sides of the box, with the constraint stack's values
-    there. f_all and df are every constraint's value at y and its slope
-    along step, in _primal_dual's order. The box sides are linear, so the
-    length stops BOUNDARY of the way to the nearest one. A log-sum-exp
-    constraint that a trial length crosses is modelled by the quadratic
-    through its value and slope at y and its value at the trial, and the
-    next trial stops BOUNDARY of the way to that quadratic's root (Nocedal &
-    Wright, Numerical Optimization, 2nd ed., section 19.2). A feasible trial
-    shorter than half the last crossing one gives way to that half, so the
-    result is at least half the largest feasible length up to s."""
-    mc = con_stack.m
+    constraint, the stack's segments past its first m0, and both sides of
+    the box, with the stack's values there. f_all and df are every
+    constraint's value at y and its slope along step, in _primal_dual's
+    order. The box sides are linear, so the length stops BOUNDARY of the way
+    to the nearest one. A log-sum-exp constraint that a trial length
+    crosses is modelled by the quadratic through its value and slope at y
+    and its value at the trial, and the next trial stops BOUNDARY of the way
+    to that quadratic's root (Nocedal & Wright, Numerical Optimization, 2nd
+    ed., section 19.2). A feasible trial shorter than half the last crossing
+    one gives way to that half, so the result is at least half the largest
+    feasible length up to s."""
+    mc = stack.m - m0
     f, d = f_all[:mc], df[:mc]
     rising = df[mc:] > 0.0
     s = min(s, BOUNDARY * float(np.min(-f_all[mc:][rising] / df[mc:][rising],
                                        initial=np.inf)))
     crossing = s
     while True:
-        values = con_stack.values(y + s * step)
-        crossed = values[0] >= 0.0
+        values = stack.values(y + s * step)
+        trial = values[0][m0:]
+        crossed = trial >= 0.0
         if not crossed.any():
             if 2.0 * s >= crossing:
                 return s, values
@@ -576,23 +578,28 @@ def _boundary_step(con_stack, y, step, f_all, df, s):
             continue
         crossing = s
         fc, dc = f[crossed], d[crossed]
-        c = np.maximum(values[0][crossed] - fc - dc * s, 0.0) / (s * s)
+        c = np.maximum(trial[crossed] - fc - dc * s, 0.0) / (s * s)
         # the root of fc + dc x + c x^2 in (0, s], in a form without cancellation
         s = BOUNDARY * float(np.min(-2.0 * fc / (dc + np.sqrt(dc * dc - 4.0 * c * fc))))
 
 
-def _primal_dual(obj_stack, con_stack, box, y0, settings):
+def _primal_dual(stack, m0, box, y0, settings):
     """Primal-dual interior-point method (Boyd & Vandenberghe, Convex
-    Optimization, section 11.7) for min f0 = sum of the objective segments
-    subject to the constraint segments <= 0 and the box, from the strictly
-    feasible y0. Every constraint, both sides of the box included, has a
-    dual; the duals start at 1/(t0 (-f)). Each iteration aims at t = mu m /
-    gap and makes one Newton step on the reduced system, whose constraint
-    curvature is weighted by the duals; its matrix takes one dense product
-    (_newton_matrix). The step length keeps the duals positive and stops
-    short of the primal boundary (_boundary_step), then backtracks until the
-    residual at t falls. After a step shorter than 0.5, mu is 1 for one
-    iteration, which re-centers the iterate.
+    Optimization, section 11.7) for min f0 = the sum of the stack's first
+    m0 segments subject to its other segments <= 0 and the box, from the
+    strictly feasible y0. Every constraint, both sides of the box included,
+    has a dual; the duals start at 1/(t0 (-f)). Each iteration aims at t =
+    mu m / gap and makes one Newton step on the reduced system, whose
+    constraint curvature is weighted by the duals. The stack's values,
+    gradients and pair Hessian are taken once per point: the Newton matrix
+    is the pair Hessian with scale 1 on the objective and the duals on the
+    constraints, plus one dense product over the gradients, and the dual
+    residual and the right-hand side are each one product of the gradients
+    with (1, ..., 1, duals). The step length keeps the duals positive and
+    stops short of the primal boundary (_boundary_step), then backtracks
+    until the residual at t falls. After a step of length s the next mu is
+    1 + (barrier_mu - 1) s^4: barrier_mu after a full step, near 1 after a
+    short one, which re-centers the iterate.
 
     Returns (point, Newton steps, surrogate gap -f^T lambda, dual residual,
     whether both met their tolerance). A line-search stall returns early;
@@ -600,77 +607,84 @@ def _primal_dual(obj_stack, con_stack, box, y0, settings):
     lo, hi = box
     nb = lo.size
     diag = np.arange(nb)
-    mc = con_stack.m
+    mc = stack.m - m0
     m = mc + 2 * nb
     budget = _BarrierBudget(settings.max_iter)
+    curved = np.zeros(stack.m, dtype=bool)
+    curved[stack.curved] = True
+    # the gradient outer products' weight: -1 on a curved objective segment,
+    # u_i - lam_i on a curved constraint and u_i on an affine one
+    outer0 = np.where(curved[:m0], -1.0, 0.0)
+    ones0 = np.ones(m0)
 
-    def evaluate(point, con_values=None):
-        """Every constraint value (stack, upper box, lower box) and both
-        stacks' weights and gradients at point; None outside the domain.
-        con_values are the constraint stack's values there, if known."""
-        f, w = con_values or con_stack.values(point)
+    def evaluate(point, values=None):
+        """Every constraint value (stack, upper box, lower box), the stack's
+        weights and its gradients at point; None outside the domain. values
+        are the stack's values there, if known."""
+        f, w = values or stack.values(point)
         x = point[:nb]
-        f_all = np.concatenate([f, x - hi, lo - x])
+        f_all = np.concatenate([f[m0:], x - hi, lo - x])
         if np.any(f_all >= 0.0):
             return None
-        _, w0 = obj_stack.values(point)
-        grads0 = obj_stack.gradients(w0)
-        return f_all, w, con_stack.gradients(w), w0, grads0, grads0.sum(axis=0)
+        return f_all, w, stack.gradients(w)
 
-    def dual_residual(at, lam):
-        _, _, grads, _, _, g0 = at
-        r = g0 + grads.T @ lam[:mc]
-        r[:nb] += lam[mc:mc + nb] - lam[mc + nb:]
+    def lagrangian_gradient(grads, duals):
+        """grad f0 plus the constraints' gradients, box sides included,
+        weighted by duals."""
+        r = np.concatenate([ones0, duals[:mc]]) @ grads
+        r[:nb] += duals[mc:mc + nb] - duals[mc + nb:]
         return r
 
-    def residual_norm(at, lam, t, dual_norm=None):
-        """2-norm of the whole residual: dual (its norm, when known) and
-        centrality at t."""
-        if dual_norm is None:
-            dual_norm = np.linalg.norm(dual_residual(at, lam))
-        return math.hypot(dual_norm, np.linalg.norm(-lam * at[0] - 1.0 / t))
+    def residual_norm(f_all, lam, t, dual_sq):
+        """2-norm of the whole residual: dual (its square) and centrality at
+        t."""
+        centrality = -lam * f_all - 1.0 / t
+        return math.sqrt(dual_sq + centrality @ centrality)
 
     y = np.array(y0, dtype=float)
     at = evaluate(y)
     lam = 1.0 / (BARRIER_T0 * -at[0])
+    r = lagrangian_gradient(at[2], lam)
     mu = settings.barrier_mu
     while True:
-        f_all, w, grads, w0, grads0, g0 = at
+        f_all, w, grads = at
         gap = float(-f_all @ lam)
-        residual = float(np.linalg.norm(dual_residual(at, lam)))
+        dual_sq = r @ r
+        residual = math.sqrt(dual_sq)
         if gap <= settings.tol and residual <= settings.feas_tol:
             return y, budget.used, gap, residual, True
         budget.spend()
         t = mu * m / gap
         u = lam / -f_all
-        hess = _newton_matrix(obj_stack, con_stack, w0, grads0, w, grads, lam[:mc], u[:mc])
+        # Hess f0 + sum_i lam_i Hess f_i + sum_i u_i grad f_i grad f_i^T
+        outer = np.concatenate([outer0, np.where(curved[m0:], u[:mc] - lam[:mc], u[:mc])])
+        hess = (stack.pair_hessian(w, np.concatenate([ones0, lam[:mc]]))
+                + grads.T @ (outer[:, None] * grads))
         hess[diag, diag] += u[mc:mc + nb] + u[mc + nb:]
-        v = 1.0 / (t * -f_all)
-        grad = g0 + grads.T @ v[:mc]
-        grad[:nb] += v[mc:mc + nb] - v[mc + nb:]
-        step = _newton_step(hess, grad)
-        df = np.concatenate([grads @ step, step[:nb], -step[:nb]])
+        step = _newton_step(hess, lagrangian_gradient(grads, 1.0 / (t * -f_all)))
+        df = np.concatenate([grads[m0:] @ step, step[:nb], -step[:nb]])
         dlam = (lam * df + 1.0 / t) / -f_all - lam
 
         # the largest step keeping lambda > 0, then strict feasibility, then
         # sufficient decrease of the residual at this t
         shrinking = dlam < 0.0
         s = BOUNDARY * float(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0))
-        s, con_values = _boundary_step(con_stack, y, step, f_all, df, s)
-        r_now = residual_norm(at, lam, t, residual)
+        s, values = _boundary_step(stack, m0, y, step, f_all, df, s)
+        r_now = residual_norm(f_all, lam, t, dual_sq)
         while True:
-            at_cand = evaluate(y + s * step, con_values)
-            if (at_cand is not None and residual_norm(at_cand, lam + s * dlam, t)
-                    <= (1.0 - ARMIJO * s) * r_now):
-                break
+            at_cand = evaluate(y + s * step, values)
+            if at_cand is not None:
+                lam_cand = lam + s * dlam
+                r_cand = lagrangian_gradient(at_cand[2], lam_cand)
+                if (residual_norm(at_cand[0], lam_cand, t, r_cand @ r_cand)
+                        <= (1.0 - ARMIJO * s) * r_now):
+                    break
             s *= BACKTRACK
-            con_values = None
+            values = None
             if s < 1e-14:
                 return y, budget.used, gap, residual, False
-        y, lam, at = y + s * step, lam + s * dlam, at_cand
-        # a short step leaves the iterate off-center: re-center before
-        # shrinking the gap again
-        mu = settings.barrier_mu if s >= 0.5 else 1.0
+        y, lam, at, r = y + s * step, lam_cand, at_cand, r_cand
+        mu = 1.0 + (settings.barrier_mu - 1.0) * s ** 4
 
 
 # --- geometric program entry point -------------------------------------------
@@ -698,16 +712,20 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None, *,
     and both sides of the box with log-space slack above 1e-12, and on the
     iteration limit.
     """
+    t0 = time.perf_counter()
     settings = settings or SolverSettings()
     variables, var_index, box = _compile_gp(gp)
-    cons = _stack_from_factors(gp.constraints, var_index)
-    obj = _stack_from_factors(gp.objective, var_index)
+    stack = _stack_from_factors(var_index, gp.objective, gp.constraints)
+    m0 = gp.objective.ptr.size - 1
+    compiled = time.perf_counter()
 
     y0 = np.array([math.log(initial[v]) for v in variables])
-    if not _strictly_inside(cons, box, y0, margin=1e-12):
+    if not _strictly_inside(stack.values(y0)[0][m0:], box, y0, margin=1e-12):
         raise GPSolverError("start point is not strictly feasible")
-    y, used, gap, residual, certified = _primal_dual(obj, cons, box, y0, settings)
-    log_factors, _ = obj.values(y)
+    newton_start = time.perf_counter()
+    y, used, gap, residual, certified = _primal_dual(stack, m0, box, y0, settings)
+    newton_s = time.perf_counter() - newton_start
+    log_factors = stack.values(y)[0][:m0]
     log_obj = log_factors.sum()
     values = {v: math.exp(y[i]) for v, i in var_index.items()}
     return GPSolution(values=values,
@@ -717,8 +735,9 @@ def gp_solve(gp: GeometricProgram, settings: SolverSettings = None, *,
                       status="optimal" if certified else "inaccurate",
                       newton_iterations=used,
                       duality_gap=gap, dual_residual=residual,
-                      num_variables=len(variables), num_constraints=cons.m,
-                      num_terms=obj.d.size + cons.d.size)
+                      num_variables=len(variables), num_constraints=stack.m - m0,
+                      num_terms=stack.d.size,
+                      compile_s=compiled - t0, newton_s=newton_s)
 
 
 # --- linear feasibility entry point -------------------------------------------

@@ -20,6 +20,7 @@ target is equivalent to a common SINR target, which is how the max-min
 problems are expressed in GP form.
 """
 
+import dataclasses
 import enum
 import json
 import logging
@@ -368,10 +369,8 @@ class _Posynomials(NamedTuple):
         return self._replace(term=key[kept] // width, col=key[kept] % width, exp=exp[kept])
 
     def factors(self, names):
-        """As gp.Factors over the columns names."""
-        merged = self.merged()
-        return Factors(self.ptr, self.log_coeff, merged.term, merged.col, merged.exp,
-                       tuple(names))
+        """As gp.Factors over the columns names, nonzero for nonzero."""
+        return Factors(self.ptr, self.log_coeff, self.term, self.col, self.exp, tuple(names))
 
 
 def _rows(coeffs, keep, cols, constant=True):
@@ -420,17 +419,81 @@ def _join(*parts):
                            log_coeff=joined.log_coeff[order], term=position[joined.term])
 
 
+class _Residuals(NamedTuple):
+    """ZF's residual sums 1 + R_b, one posynomial per BS, with the condensed
+    anchors left as the one part that reads the anchor. Term t of shape in
+    row g = (b, j) (b-major; row[t] is one past the last row for the
+    constant 1) has the log coefficient shape.log_coeff[t] + log_power[g] -
+    A_g, and its nonzero k the exponent shape.exp[k] - w[entry[k]], with w
+    zero one past the last entry. A_g and w are the log coefficient and
+    exponents of row g of the full pilot sums `sums`, condensed at the
+    anchor. Every term holds p_j and every pilot column of row g, so the
+    nonzeros do not depend on the anchor; an exponent that cancels to 0
+    stays stored."""
+
+    sums: _Posynomials
+    shape: _Posynomials
+    log_power: np.ndarray
+    row: np.ndarray
+    entry: np.ndarray
+
+    def at(self, y):
+        """The residual sums anchored at the pilot powers exp(y)."""
+        anchor = self.sums.condensed(y)
+        return self.shape._replace(
+            log_coeff=self.shape.log_coeff
+            + np.append(self.log_power - anchor.log_coeff, 0.0)[self.row],
+            exp=self.shape.exp - np.append(anchor.exp, 0.0)[self.entry])
+
+
+def _residuals(at_bs, tau, shared, p, q):
+    """The residual sums (_Residuals) at every BS: the sum over users j of
+    j's leave-one-out pilot sum times at_bs[b, j] p_j over j's full pilot
+    sum at b, each a row of tau at_bs (_rows); shared[i, j] when users i and
+    j send the same pilot."""
+    cells, n = at_bs.shape
+    pilot_gain = np.repeat(tau * at_bs, n, axis=0)
+    sums = _rows(pilot_gain, np.tile(shared, (cells, 1)), [q])
+    loo = _rows(pilot_gain, np.tile(shared & ~np.eye(n, dtype=bool), (cells, 1)), [q])
+    row = loo.segments()
+    own = np.full(row.size, -1)  # each term's own pilot column; none for the constant
+    own[loo.term] = loo.col
+    # every term of row g gains the pilot columns of row g of sums, its
+    # entries first[g] to first[g] + width[g] - 1, after its p_j
+    width = np.diff(sums.ptr) - 1
+    first = np.cumsum(width) - width
+    per_term = width[row]
+    term = np.repeat(np.arange(row.size), per_term)
+    entry = (first[row] - np.cumsum(per_term) + per_term)[term] + np.arange(term.size)
+    # BS b's posynomial: the constant 1, then its n rows' terms
+    index = np.arange(row.size) + row // n + 1
+    ptr = loo.ptr[::n] + np.arange(cells + 1)
+    log_coeff = np.zeros(ptr[-1])
+    log_coeff[index] = loo.log_coeff
+    rows = np.full(ptr[-1], cells * n)
+    rows[index] = row
+    shape = _Posynomials(ptr, log_coeff, np.concatenate([index, index[term]]),
+                         np.concatenate([p[row % n], sums.col[entry]]),
+                         np.concatenate([np.ones(row.size),
+                                         (sums.col[entry] == own[term]).astype(float)]))
+    return _Residuals(sums, shape, np.log(at_bs).ravel(), rows,
+                      np.concatenate([np.full(row.size, sums.exp.size), entry]))
+
+
 class _JointModel(NamedTuple):
     """Every user's SINR num / den with pilot and data powers as variables,
     in lifted form, over the columns names: the stacked data powers, the
     stacked pilot powers, then one auxiliary per lift. num holds one
     monomial and den one posynomial per user, in dims.users() order; lifts
-    holds the factor that auxiliary i stands for, in column order."""
+    holds the factor that auxiliary i stands for, in column order. For ZF
+    the first B lifts are residuals.at(the anchor); for MR residuals is
+    None."""
 
     names: tuple
     num: _Posynomials
     den: _Posynomials
     lifts: _Posynomials
+    residuals: _Residuals = None
 
 
 def _joint_sinr_model(scn: Scenario, processing: Processing, pilot_point=None):
@@ -464,20 +527,13 @@ def _joint_sinr_model(scn: Scenario, processing: Processing, pilot_point=None):
     others = shared & ~np.eye(n, dtype=bool)
     lift = 2 * n + np.concatenate([np.arange(cells).repeat(cus), cells + np.arange(n - n_cu)])
 
+    residuals = None
     if processing is Processing.ZF:
-        # 1 + R_b, the post-nulling residual interference at BS b: the sum
-        # over users j of j's leave-one-out pilot sum times at_bs[b, j] p_j
-        # over the condensed full pilot sum at pilot_point, an upper bound
-        # that touches there. Rows run over (b, j), b-major.
-        y = np.zeros(2 * n)
-        y[q] = np.log(pilot_point)
-        pilot_gain = np.repeat(tau * at_bs, n, axis=0)
-        anchor = _rows(pilot_gain, np.tile(shared, (cells, 1)), [q]).condensed(y)
-        power = _monomials(np.log(at_bs).ravel(), np.tile(p, cells)).times(anchor.reciprocal())
-        # a leave-one-out term and the anchor share pilot columns
-        ratios = _rows(pilot_gain, np.tile(others, (cells, 1)), [q]).times(power).merged()
-        # BS b sums its n rows
-        received = _join(_monomials(np.zeros(cells)), ratios._replace(ptr=ratios.ptr[::n]))
+        # 1 + R_b, the post-nulling residual interference at BS b, with the
+        # condensed full pilot sums at pilot_point: an upper bound that
+        # touches there
+        residuals = _residuals(at_bs, tau, shared, p, q)
+        received = residuals.at(_pilot_log_point(pilot_point, n))
     else:
         received = _rows(at_bs, np.ones(at_bs.shape, dtype=bool), [p])
     lifts = _concat(received, _rows(at_rx, ~np.eye(n, dtype=bool)[n_cu:], [p]))
@@ -488,7 +544,16 @@ def _joint_sinr_model(scn: Scenario, processing: Processing, pilot_point=None):
     den = _join(_rows(tau * heard, shared, [q]).times(_monomials(np.zeros(n), lift)),
                 _concat(coherent, own_link))
     gain = np.concatenate([np.full(n_cu, factor * tau), np.full(n - n_cu, tau)])
-    return _JointModel(tuple(names), _monomials(np.log(gain * own ** 2), p, q), den, lifts)
+    return _JointModel(tuple(names), _monomials(np.log(gain * own ** 2), p, q), den, lifts,
+                       residuals)
+
+
+def _pilot_log_point(pilot_point, n):
+    """The log point over the model's power columns with the stacked pilot
+    powers pilot_point and every data power at 1."""
+    y = np.zeros(2 * n)
+    y[n:] = np.log(pilot_point)
+    return y
 
 
 # --- GP assembly ----------------------------------------------------------------
@@ -562,13 +627,13 @@ def _maxprod_data_factors(scn: Scenario, processing: Processing, fixed_pilots):
                    names=tuple(_stacked_names(scn)))
 
 
-def _solve_gp_problem(scn, objective, model, processing, settings):
-    """Assemble and solve one joint GP over pilot and data powers from the
-    lifted model of _joint_sinr_model; returns (solution, SINR level per
-    user). Objective and constraints are Factors built from the model's
-    arrays, as is the max-product objective over data powers
-    (_maxprod_data_factors); all reach gp_solve's one compile path, from
-    Factors to a log-sum-exp stack.
+class _JointGP:
+    """One joint GP over pilot and data powers, assembled once from the
+    lifted model of _joint_sinr_model; program() hands out the
+    GeometricProgram and its start. Objective and constraints are Factors
+    built from the model's arrays, as is the max-product objective over data
+    powers (_maxprod_data_factors); all reach gp_solve's one compile path,
+    from Factors to a log-sum-exp stack.
 
     Max-product minimizes the product of den/num over the users, and a
     user's level is its GP-model SINR at the solution. Max-min maximizes a
@@ -577,41 +642,82 @@ def _solve_gp_problem(scn, objective, model, processing, settings):
     [factor's lower bound, twice its upper bound]. The start puts every
     power at half budget and every auxiliary LIFT_MARGIN above its factor's
     value there, so it is strictly interior.
-    """
-    names, num, den, lifts = model
-    bounds = _power_bounds(scn, True)
-    start = dict.fromkeys(bounds, scn.p_max / 2.0)
-    powers = len(bounds)
-    aux = names[powers:]
 
-    def every_power_at(value):  # the lifts read no auxiliary
-        return np.full(len(names), math.log(value))
+    The coupling rows are merged once; the lift rows follow them unmerged,
+    their nonzeros unique by construction. Algorithm 2's B residual lifts
+    are the first lift rows and the only part that reads the anchor, so
+    program(pilot_point) re-anchors them by writing one block of log
+    coefficients and one of exponents, and the box and start of their
+    auxiliaries."""
 
-    lower, upper = lifts.box_range(*map(every_power_at, bounds[names[0]]))
-    bounds.update(zip(aux, zip(lower, 2.0 * upper)))
-    start.update(zip(aux, lifts.values(every_power_at(scn.p_max / 2.0)) * (1.0 + LIFT_MARGIN)))
-    lift_constraints = lifts.times(
-        _monomials(np.zeros(len(aux)), powers + np.arange(len(aux))).reciprocal())
-    ratios = den.times(num.reciprocal())  # den / num, user by user
-    users = scn.dims.users()
-    if objective is Objective.MAXPROD:
-        gp = GeometricProgram(objective=ratios.factors(names),
-                              constraints=lift_constraints.factors(names), bounds=bounds)
-        solution = gp_solve(gp, settings.gp, initial=start)
-        return solution, dict(zip(users, np.exp(-solution.log_factors)))
+    def __init__(self, scn, objective, processing, pilot_point=None):
+        model = _joint_sinr_model(scn, processing, pilot_point)
+        names, num, den, lifts, self.residuals = model
+        bounds = _power_bounds(scn, True)
+        start = dict.fromkeys(bounds, scn.p_max / 2.0)
+        powers = len(bounds)
+        self.aux = names[powers:]
+        # every power at its lower bound, upper bound and half budget; the
+        # lifts read no auxiliary
+        self.log_points = [np.full(len(names), math.log(value))
+                           for value in (*bounds[names[0]], scn.p_max / 2.0)]
+        self._place(lifts, bounds, start)
+        lift_rows = lifts.times(
+            _monomials(np.zeros(len(self.aux)), powers + np.arange(len(self.aux))).reciprocal())
+        ratios = den.times(num.reciprocal()).merged()  # den / num, user by user
+        self.users = scn.dims.users()
+        self.maxmin = objective is Objective.MAXMIN
+        if self.maxmin:
+            # the start sits at half the weakest half-power SINR, strictly
+            # above the lower bound
+            weakest = _half_power_sinrs(scn, processing).min()
+            bounds["target"] = (max(weakest * 0.25, 1e-280),
+                                _joint_upper_bounds(scn, processing).min())
+            start["target"] = weakest * 0.5
+            names = names + ("target",)
+            target = _monomials(np.zeros(len(self.users)), np.full(len(self.users), len(names) - 1))
+            self.objective = Factors([0, 1], [0.0], [0], [0], [-1.0], ("target",))
+            constraints = _concat(ratios.times(target), lift_rows)
+        else:
+            self.objective = ratios.factors(names)
+            constraints = lift_rows
+        self.constraints = constraints.factors(names)
+        # where the lift rows, the residual lifts first, start among the constraints
+        self.first_lift = (constraints.log_coeff.size - lift_rows.log_coeff.size,
+                           constraints.exp.size - lift_rows.exp.size)
+        self.bounds, self.start = bounds, start
 
-    # the start sits at half the weakest half-power SINR, strictly above the
-    # lower bound
-    weakest = _half_power_sinrs(scn, processing).min()
-    bounds["target"] = (max(weakest * 0.25, 1e-280), _joint_upper_bounds(scn, processing).min())
-    start["target"] = weakest * 0.5
-    target = _monomials(np.zeros(len(users)), np.full(len(users), len(names)))
-    gp = GeometricProgram(
-        objective=Factors([0, 1], [0.0], [0], [0], [-1.0], ("target",)),
-        constraints=_concat(ratios.times(target), lift_constraints).factors(names + ("target",)),
-        bounds=bounds)
+    def program(self, pilot_point=None):
+        """(GeometricProgram, start), with the residual lifts re-anchored at
+        the stacked pilot powers pilot_point when given."""
+        bounds, start, constraints = dict(self.bounds), dict(self.start), self.constraints
+        if pilot_point is not None:
+            residuals = self.residuals.at(_pilot_log_point(pilot_point, len(self.users)))
+            log_coeff, exp = constraints.log_coeff.copy(), constraints.exp.copy()
+            term, entry = self.first_lift
+            log_coeff[term:term + residuals.log_coeff.size] = residuals.log_coeff
+            exp[entry:entry + residuals.exp.size] = residuals.exp
+            constraints = dataclasses.replace(constraints, log_coeff=log_coeff, exp=exp)
+            self._place(residuals, bounds, start)
+        return (GeometricProgram(objective=self.objective, constraints=constraints,
+                                 bounds=bounds), start)
+
+    def _place(self, lifts, bounds, start):
+        """The box and start of the auxiliaries of lifts, the first lifts."""
+        aux = self.aux[:lifts.ptr.size - 1]
+        lower, upper = lifts.box_range(*self.log_points[:2])
+        bounds.update(zip(aux, zip(lower, 2.0 * upper)))
+        start.update(zip(aux, lifts.values(self.log_points[2]) * (1.0 + LIFT_MARGIN)))
+
+
+def _solve_gp_problem(problem: _JointGP, settings, pilot_point=None):
+    """Solve the joint GP problem, re-anchored at pilot_point when given;
+    returns (solution, SINR level per user)."""
+    gp, start = problem.program(pilot_point)
     solution = gp_solve(gp, settings.gp, initial=start)
-    return solution, dict.fromkeys(users, solution.values["target"])
+    if problem.maxmin:
+        return solution, dict.fromkeys(problem.users, solution.values["target"])
+    return solution, dict(zip(problem.users, np.exp(-solution.log_factors)))
 
 
 def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing,
@@ -629,8 +735,7 @@ def _solve_single_gp(scn: Scenario, objective: Objective, processing: Processing
     diag = SolveDiagnostics()
 
     if joint:
-        solution, levels = _solve_gp_problem(scn, objective, _joint_sinr_model(scn, processing),
-                                             processing, settings)
+        solution, levels = _solve_gp_problem(_JointGP(scn, objective, processing), settings)
     else:
         bounds = _power_bounds(scn, False)
         gp = GeometricProgram(objective=_maxprod_data_factors(scn, processing, fixed_pilots),
@@ -698,9 +803,10 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
     """Joint pilot + data power control for ZF processing by successive
     monomial approximation of the non-posynomial residual ratios.
 
-    Each iteration rebuilds the approximation at the previous pilot powers
-    and solves the resulting GP from the same cold start as the first; the
-    previous solution is feasible for it, so the true objective never falls.
+    The GP is assembled once (_JointGP); each iteration re-anchors its
+    approximation at the previous pilot powers and solves it from the same
+    cold start as the first; the previous solution is feasible for it, so
+    the true objective never falls.
     One rule stops the loop with status "converged": a GP iterate raised
     the true objective over the previous GP iterate by at most
     SCA_TOL * |value| (Chiang et al., IEEE TWC 6(7), 2007). The first GP
@@ -723,12 +829,12 @@ def zf_joint_successive(scn: Scenario, objective, settings: ControlSettings = No
 
     alloc = full_power_allocation(scn.dims, scn.p_max)  # full-power initialization
     diag.objective_trace.append(_true_objective(scn, alloc, objective))
+    problem = _JointGP(scn, objective, Processing.ZF, alloc.stacked_pilots())
     last_levels = None
     status = "iteration_cap"
     for it in range(1, settings.sca_cap + 1):
-        model = _joint_sinr_model(scn, Processing.ZF, alloc.stacked_pilots())
         try:
-            solution, levels = _solve_gp_problem(scn, objective, model, Processing.ZF, settings)
+            solution, levels = _solve_gp_problem(problem, settings, alloc.stacked_pilots())
         except (GPInfeasibleError, GPSolverError) as exc:
             diag.notes.append(f"iteration {it}: solver failure: {exc}")
             status = "solver_failure"

@@ -117,7 +117,7 @@ def barrier_path(obj_stack, con_stack, box, y0, settings, gap_target, early_exit
     point and the Newton steps."""
     budget = gp_module._BarrierBudget(settings.max_iter)
     y = np.array(y0, dtype=float)
-    if not gp_module._strictly_inside(con_stack, box, y, 0.0):
+    if not gp_module._strictly_inside(con_stack.values(y)[0], box, y, 0.0):
         raise GPSolverError("barrier start point is not strictly feasible")
     if early_exit is not None and early_exit(y):
         return y, 0
@@ -166,7 +166,7 @@ def start(gp, settings=None):
     """A strictly feasible start of the geometric program gp, per variable,
     as gp_solve takes it."""
     variables, var_index, box = gp_module._compile_gp(gp)
-    cons = gp_module._stack_from_factors(gp.constraints, var_index)
+    cons = gp_module._stack_from_factors(var_index, gp.constraints)
     y, _ = feasible_start(cons, box, settings or SolverSettings())
     return {v: math.exp(y[i]) for v, i in var_index.items()}
 

@@ -7,7 +7,9 @@ segment, affine ones included. The source reads the same stack through index
 arrays and skips the affine segments, whose two terms cancel.
 
 `newton_matrix` is the primal-dual Newton matrix as three terms, the formula
-the source's one-product assembly replaced.
+the source's one-product assembly replaced. `two_stack_newton_system` is
+the primal-dual Newton system and dual residual as the source formed them
+from an objective stack and a constraint stack, before the two became one.
 """
 
 import numpy as np
@@ -51,3 +53,35 @@ def newton_matrix(obj, con, w0, grads0, w, grads, lam, u):
     h1, h2 = obj.hessian_terms(w0, np.ones(obj.m), grads0)
     c1, c2 = con.hessian_terms(w, lam, grads)
     return (h1 - h2) + (c1 - c2) + grads.T @ (u[:, None] * grads)
+
+
+def two_stack_newton_system(obj, con, box, y, lam, t):
+    """The primal-dual Newton matrix, right-hand side and dual residual at
+    the point y, the duals lam (constraints, upper box, lower box) and the
+    barrier parameter t: both stacks' pair maps plus one dense product over
+    the stacked gradients, whose weight is -1 on a curved objective
+    segment, u_i - lam_i on a curved constraint and u_i on an affine one;
+    the right-hand side and the residual each start from the objective's
+    summed gradients."""
+    lo, hi = box
+    nb, mc = lo.size, con.m
+    diag = np.arange(nb)
+    f, w = con.values(y)
+    _, w0 = obj.values(y)
+    grads0, grads = obj.gradients(w0), con.gradients(w)
+    f_all = np.concatenate([f, y[:nb] - hi, lo - y[:nb]])
+    u = lam / -f_all
+    c = np.concatenate([np.zeros(obj.m), u[:mc]])
+    c[obj.curved] = -1.0
+    c[obj.m + con.curved] -= lam[con.curved]
+    g = np.vstack([grads0, grads])
+    hess = (obj.pair_hessian(w0, np.ones(obj.m)) + con.pair_hessian(w, lam[:mc])
+            + g.T @ (c[:, None] * g))
+    hess[diag, diag] += u[mc:mc + nb] + u[mc + nb:]
+
+    def lagrangian_gradient(duals):
+        r = grads0.sum(axis=0) + grads.T @ duals[:mc]
+        r[:nb] += duals[mc:mc + nb] - duals[mc + nb:]
+        return r
+
+    return hess, lagrangian_gradient(1.0 / (t * -f_all)), lagrangian_gradient(lam)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mimo_d2d import gp as gp_module
 from mimo_d2d.gp import Factors, GPInfeasibleError, GPSolverError, variable, as_posynomial
 import phase_one
 from gridsearch import refine_maximize
-from sparse_stack import SparseStack, newton_matrix
+from sparse_stack import SparseStack, newton_matrix, two_stack_newton_system
 
 
 # --- algebra -------------------------------------------------------------------
@@ -140,6 +141,19 @@ def test_gp_solution_reports_compiled_size():
     with pytest.raises(ValueError, match="not both"):
         GeometricProgram(objective=as_posynomial(x), posy_constraints=constraints,
                          constraints=Factors.from_posynomials(constraints), bounds=bounds)
+
+
+def test_gp_solution_reports_its_wall_times():
+    """compile_s (Factors to stack) and newton_s (the primal-dual
+    iterations) are non-negative and add up to at most the call's wall
+    time."""
+    gp, _, _ = _random_gp(0)
+    start = phase_one.start(gp)
+    t0 = time.perf_counter()
+    sol = gp_solve(gp, initial=start)
+    wall = time.perf_counter() - t0
+    assert sol.compile_s >= 0.0 and sol.newton_s >= 0.0
+    assert sol.compile_s + sol.newton_s <= wall
 
 
 def _box_corner_gp():
@@ -336,8 +350,8 @@ def test_primal_dual_matches_barrier_path_oracle(seed):
     assert sol.dual_residual <= solver_settings.feas_tol
 
     variables, var_index, box = gp_module._compile_gp(gp)
-    cons = gp_module._stack_from_factors(gp.constraints, var_index)
-    obj = gp_module._stack_from_factors(gp.objective, var_index)
+    cons = gp_module._stack_from_factors(var_index, gp.constraints)
+    obj = gp_module._stack_from_factors(var_index, gp.objective)
     y0 = np.array([math.log(start[v]) for v in variables])
     y, _ = phase_one.barrier_path(obj, cons, box, y0, solver_settings,
                                   gap_target=solver_settings.tol)
@@ -370,20 +384,17 @@ def _assert_stack_matches(stack, oracle, rng):
     return hess
 
 
-def _random_stack(rng, dense=False, curved=False):
+def _random_stack(rng, dense=False):
     """A random stack and its sparse-matrix oracle: affine and curved
     segments, a row with no nonzeros (a constant term) and an unused column,
-    or with dense=True an LP-style stack of affine rows. curved=True makes
-    every segment curved."""
+    or with dense=True an LP-style stack of affine rows."""
     n = int(rng.integers(1, 9))
     if dense:
         sizes = np.ones(int(rng.integers(1, 12)), dtype=int)
         E = rng.normal(size=(sizes.size, n))
     else:
-        first = rng.integers(2, 5) if curved else 1
-        lengths = [2, 3, 5] if curved else [1, 2, 3, 5]
         sizes = rng.permutation(np.concatenate([
-            [first, rng.integers(2, 5)], rng.choice(lengths, size=rng.integers(0, 5))]))
+            [1, rng.integers(2, 5)], rng.choice([1, 2, 3, 5], size=rng.integers(0, 5))]))
         E = rng.uniform(-2.0, 2.0, size=(sizes.sum(), n))
         E[rng.random(E.shape) < 0.4] = 0.0
         E[rng.integers(E.shape[0])] = 0.0      # a constant term
@@ -409,31 +420,90 @@ def test_stack_matches_sparse_oracle(seed, dense):
         assert np.all(hess == 0.0)
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_newton_matrix_matches_three_term_oracle(seed):
-    """The primal-dual Newton matrix, two pair maps and one dense product,
-    against its three-term formula on random stacks sharing their columns: a
-    curved objective, and constraints mixing affine and curved segments with
-    a row of no nonzeros. Agreement to 1e-12 of the terms' scale."""
-    rng = np.random.default_rng(seed)
+def _first_newton_system(rng):
+    """Random objective and constraint stacks over the same columns, each
+    with curved and affine segments and a row of no nonzeros, their oracles,
+    a box, and the first primal-dual Newton system on the two as one stack,
+    objective first, from a strictly feasible point: (obj, con, their
+    oracles, box, y, lam, t, hess, grad, dual residual norm). The system is
+    the one _primal_dual hands _newton_step; the residual is the one it
+    returns when every tolerance is infinite."""
     con, con_oracle = _random_stack(rng)
     while True:
-        obj, obj_oracle = _random_stack(rng, curved=True)
+        obj, obj_oracle = _random_stack(rng)
         if obj.n == con.n:
             break
     y = rng.normal(size=con.n)
+    f, _ = con.values(y)
+    # shift each constraint's offsets so that f(y) = -margin
+    con.d -= np.repeat(f + rng.uniform(0.05, 2.0, size=con.m), np.diff(con.ptr))
+    box = (y - rng.uniform(0.2, 3.0, size=con.n), y + rng.uniform(0.2, 3.0, size=con.n))
+    stack = gp_module._Stack(np.concatenate([obj.row, con.row + obj.d.size]),
+                             np.concatenate([obj.col, con.col]),
+                             np.concatenate([obj.val, con.val]),
+                             np.concatenate([obj.d, con.d]),
+                             np.concatenate([obj.ptr, con.ptr[1:] + obj.d.size]), con.n)
+    solver_settings = SolverSettings()
+    f_all = np.concatenate([con.values(y)[0], y - box[1], box[0] - y])
+    lam = 1.0 / (gp_module.BARRIER_T0 * -f_all)
+    t = solver_settings.barrier_mu * f_all.size / float(-f_all @ lam)
+
+    seen = []
+
+    def capture(hess, grad):
+        seen.append((hess, grad))
+        raise StopIteration
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp_module, "_newton_step", capture)
+        with pytest.raises(StopIteration):
+            gp_module._primal_dual(stack, obj.m, box, y, solver_settings)
+    ((hess, grad),) = seen
+    at_start = gp_module._primal_dual(stack, obj.m, box, y,
+                                      SolverSettings(tol=math.inf, feas_tol=math.inf))
+    assert at_start[1] == 0
+    return obj, con, obj_oracle, con_oracle, box, y, lam, t, hess, grad, at_start[3]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_newton_matrix_matches_three_term_oracle(seed):
+    """The primal-dual Newton matrix, one pair map and one dense product on
+    one stack, against its three-term formula: random objective and
+    constraint stacks sharing their columns, both mixing affine and curved
+    segments with a row of no nonzeros. Agreement to 1e-12 of the terms'
+    scale."""
+    rng = np.random.default_rng(seed)
+    obj, con, obj_oracle, con_oracle, box, y, lam, _, got, _, _ = _first_newton_system(rng)
+    mc, nb = con.m, box[0].size
     _, w0 = obj.values(y)
     _, w = con.values(y)
     grads0, grads = obj.gradients(w0), con.gradients(w)
-    lam = rng.uniform(0.1, 10.0, size=con.m)
-    u = lam * rng.uniform(0.1, 10.0, size=con.m)
-    got = gp_module._newton_matrix(obj, con, w0, grads0, w, grads, lam, u)
-    want = newton_matrix(obj_oracle, con_oracle, w0, grads0, w, grads, lam, u)
+    f_all = np.concatenate([con.values(y)[0], y - box[1], box[0] - y])
+    u = lam / -f_all
+    want = newton_matrix(obj_oracle, con_oracle, w0, grads0, w, grads, lam[:mc], u[:mc])
+    want[np.arange(nb), np.arange(nb)] += u[mc:mc + nb] + u[mc + nb:]
     scale = max(np.abs(t).max(initial=0.0) for t in
                 [*obj_oracle.hessian_terms(w0, np.ones(obj.m), grads0),
-                 *con_oracle.hessian_terms(w, lam, grads), grads.T @ (u[:, None] * grads)])
+                 *con_oracle.hessian_terms(w, lam[:mc], grads),
+                 grads.T @ (u[:mc, None] * grads), u[mc:]])
     _assert_close(got, want, scale)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_one_stack_newton_system_matches_two_stack_oracle(seed):
+    """The Newton matrix, right-hand side and dual residual that
+    _primal_dual forms on one stack equal the two-stack formulas they
+    replaced, to 1e-12 of each quantity's scale, on random stacks with
+    curved and affine segments in the objective and in the constraints."""
+    rng = np.random.default_rng(seed)
+    obj, con, _, _, box, y, lam, t, hess, grad, residual = _first_newton_system(rng)
+    hess_want, grad_want, r_want = two_stack_newton_system(obj, con, box, y, lam, t)
+    _assert_close(hess, hess_want, np.abs(hess_want).max())
+    _assert_close(grad, grad_want, np.abs(grad_want).max())
+    want = math.sqrt(r_want @ r_want)
+    assert abs(residual - want) <= 1e-12 * max(1.0, want)
 
 
 @given(st.integers(0, 10_000))
@@ -461,7 +531,7 @@ def test_boundary_step_stays_inside_and_reaches_half_way(seed):
         return bool(np.all(stack.values(point)[0] < 0.0) and np.all(point < hi)
                     and np.all(point > lo))
 
-    s, (f_s, w_s) = gp_module._boundary_step(stack, y, step, f_all, df, cap)
+    s, (f_s, w_s) = gp_module._boundary_step(stack, 0, y, step, f_all, df, cap)
     assert 0.0 < s <= cap and inside(s)
     f_ref, w_ref = stack.values(y + s * step)
     assert np.array_equal(f_s, f_ref) and np.array_equal(w_s, w_ref)
@@ -483,7 +553,7 @@ def test_boundary_step_reaches_half_way_past_a_sharp_kink():
     f, w = stack.values(y)
     f_all = np.concatenate([f, y - 10.0, -10.0 - y])
     df = np.concatenate([stack.gradients(w) @ step, step, -step])
-    s, _ = gp_module._boundary_step(stack, y, step, f_all, df, 1.0)
+    s, _ = gp_module._boundary_step(stack, 0, y, step, f_all, df, 1.0)
     root = (50.0 + math.log(1.0 - math.exp(-1.0))) / 100.0
     assert 0.5 * root <= s < root
 
@@ -505,7 +575,7 @@ def test_phase_one_epigraph_appends_dense_slack_column(seed):
     gp = GeometricProgram(objective=variable("a"), posy_constraints=cons,
                           bounds={v: (0.1, 10.0) for v in names})
     _, var_index, box = gp_module._compile_gp(gp)
-    con_stack = gp_module._stack_from_factors(gp.constraints, var_index)
+    con_stack = gp_module._stack_from_factors(var_index, gp.constraints)
 
     seen = []
     barrier_path = phase_one.barrier_path
