@@ -37,14 +37,11 @@ from .spectral import (
 )
 from .gp import (
     Factors,
-    Monomial,
-    Posynomial,
     GeometricProgram,
     LinearFeasibilityProblem,
     SolverSettings,
     gp_solve,
     lp_feasible,
-    monomial_lower_bound,
 )
 from .power_control import (
     Objective,

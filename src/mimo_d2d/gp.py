@@ -1,20 +1,20 @@
-"""Self-contained optimization kernel: monomial/posynomial algebra,
-geometric programs in standard form, and a linear-feasibility solver.
+"""Self-contained optimization kernel: geometric programs in standard
+form and a linear-feasibility solver.
 
 A geometric program here minimizes a product of posynomial factors subject
 to posynomial constraints <= 1 inside a variable box. Its objective and its
-constraints are held in one array form, Factors, which a caller builds from
-arrays or converts from posynomials; every stack is compiled from that form.
-After the substitution x = exp(y) the log of the objective is a sum of
-log-sum-exp functions, one per factor, and every constraint is a log-sum-exp
-<= 0; the resulting smooth convex program is minimized with a primal-dual
-interior-point method from a strictly feasible start the caller supplies,
-stopped by a certificate: the surrogate duality gap and the dual residual.
-The objective and the constraints compile into one log-sum-exp stack,
-objective segments first, so each Newton step evaluates one stack. The
-linear-feasibility check minimizes its largest slack along a log-barrier
-central path, with an early exit at its first strictly feasible point.
-Both methods share the stacked log-sum-exp evaluation and the Newton solve.
+constraints are given in one array form, Factors, from which every stack is
+compiled. After the substitution x = exp(y) the log of the objective is a
+sum of log-sum-exp functions, one per factor, and every constraint is a
+log-sum-exp <= 0; the resulting smooth convex program is minimized with a
+primal-dual interior-point method from a strictly feasible start the caller
+supplies, stopped by a certificate: the surrogate duality gap and the dual
+residual. The objective and the constraints compile into one log-sum-exp
+stack, objective segments first, so each Newton step evaluates one stack.
+The linear-feasibility check minimizes its largest slack along a
+log-barrier central path, with an early exit at its first strictly
+feasible point. Both methods share the stacked log-sum-exp evaluation and
+the Newton solve.
 """
 
 import logging
@@ -50,162 +50,6 @@ LP_MU = 10.0         # centering factor
 LP_MAX_ITER = 500    # Newton-step budget
 
 
-# --- posynomial algebra -----------------------------------------------------
-
-def _clean_exponents(exponents):
-    out = {}
-    for var, exp in exponents.items():
-        e = float(exp)
-        if not math.isfinite(e):
-            raise ValueError(f"non-finite exponent for {var}")
-        if e != 0.0:
-            out[str(var)] = e
-    return out
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """coeff * prod(var ** exponent); coeff must be positive and finite."""
-
-    coeff: float
-    exponents: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.coeff) and self.coeff > 0.0):
-            raise ValueError("monomial coefficient must be positive and finite")
-        object.__setattr__(self, "exponents", _clean_exponents(self.exponents))
-
-    def value(self, point):
-        v = self.coeff
-        for var, exp in self.exponents.items():
-            v *= point[var] ** exp
-        return v
-
-    def __mul__(self, other):
-        if isinstance(other, Monomial):
-            exps = dict(self.exponents)
-            for var, exp in other.exponents.items():
-                exps[var] = exps.get(var, 0.0) + exp
-            return Monomial(self.coeff * other.coeff, exps)
-        if isinstance(other, (int, float)):
-            return Monomial(self.coeff * other, self.exponents)
-        if isinstance(other, Posynomial):
-            return other * self
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Monomial):
-            return self * other ** -1.0
-        if isinstance(other, (int, float)):
-            return Monomial(self.coeff / other, self.exponents)
-        return NotImplemented
-
-    def __pow__(self, power):
-        power = float(power)
-        return Monomial(self.coeff ** power,
-                        {v: e * power for v, e in self.exponents.items()})
-
-    def __add__(self, other):
-        return Posynomial([self]) + other
-
-    __radd__ = __add__
-
-
-def variable(name) -> Monomial:
-    return Monomial(1.0, {name: 1.0})
-
-
-class Posynomial:
-    """Sum of monomials; closed under addition, multiplication and division
-    by a monomial. Anything that would produce a negative coefficient (a
-    signomial) is rejected by construction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        terms = tuple(t if isinstance(t, Monomial) else Monomial(float(t)) for t in terms)
-        if not terms:
-            raise ValueError("posynomial needs at least one term")
-        self.terms = terms
-
-    def value(self, point):
-        return sum(t.value(point) for t in self.terms)
-
-    def variables(self):
-        out = set()
-        for t in self.terms:
-            out.update(t.exponents)
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, Posynomial):
-            return Posynomial(self.terms + other.terms)
-        if isinstance(other, Monomial):
-            return Posynomial(self.terms + (other,))
-        if isinstance(other, (int, float)):
-            if other == 0:
-                return self
-            return Posynomial(self.terms + (Monomial(float(other)),))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Posynomial):
-            return Posynomial([a * b for a in self.terms for b in other.terms])
-        if isinstance(other, (Monomial, int, float)):
-            return Posynomial([t * other for t in self.terms])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (Monomial, int, float)):
-            return Posynomial([t / other for t in self.terms])
-        return NotImplemented
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        return f"Posynomial({len(self.terms)} terms over {sorted(self.variables())})"
-
-
-def as_posynomial(obj) -> Posynomial:
-    if isinstance(obj, Posynomial):
-        return obj
-    if isinstance(obj, Monomial):
-        return Posynomial([obj])
-    if isinstance(obj, (int, float)):
-        return Posynomial([Monomial(float(obj))])
-    raise TypeError(f"cannot interpret {type(obj)} as a posynomial")
-
-
-def monomial_lower_bound(f: Posynomial, x0: dict) -> Monomial:
-    """Best local monomial under-approximation of posynomial f at the
-    positive point x0: weights are each term's share of f(x0), giving a
-    bound that touches f at x0 with matching gradient."""
-    f = as_posynomial(f)
-    if any(v <= 0.0 for v in x0.values()):
-        raise ValueError("expansion point must be strictly positive")
-    u = np.array([t.value(x0) for t in f.terms])
-    total = u.sum()
-    weights = u / total
-    coeff = 1.0
-    exps = {}
-    for t, q, uj in zip(f.terms, weights, u):
-        coeff *= (uj / q) ** q if q > 0 else 1.0
-        for var, e in t.exponents.items():
-            exps[var] = exps.get(var, 0.0) + q * e
-    # the coefficient above is prod((u_j/Q_j)^{Q_j}) evaluated at x0; divide
-    # out x0's contribution to keep only the true monomial coefficient
-    for var, e in exps.items():
-        coeff /= x0[var] ** e
-    return Monomial(coeff, exps)
-
-
 # --- problem containers -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -226,24 +70,18 @@ class Factors:
         for attr, dtype in (("ptr", np.intp), ("log_coeff", float), ("term", np.intp),
                             ("var", np.intp), ("exp", float)):
             object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=dtype))
+        if not self.term.size == self.var.size == self.exp.size:
+            raise ValueError("term, var and exp must have one entry per nonzero")
+        if self.ptr.size == 0 or self.ptr[0] != 0 or self.ptr[-1] != self.log_coeff.size:
+            raise ValueError("ptr must start at 0 and end at len(log_coeff)")
         if np.any(np.diff(self.ptr) < 1):
             raise ValueError("every factor needs at least one term")
+        for attr, size in (("term", self.log_coeff.size), ("var", len(self.names))):
+            index = getattr(self, attr)
+            if index.size and (index.min() < 0 or index.max() >= size):
+                raise ValueError(f"{attr} must lie in [0, {size})")
         if not (np.all(np.isfinite(self.log_coeff)) and np.all(np.isfinite(self.exp))):
             raise ValueError("coefficients and exponents must be finite")
-
-    @classmethod
-    def from_posynomials(cls, posys):
-        """The factors of a list of posynomials, term for term."""
-        index, ptr, log_coeff, term, var, exp = {}, [0], [], [], [], []
-        for posy in posys:
-            for t in posy.terms:
-                for name, e in t.exponents.items():
-                    term.append(len(log_coeff))
-                    var.append(index.setdefault(name, len(index)))
-                    exp.append(e)
-                log_coeff.append(math.log(t.coeff))
-            ptr.append(len(log_coeff))
-        return cls(ptr, log_coeff, term, var, exp, tuple(index))
 
 
 @dataclass
@@ -252,33 +90,27 @@ class GeometricProgram:
     constraint <= 1 and per-variable bounds lo <= x <= hi with
     0 < lo <= hi < inf.
 
-    The objective and the constraints are held as Factors, one factor per
-    constraint. Either may be given as Factors built from arrays, or as
-    posynomials, which are converted term for term: objective as posynomial
-    factors (a lone posynomial is one factor), constraints as the list
-    posy_constraints. Either way gp_solve compiles both along the one path
-    from Factors to a log-sum-exp stack.
+    The objective and the constraints are Factors, one factor per
+    constraint; gp_solve compiles both along one path from Factors to a
+    log-sum-exp stack.
 
     Every variable must have finite bounds; the compact box rules out
     unbounded programs by construction.
     """
 
     objective: Factors
-    posy_constraints: list = field(default_factory=list)
+    constraints: Factors = field(default_factory=lambda: Factors([0], [], [], [], [], ()))
     bounds: dict = field(default_factory=dict)
-    constraints: Factors = None
+    # Not a field: perfbench/spans._call_attrs counts its terms as gp.terms.
+    posy_constraints = ()
 
     def __post_init__(self):
-        if not isinstance(self.objective, Factors):
-            factors = self.objective if isinstance(self.objective, list) else [self.objective]
-            self.objective = Factors.from_posynomials([as_posynomial(f) for f in factors])
+        for name in ("objective", "constraints"):
+            value = getattr(self, name)
+            if not isinstance(value, Factors):
+                raise TypeError(f"{name} must be Factors, not {type(value).__name__}")
         if self.objective.ptr.size < 2:
             raise ValueError("objective needs at least one factor")
-        self.posy_constraints = [as_posynomial(c) for c in self.posy_constraints]
-        if self.constraints is None:
-            self.constraints = Factors.from_posynomials(self.posy_constraints)
-        elif self.posy_constraints:
-            raise ValueError("give the constraints as Factors or as posynomials, not both")
         for var, (lo, hi) in self.bounds.items():
             if not (0.0 < lo <= hi < math.inf):
                 raise ValueError(f"bounds for {var} must satisfy 0 < lo <= hi < inf")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import SystemDimensions, LargeScaleGains, PilotAllocation
-from .estimation import PowerAllocation, compute_gamma_bs, gamma_cu_bs_full
+from .estimation import PowerAllocation, gamma_cu_bs_full
+# perfbench/spans.py's SITES entry ("linklevel", "compute_gamma_bs") wraps it here
+from .estimation import compute_gamma_bs  # noqa: F401
 
 DIMENSION_GUARD = 10_000
 # Realizations per oracle channel batch.
@@ -235,9 +237,7 @@ def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
     n_sets = dims.num_d2d_pilots
     k_ = dims.cus_per_cell
 
-    gamma_full = gamma_cu_bs_full(gains, alloc, dims)
-    q_bs = compute_gamma_bs(gains, alloc, pilots, dims)
-    gamma_diag = np.concatenate([gamma_full[b, b, :], q_bs.gamma_set_bs[b]])
+    gamma_k = gamma_cu_bs_full(gains, alloc, dims)[b, b, k]
 
     den_cu = 1.0 + tau * np.einsum("jk,jk->k", alloc.pilot_cu, gains.beta_cu_bs[b])
     coeff_cu = np.sqrt(tau * alloc.pilot_cu[b]) * gains.beta_cu_bs[b, b] / den_cu  # (K,)
@@ -253,7 +253,7 @@ def oracle_zf(dims: SystemDimensions, gains: LargeScaleGains,
         obs_set = _despread_d2d_obs(child, h_d2d, alloc, pilots, tau, n_sets)
         est = np.concatenate([coeff_cu[None, :, None] * obs_cu,
                               coeff_set[None, :, None] * obs_set], axis=1)  # (s, K+N, M)
-        v = _zf_column(est.transpose(0, 2, 1), k) * np.sqrt(gamma_diag[k])
+        v = _zf_column(est.transpose(0, 2, 1), k) * np.sqrt(gamma_k)
         return _uatf_products(v, h_cu, h_d2d, b, k)
 
     batches = _map_batches(rng, num_realizations, _ORACLE_BATCH, batch_products)

@@ -9,15 +9,14 @@ and one coupling matrix a, the sum of spectral.sinr_terms' per-mechanism
 matrices. Algorithm 1 and its LP witness read (g, a), and evaluate_network
 reads the same arrays. The max-product GP over data powers builds its
 objective factors (1 + a_i . p) / (g_i p_i) as gp.Factors straight from
-(g, a), with no posynomial object (_maxprod_data_factors). The joint
-problems compile the closed-form SINR expressions with pilot powers as
-variables, in lifted form, as arrays built straight from the gain tensors
-(_joint_sinr_model): each received power and each ZF residual sum is one
-auxiliary GP variable, and the pilot sums are multiplied out. Their
-objectives and constraints reach gp_solve as Factors, with no posynomial
-object either. Because every user shares the prelog factor, a common SE
-target is equivalent to a common SINR target, which is how the max-min
-problems are expressed in GP form.
+(g, a) (_maxprod_data_factors). The joint problems compile the
+closed-form SINR expressions with pilot powers as variables, in lifted
+form, as arrays built straight from the gain tensors (_joint_sinr_model):
+each received power and each ZF residual sum is one auxiliary GP
+variable, and the pilot sums are multiplied out. Their objectives and
+constraints reach gp_solve as Factors too. Because every user shares the
+prelog factor, a common SE target is equivalent to a common SINR target,
+which is how the max-min problems are expressed in GP form.
 """
 
 import dataclasses
@@ -38,9 +37,6 @@ from .estimation import compute_gamma_bs, compute_gamma_d2drx, gamma_cu_bs_full 
 from .spectral import evaluate_network, se_from_sinr, sinr_terms
 from .gp import (Factors, GeometricProgram, LinearFeasibilityProblem, SolverSettings,
                  gp_solve, lp_feasible, GPInfeasibleError, GPSolverError)
-# perfbench/spans.py wraps monomial_lower_bound at this import site; the
-# joint model condenses its anchors with array operations instead
-from .gp import monomial_lower_bound  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -343,22 +339,6 @@ class _Posynomials(NamedTuple):
         """1 / monomial i, for one term per posynomial."""
         return self._replace(log_coeff=-self.log_coeff, exp=-self.exp)
 
-    def condensed(self, y):
-        """Each posynomial's best local monomial lower bound at x = exp(y),
-        one term per posynomial: the weights are each term's share of its
-        posynomial there and the exponents are weights^T E, so the bound
-        touches at y with matching gradient (Boyd et al. 2007,
-        condensation)."""
-        m = self.ptr.size - 1
-        z = self._log_terms(y[self.col])
-        seg = self.segments()
-        top = np.maximum.reduceat(z, self.ptr[:-1])
-        share = np.exp(z - top[seg])
-        total = np.bincount(seg, share, minlength=m)
-        term, exp = seg[self.term], (share / total[seg])[self.term] * self.exp
-        log_coeff = np.log(total) + top - np.bincount(term, exp * y[self.col], minlength=m)
-        return _Posynomials(np.arange(m + 1), log_coeff, term, self.col, exp)
-
     def merged(self):
         """The same posynomials with the exponents on one column of a term
         added up and zero exponents dropped."""
@@ -371,6 +351,23 @@ class _Posynomials(NamedTuple):
     def factors(self, names):
         """As gp.Factors over the columns names, nonzero for nonzero."""
         return Factors(self.ptr, self.log_coeff, self.term, self.col, self.exp, tuple(names))
+
+
+def monomial_lower_bound(posys, y):
+    """The best local monomial lower bound of each posynomial of posys at x
+    = exp(y), one term per posynomial: the weights are each term's share of
+    its posynomial there and the exponents are weights^T E, so the bound
+    touches at y with matching gradient (Boyd et al. 2007, condensation).
+    perfbench/spans.py wraps this module's name as the gp.mlb span."""
+    m = posys.ptr.size - 1
+    z = posys._log_terms(y[posys.col])
+    seg = posys.segments()
+    top = np.maximum.reduceat(z, posys.ptr[:-1])
+    share = np.exp(z - top[seg])
+    total = np.bincount(seg, share, minlength=m)
+    term, exp = seg[posys.term], (share / total[seg])[posys.term] * posys.exp
+    log_coeff = np.log(total) + top - np.bincount(term, exp * y[posys.col], minlength=m)
+    return _Posynomials(np.arange(m + 1), log_coeff, term, posys.col, exp)
 
 
 def _rows(coeffs, keep, cols, constant=True):
@@ -439,7 +436,7 @@ class _Residuals(NamedTuple):
 
     def at(self, y):
         """The residual sums anchored at the pilot powers exp(y)."""
-        anchor = self.sums.condensed(y)
+        anchor = monomial_lower_bound(self.sums, y)
         return self.shape._replace(
             log_coeff=self.shape.log_coeff
             + np.append(self.log_power - anchor.log_coeff, 0.0)[self.row],
@@ -601,9 +598,9 @@ def _maxprod_data_factors(scn: Scenario, processing: Processing, fixed_pilots):
     term a_ij/g_i per positive coupling, with +1 on p_j and -1 on p_i (a
     constant when j = i). Each coefficient is a_ij * g_i ** -1.0 with
     numpy's scalar power and each offset its math.log: the arithmetic of
-    Factors.from_posynomials, which a vectorized reciprocal or log can miss
-    by an ulp, so the stack is bit for bit the one the same factors give as
-    posynomials. Raises GPInfeasibleError for a user with g_i <= 0, whose
+    the posynomial oracle's term-for-term conversion (tests/posynomials.py),
+    which a vectorized reciprocal or log can miss by an ulp, so the stack is
+    bit for bit the one the same factors give as posynomials. Raises GPInfeasibleError for a user with g_i <= 0, whose
     SINR is identically zero."""
     g, terms = sinr_terms(scn.dims, scn.gains, scn.pilots, fixed_pilots, processing.value)
     dead = np.flatnonzero(g <= 0.0)

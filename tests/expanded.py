@@ -11,10 +11,10 @@ forms that replaced them:
 import numpy as np
 
 from mimo_d2d import se_from_sinr, sinr_terms
-from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, Monomial, Posynomial, gp_solve,
-                         monomial_lower_bound)
+from mimo_d2d.gp import GPInfeasibleError, gp_solve
 from mimo_d2d.power_control import (Objective, Processing, _half_power_sinrs,
                                     _joint_upper_bounds, _power_bounds, _stacked_names)
+from posynomials import Monomial, Posynomial, monomial_lower_bound, program
 
 
 # The GP variable names, spelled here rather than read from the model under
@@ -171,18 +171,17 @@ def solve_expanded_joint_mr(scn, objective):
     bounds = _power_bounds(scn, True)
     start = dict.fromkeys(bounds, scn.p_max / 2.0)
     if Objective(objective) is Objective.MAXPROD:
-        gp = GeometricProgram(objective=[den / num for num, den in constraint_map.values()],
-                              bounds=bounds)
+        gp = program([den / num for num, den in constraint_map.values()], bounds=bounds)
         solution = gp_solve(gp, initial=start)
         return solution, -solution.log_objective
     weakest = _half_power_sinrs(scn, Processing.MR).min()
     bounds["target"] = (max(weakest * 0.25, 1e-280),
                         _joint_upper_bounds(scn, Processing.MR).min())
     start["target"] = weakest * 0.5
-    gp = GeometricProgram(objective=Monomial(1.0, {"target": -1.0}),
-                          posy_constraints=[den * Monomial(1.0, {"target": 1.0}) / num
-                                            for num, den in constraint_map.values()],
-                          bounds=bounds)
+    gp = program(Monomial(1.0, {"target": -1.0}),
+                 [den * Monomial(1.0, {"target": 1.0}) / num
+                  for num, den in constraint_map.values()],
+                 bounds=bounds)
     solution = gp_solve(gp, initial=start)
     return solution, float(se_from_sinr(solution.values["target"], scn.dims))
 

@@ -18,14 +18,14 @@ from mimo_d2d import (ScenarioConfig, Scenario, PowerAllocation,
                       cu_sinr_mr, cu_sinr_zf, oracle_uatf_mr, oracle_zf,
                       wishart_inverse_diagonal_mean, maxmin_data, maxprod_data,
                       maxmin_joint_mr, maxprod_joint_mr, zf_joint_successive,
-                      ControlSettings, Monomial, Posynomial, GeometricProgram,
-                      gp_solve, monomial_lower_bound)
-from mimo_d2d.gp import as_posynomial, variable
+                      ControlSettings, gp_solve)
 from mimo_d2d.harness import drop_seed
 from mimo_d2d.power_control import _stacked_upper
 from mimo_d2d.spectral import sinr_terms
 from mimo_d2d.gp import LinearFeasibilityProblem, lp_feasible
 import phase_one
+from posynomials import (Monomial, Posynomial, as_posynomial, monomial_lower_bound, program,
+                         variable)
 
 
 def _report(num, name, ok, detail):
@@ -133,14 +133,12 @@ def test_criterion_04_d2d_approximation_tightness():
 
 def test_criterion_05_gp_solver_and_monomial_bound():
     x, y = variable("x"), variable("y")
-    gp = GeometricProgram(objective=as_posynomial(x),
-                          posy_constraints=[as_posynomial(x ** -1.0)],
-                          bounds={"x": (1e-3, 1e3)})
+    gp = program(as_posynomial(x), [as_posynomial(x ** -1.0)], bounds={"x": (1e-3, 1e3)})
     sol = gp_solve(gp, initial=phase_one.start(gp))
     err1 = abs(sol.values["x"] - 1.0)
-    gp2 = GeometricProgram(objective=as_posynomial(x**-1.0 * y**-1.0),
-                           posy_constraints=[as_posynomial(x / 2.0), as_posynomial(y / 3.0)],
-                           bounds={"x": (1e-3, 1e3), "y": (1e-3, 1e3)})
+    gp2 = program(as_posynomial(x**-1.0 * y**-1.0),
+                  [as_posynomial(x / 2.0), as_posynomial(y / 3.0)],
+                  bounds={"x": (1e-3, 1e3), "y": (1e-3, 1e3)})
     sol2 = gp_solve(gp2, initial=phase_one.start(gp2))
     err2 = abs(sol2.objective - 1.0 / 6.0) * 6.0
 

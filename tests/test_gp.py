@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimo_d2d import (Monomial, Posynomial, GeometricProgram,
-                      LinearFeasibilityProblem, SolverSettings, gp_solve,
-                      lp_feasible, monomial_lower_bound)
+from mimo_d2d import (GeometricProgram, LinearFeasibilityProblem, SolverSettings, gp_solve,
+                      lp_feasible)
 from mimo_d2d import gp as gp_module
-from mimo_d2d.gp import Factors, GPInfeasibleError, GPSolverError, variable, as_posynomial
+from mimo_d2d.gp import Factors, GPInfeasibleError, GPSolverError
 import phase_one
+from posynomials import (Monomial, Posynomial, as_posynomial, factors, monomial_lower_bound,
+                         program, variable)
 from gridsearch import refine_maximize
 from sparse_stack import SparseStack, newton_matrix, two_stack_newton_system
 
@@ -103,18 +104,16 @@ def _solve_from_phase_one(gp, settings=None):
 
 def test_gp_analytic_reciprocal():
     x = variable("x")
-    sol = _solve_from_phase_one(GeometricProgram(objective=as_posynomial(x),
-                                                 posy_constraints=[as_posynomial(x ** -1.0)],
-                                                 bounds={"x": (1e-3, 1e3)}))
+    sol = _solve_from_phase_one(program(as_posynomial(x), [as_posynomial(x ** -1.0)],
+                                        bounds={"x": (1e-3, 1e3)}))
     assert sol.values["x"] == pytest.approx(1.0, rel=1e-6)
     assert sol.status == "optimal"
 
 
 def test_gp_analytic_separable():
     x, y = variable("x"), variable("y")
-    sol = _solve_from_phase_one(GeometricProgram(
-        objective=as_posynomial(x**-1.0 * y**-1.0),
-        posy_constraints=[as_posynomial(x / 2.0), as_posynomial(y / 3.0)],
+    sol = _solve_from_phase_one(program(
+        as_posynomial(x**-1.0 * y**-1.0), [as_posynomial(x / 2.0), as_posynomial(y / 3.0)],
         bounds={"x": (1e-3, 1e3), "y": (1e-3, 1e3)}))
     assert sol.values["x"] == pytest.approx(2.0, rel=1e-6)
     assert sol.values["y"] == pytest.approx(3.0, rel=1e-6)
@@ -123,31 +122,35 @@ def test_gp_analytic_separable():
 
 def test_gp_solution_reports_compiled_size():
     """GPSolution counts the compiled columns, constraint segments and
-    terms: by hand, 2 variables, 2 constraints and 1 + 3 terms here, with
-    the constraints given as posynomials or as the same Factors."""
+    terms: by hand, 2 variables, 2 constraints and 1 + 3 terms here."""
     x, y = variable("x"), variable("y")
-    bounds = {"x": (1e-3, 1e3), "y": (1e-3, 1e3)}
-    constraints = [as_posynomial(x / 2.0), as_posynomial(y / 3.0 + x / 4.0)]
-    by_posynomials = GeometricProgram(objective=as_posynomial(x**-1.0 * y**-1.0),
-                                      posy_constraints=constraints, bounds=bounds)
-    by_factors = GeometricProgram(objective=as_posynomial(x**-1.0 * y**-1.0),
-                                  constraints=Factors.from_posynomials(constraints),
-                                  bounds=bounds)
-    start = {"x": 1.0, "y": 1.0}
-    got = [gp_solve(gp, initial=start) for gp in (by_posynomials, by_factors)]
-    for sol in got:
-        assert (sol.num_variables, sol.num_constraints, sol.num_terms) == (2, 2, 4)
-    assert got[0].log_objective == got[1].log_objective
-    with pytest.raises(ValueError, match="not both"):
-        GeometricProgram(objective=as_posynomial(x), posy_constraints=constraints,
-                         constraints=Factors.from_posynomials(constraints), bounds=bounds)
+    gp = program(as_posynomial(x**-1.0 * y**-1.0),
+                 [as_posynomial(x / 2.0), as_posynomial(y / 3.0 + x / 4.0)],
+                 bounds={"x": (1e-3, 1e3), "y": (1e-3, 1e3)})
+    sol = gp_solve(gp, initial={"x": 1.0, "y": 1.0})
+    assert (sol.num_variables, sol.num_constraints, sol.num_terms) == (2, 2, 4)
+
+
+def test_geometric_program_takes_factors_only():
+    """The objective and the constraints are Factors; anything else, and the
+    posynomial keyword posy_constraints, raises TypeError. The constraints
+    default to none."""
+    objective = factors([variable("x")])
+    with pytest.raises(TypeError, match="objective must be Factors"):
+        GeometricProgram(objective=as_posynomial(variable("x")))
+    with pytest.raises(TypeError, match="constraints must be Factors"):
+        GeometricProgram(objective=objective, constraints=[as_posynomial(variable("x"))])
+    with pytest.raises(TypeError):
+        GeometricProgram(objective=objective, posy_constraints=[as_posynomial(variable("x"))])
+    gp = GeometricProgram(objective=objective, bounds={"x": (1.0, 2.0)})
+    assert gp.constraints.ptr.tolist() == [0] and gp.variables() == ["x"]
 
 
 def test_gp_solution_reports_its_wall_times():
     """compile_s (Factors to stack) and newton_s (the primal-dual
     iterations) are non-negative and add up to at most the call's wall
     time."""
-    gp, _, _ = _random_gp(0)
+    gp, *_ = _random_gp(0)
     start = phase_one.start(gp)
     t0 = time.perf_counter()
     sol = gp_solve(gp, initial=start)
@@ -159,19 +162,20 @@ def test_gp_solution_reports_its_wall_times():
 def _box_corner_gp():
     """No posynomial constraints: min x/y sits on x's lower and y's upper bound."""
     x, y = variable("x"), variable("y")
-    gp = GeometricProgram(objective=as_posynomial(x * y ** -1.0),
-                          bounds={"x": (0.5, 4.0), "y": (0.25, 8.0)})
+    gp = program(as_posynomial(x * y ** -1.0), bounds={"x": (0.5, 4.0), "y": (0.25, 8.0)})
     return gp, {"x": 0.5, "y": 8.0}, 0.5 / 8.0
+
+
+_PHASE_ONE_CONSTRAINT = as_posynomial(4.0 * variable("x") ** -1.0 * variable("y") ** -1.0)
 
 
 def _phase_one_gp():
     """min x + y s.t. 4/(xy) <= 1: the box center (1, 1) violates the
     constraint, so phase 1 must find the start; AM-GM gives x = y = 2."""
     x, y = variable("x"), variable("y")
-    gp = GeometricProgram(objective=as_posynomial(x + y),
-                          posy_constraints=[as_posynomial(4.0 * x ** -1.0 * y ** -1.0)],
-                          bounds={"x": (0.01, 100.0), "y": (0.01, 100.0)})
-    assert gp.posy_constraints[0].value({"x": 1.0, "y": 1.0}) > 1.0
+    gp = program(as_posynomial(x + y), [_PHASE_ONE_CONSTRAINT],
+                 bounds={"x": (0.01, 100.0), "y": (0.01, 100.0)})
+    assert _PHASE_ONE_CONSTRAINT.value({"x": 1.0, "y": 1.0}) > 1.0
     return gp, {"x": 2.0, "y": 2.0}, 4.0
 
 
@@ -179,8 +183,8 @@ def _product_gp():
     """min (x + 1/x)(y + 4/y): the factors share no variable, so each sits at
     its own AM-GM minimum, 2 at x = 1 and 4 at y = 2."""
     x, y = variable("x"), variable("y")
-    gp = GeometricProgram(objective=[x + x ** -1.0, y + 4.0 * y ** -1.0],
-                          bounds={"x": (1e-2, 1e2), "y": (1e-2, 1e2)})
+    gp = program([x + x ** -1.0, y + 4.0 * y ** -1.0],
+                 bounds={"x": (1e-2, 1e2), "y": (1e-2, 1e2)})
     return gp, {"x": 1.0, "y": 2.0}, 8.0
 
 
@@ -201,10 +205,9 @@ def test_gp_infeasible_certificate():
     positive slack minimum."""
     x = variable("x")
     with pytest.raises(GPInfeasibleError) as err:
-        phase_one.start(GeometricProgram(objective=as_posynomial(x),
-                                         posy_constraints=[as_posynomial(x / 0.5),
-                                                           as_posynomial(2.0 * x**-1.0)],
-                                         bounds={"x": (1e-3, 1e3)}))
+        phase_one.start(program(as_posynomial(x),
+                                [as_posynomial(x / 0.5), as_posynomial(2.0 * x**-1.0)],
+                                bounds={"x": (1e-3, 1e3)}))
     assert err.value.margin > 0
 
 
@@ -212,18 +215,17 @@ def test_gp_iteration_limit():
     x = variable("x")
     settings = SolverSettings(max_iter=3)
     with pytest.raises(GPSolverError):
-        _solve_from_phase_one(GeometricProgram(objective=as_posynomial(x + x**-1.0),
-                                               posy_constraints=[as_posynomial(x / 5.0)],
-                                               bounds={"x": (1e-3, 1e3)}), settings)
+        _solve_from_phase_one(program(as_posynomial(x + x**-1.0), [as_posynomial(x / 5.0)],
+                                      bounds={"x": (1e-3, 1e3)}), settings)
 
 
 def test_gp_missing_bounds_rejected():
     """A variable without bounds is rejected, whether the objective names it
     as a posynomial or as Factors built from arrays."""
     x, y = variable("x"), variable("y")
-    factors = Factors(ptr=[0, 1], log_coeff=[0.0], term=[0, 0], var=[0, 1],
-                      exp=[1.0, 1.0], names=("x", "y"))
-    for objective in (as_posynomial(x * y), factors):
+    arrays = Factors(ptr=[0, 1], log_coeff=[0.0], term=[0, 0], var=[0, 1],
+                     exp=[1.0, 1.0], names=("x", "y"))
+    for objective in (factors([x * y]), arrays):
         with pytest.raises(ValueError, match="variables without bounds"):
             gp_solve(GeometricProgram(objective=objective, bounds={"x": (1e-3, 1e3)}),
                      initial={"x": 1.0, "y": 1.0})
@@ -234,10 +236,24 @@ def test_gp_missing_bounds_rejected():
     ({"log_coeff": [math.inf]}, "finite"),
     ({"exp": [math.nan]}, "finite"),
     ({"ptr": [0], "log_coeff": [], "term": [], "var": [], "exp": []}, "at least one factor"),
-], ids=["empty-factor", "infinite-coefficient", "nan-exponent", "no-factor"])
+    ({"var": [-1]}, "var must lie in"),
+    ({"var": [1]}, "var must lie in"),
+    ({"term": [-1]}, "term must lie in"),
+    ({"term": [1]}, "term must lie in"),
+    ({"ptr": [1, 1]}, "ptr must start at 0"),
+    ({"ptr": [0, 2]}, "ptr must start at 0 and end at len"),
+    ({"ptr": []}, "ptr must start at 0"),
+    ({"exp": [1.0, 2.0]}, "term, var and exp"),
+    ({"var": []}, "term, var and exp"),
+], ids=["empty-factor", "infinite-coefficient", "nan-exponent", "no-factor",
+        "negative-var", "var-past-names", "negative-term", "term-past-coefficients",
+        "ptr-not-from-0", "ptr-past-coefficients", "no-ptr", "long-exp", "short-var"])
 def test_factors_reject_malformed_arrays(fields, message):
-    """Array-built factors are checked as posynomials are: no empty factor,
-    no non-finite coefficient or exponent, and an objective has a factor."""
+    """Factors, the only input form of a GP, reject malformed arrays with a
+    message naming the field: no empty factor, no non-finite coefficient or
+    exponent, an objective with a factor, every term and var index in
+    range, ptr from 0 to len(log_coeff), and one term, var and exp entry
+    per nonzero. A negative var would otherwise wrap to the last name."""
     arrays = dict(ptr=[0, 1], log_coeff=[0.0], term=[0], var=[0], exp=[1.0], names=("x",))
     with pytest.raises(ValueError, match=message):
         GeometricProgram(objective=Factors(**{**arrays, **fields}), bounds={"x": (1.0, 2.0)})
@@ -253,7 +269,7 @@ def test_gp_solve_rejects_start_not_strictly_inside(point, on_constraint, monkey
     box by more than 1e-12 in log space raises GPSolverError, and no solve
     runs from anywhere else."""
     gp, _, _ = _phase_one_gp()
-    value = gp.posy_constraints[0].value(point)
+    value = _PHASE_ONE_CONSTRAINT.value(point)
     assert value == 1.0 if on_constraint else value < 1.0
 
     def no_solve(*args, **kwargs):
@@ -267,7 +283,7 @@ def test_gp_solve_rejects_start_not_strictly_inside(point, on_constraint, monkey
 def _random_gp(seed):
     """Three variables, mixed-sign exponents in the objective, one coupling
     constraint; optimum away from degenerate corners. Returns the program,
-    its bounds and its objective posynomial."""
+    its bounds, its objective posynomial and its constraint posynomials."""
     rng = np.random.default_rng(seed)
     names = ["x", "y", "z"]
     obj_terms = []
@@ -281,13 +297,12 @@ def _random_gp(seed):
     ])
     bounds = {v: (0.05, 20.0) for v in names}
     objective = Posynomial(obj_terms)
-    return (GeometricProgram(objective=objective, posy_constraints=[coupling], bounds=bounds),
-            bounds, objective)
+    return program(objective, [coupling], bounds), bounds, objective, [coupling]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gp_matches_grid_refinement_oracle(seed):
-    gp, bounds, objective = _random_gp(seed)
+    gp, bounds, objective, constraints = _random_gp(seed)
     sol = _solve_from_phase_one(gp)
 
     names = sorted(bounds)
@@ -296,7 +311,7 @@ def test_gp_matches_grid_refinement_oracle(seed):
 
     def neg_obj(x):
         point = dict(zip(names, x))
-        if any(c.value(point) > 1.0 for c in gp.posy_constraints):
+        if any(c.value(point) > 1.0 for c in constraints):
             return -np.inf
         return -objective.value(point)
 
@@ -304,12 +319,12 @@ def test_gp_matches_grid_refinement_oracle(seed):
     oracle_obj = -best
     assert sol.objective == pytest.approx(oracle_obj, rel=1e-4)
     point = sol.values
-    assert all(c.value(point) <= 1.0 + 1e-6 for c in gp.posy_constraints)
+    assert all(c.value(point) <= 1.0 + 1e-6 for c in constraints)
 
 
 def test_gp_log_space_convexity_certificate():
     """Numerical Hessians of log f(exp y) at the solution are PSD."""
-    gp, _, objective = _random_gp(5)
+    gp, _, objective, constraints = _random_gp(5)
     sol = _solve_from_phase_one(gp)
     y0 = {v: np.log(val) for v, val in sol.values.items()}
     names = sorted(y0)
@@ -317,7 +332,7 @@ def test_gp_log_space_convexity_certificate():
     def logf(f, y):
         return np.log(f.value({v: np.exp(y[v]) for v in names}))
 
-    for f in [objective, *gp.posy_constraints]:
+    for f in [objective, *constraints]:
         n = len(names)
         hess = np.zeros((n, n))
         h = 1e-4
@@ -341,7 +356,7 @@ def test_primal_dual_matches_barrier_path_oracle(seed):
     objective of the oracle's barrier path, run to the same gap target from
     the same phase-1 start, to 1e-8 relative (absolute below 1, the gap's
     scale)."""
-    gp, _, _ = _random_gp(seed)
+    gp, *_ = _random_gp(seed)
     solver_settings = SolverSettings()
     start = phase_one.start(gp, solver_settings)
     sol = gp_solve(gp, solver_settings, initial=start)
@@ -572,8 +587,7 @@ def test_phase_one_epigraph_appends_dense_slack_column(seed):
                      {v: float(rng.uniform(-2.0, 2.0)) for v in names if rng.random() < 0.6})
             for _ in range(int(rng.integers(1, 4)))])
         cons.append(posy / (2.0 * posy.value(x_star)))  # 1/2 at x_star: feasible
-    gp = GeometricProgram(objective=variable("a"), posy_constraints=cons,
-                          bounds={v: (0.1, 10.0) for v in names})
+    gp = program(variable("a"), cons, bounds={v: (0.1, 10.0) for v in names})
     _, var_index, box = gp_module._compile_gp(gp)
     con_stack = gp_module._stack_from_factors(var_index, gp.constraints)
 

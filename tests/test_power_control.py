@@ -20,14 +20,16 @@ from mimo_d2d import (Scenario, ScenarioConfig, SystemDimensions, Geometry,
                       power_control)
 from mimo_d2d.power_control import _stacked_upper, _minimal_powers, Processing
 from mimo_d2d import gp as gp_module
-from mimo_d2d.gp import (Factors, GeometricProgram, GPInfeasibleError, GPSolverError,
-                         LinearFeasibilityProblem, LPFeasibility, Monomial, Posynomial,
-                         SolverSettings, gp_solve, lp_feasible, monomial_lower_bound)
+from mimo_d2d.gp import (GeometricProgram, GPInfeasibleError, GPSolverError,
+                         LinearFeasibilityProblem, LPFeasibility, SolverSettings, gp_solve,
+                         lp_feasible)
 from mimo_d2d.harness import cellular_only_view, drop_seed
 from expanded import (data_sinr_posynomials, expanded_sinr_constraints, model_values,
                       solve_expanded_joint_mr)
 from gridsearch import refine_maximize
 import closed_forms
+import posynomials
+from posynomials import Monomial, Posynomial
 
 
 def _scenario_from_gains(dims, beta_cu_bs, beta_d2dtx_bs, beta_cu_d2drx,
@@ -410,8 +412,7 @@ def _aux_maxprod(scn, processing, joint):
         bounds[name] = (max(base_i * 1e-9, 1e-280), ub_i)
         start[name] = base_i * 0.5
         constraints.append(den * Monomial(1.0, {name: 1.0}) / num)
-    gp = GeometricProgram(objective=Monomial(1.0, dict.fromkeys(names, -1.0)),
-                          posy_constraints=constraints, bounds=bounds)
+    gp = posynomials.program(Monomial(1.0, dict.fromkeys(names, -1.0)), constraints, bounds)
     sol = gp_solve(gp, initial=start)
     alloc = power_control._alloc_from_values(scn, sol.values, joint, pilots)
     return alloc, float(sum(np.log(sol.values[name]) for name in names))
@@ -464,50 +465,10 @@ def test_maxprod_data_factors_compile_as_posynomials(small_scenario, reference_d
         bounds=power_control._power_bounds(scn, False))
     _, var_index, _ = gp_module._compile_gp(gp)
     got = gp_module._stack_from_factors(var_index, gp.objective)
-    want = gp_module._stack_from_factors(var_index, Factors.from_posynomials(
+    want = gp_module._stack_from_factors(var_index, posynomials.factors(
         [den / num for num, den in data_sinr_posynomials(scn, processing, pilots).values()]))
     for name in ("row", "col", "val", "d", "ptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
-@pytest.mark.parametrize("solve", [maxprod_data, maxmin_data], ids=["maxprod", "maxmin"])
-@pytest.mark.parametrize("processing", ["mr", "zf"])
-def test_data_power_solves_build_no_monomial(reference_drops, monkeypatch, solve, processing):
-    """The data-power problems read the (g, a) arrays and build no Monomial."""
-    built = []
-    post_init = gp_module.Monomial.__post_init__
-
-    def counting(self):
-        built.append(self.coeff)
-        post_init(self)
-
-    monkeypatch.setattr(gp_module.Monomial, "__post_init__", counting)
-    solve(reference_drops[0], processing)
-    assert len(built) == 0
-    gp_module.variable("x")  # the spy sees a Monomial built anywhere
-    assert len(built) == 1
-
-
-def test_joint_solves_build_no_monomial(small_scenario, monkeypatch):
-    """The four joint problems build their GPs as arrays straight from the
-    gain tensors, and Algorithm 2 condenses its anchors as arrays: no
-    Monomial is built."""
-    built = []
-    post_init = gp_module.Monomial.__post_init__
-
-    def counting(self):
-        built.append(self.coeff)
-        post_init(self)
-
-    monkeypatch.setattr(gp_module.Monomial, "__post_init__", counting)
-    for objective in ("maxmin", "maxprod"):
-        for processing in ("mr", "zf"):
-            _, _, diag = solve_problem(small_scenario,
-                                       ControlProblemSpec(objective, "joint", processing))
-            assert diag.status in ("optimal", "converged")
-    assert len(built) == 0
-    gp_module.variable("x")  # the spy sees a Monomial built anywhere
-    assert len(built) == 1
 
 
 # --- joint pilot and data, MR --------------------------------------------------------
@@ -880,13 +841,14 @@ def test_condensed_rows_match_monomial_lower_bound(seed, rows, cols):
     keep = rng.uniform(size=(rows, cols)) < 0.7
     at = 1 + rng.permutation(width - 1)[:cols]  # column 0 is never read
     x0 = 10.0 ** rng.uniform(-3.0, 3.0, width)
-    bound = power_control._rows(coeffs, keep, [at]).condensed(np.log(x0))
+    bound = power_control.monomial_lower_bound(power_control._rows(coeffs, keep, [at]),
+                                               np.log(x0))
     log_coeff, exps = bound.log_coeff, np.zeros((rows, width))
     np.add.at(exps, (bound.term, bound.col), bound.exp)
     for r in range(rows):
         posy = Posynomial([Monomial(1.0)] + [Monomial(coeffs[r, j], {names[at[j]]: 1.0})
                                              for j in range(cols) if keep[r, j]])
-        want = monomial_lower_bound(posy, dict(zip(names, x0)))
+        want = posynomials.monomial_lower_bound(posy, dict(zip(names, x0)))
         assert math.exp(log_coeff[r]) == pytest.approx(want.coeff, rel=1e-12)
         assert {names[j] for j in np.flatnonzero(exps[r])} == set(want.exponents)
         for name, e in want.exponents.items():
